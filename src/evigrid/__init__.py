@@ -12,7 +12,7 @@ from .dst import (FrameOfDiscernment, MassFunction, Refining, TotalConflictError
 from .frames import PERCEPTION_FRAME, SENSOR_FRAME, SENSOR_REFINING
 from .fusion import (ConflictPair, FusionParams, apply_accumulator_specialization,
                      combine_prior, conflict_masses, decide, decide_grid, fuse_pg,
-                     refine_sg, step, step_cell, step_with_conflicts,
+                     refine_sg, step_cell, step_with_conflicts,
                      update_accumulator)
 from .grid import EvidentialGrid, GridSpec, PerceptionGrid
 from .map_ingest import (MapConfidence, VectorMap, load_map, point_in_polygon,
@@ -30,7 +30,7 @@ __all__ = [
     "PERCEPTION_FRAME", "SENSOR_FRAME", "SENSOR_REFINING",
     "ConflictPair", "FusionParams", "apply_accumulator_specialization",
     "combine_prior", "conflict_masses", "decide", "decide_grid", "fuse_pg",
-    "refine_sg", "step", "step_cell", "step_with_conflicts", "update_accumulator",
+    "refine_sg", "step_cell", "step_with_conflicts", "update_accumulator",
     "EvidentialGrid", "GridSpec", "PerceptionGrid",
     "MapConfidence", "VectorMap", "load_map", "point_in_polygon", "rasterize_gg",
     "Beam", "LidarScan", "Pose", "SensorGridParams", "build_sg",

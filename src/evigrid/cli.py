@@ -1,7 +1,8 @@
 """Command-line entry point: run scenarios or replay scan logs.
 
 Exit codes: 0 success, 1 configuration error (unreadable or invalid scenario,
-map or params file), 2 runtime error (failures while stepping epochs).
+map or params file, unreadable scan log), 2 runtime error (failures while
+stepping epochs, including a malformed scan-log line).
 Diagnostic verbosity is controlled by the EVIGRID_LOG environment variable
 (DEBUG, INFO, WARNING, ...).
 """
@@ -13,16 +14,15 @@ import json
 import logging
 import os
 import sys
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .fusion import FusionParams
-from .grid import GridSpec, write_grid_csv
-from .map_ingest import MapConfidence, MapFormatError, load_map, rasterize_gg
+from .grid import write_grid_csv
+from .map_ingest import load_map, rasterize_gg
 from .render import MovingTrace, decision_image, pignistic_image, write_ppm
-from .sensor import SensorGridParams
-from .simulator import (EpochResult, ScenarioConfig, ScenarioError, replay_scans,
-                        run_scenario)
+from .simulator import (EpochResult, ScenarioConfig, format_scan, load_settings,
+                        replay_scans, run_scenario)
 
 log = logging.getLogger("evigrid")
 
@@ -37,122 +37,47 @@ def _parse_epochs(value: str) -> set[int]:
     return {int(part) for part in value.split(",") if part}
 
 
-def _record_line(result: EpochResult) -> str:
-    return json.dumps({
-        "t": result.time,
-        "pose": {"x": result.pose.x, "y": result.pose.y, "heading": result.pose.heading},
-        "beams": [[b.bearing, b.range, b.hit] for b in result.scan.beams],
-        "max_range": result.scan.max_range,
-    })
-
-
 def _emit(results: Iterable[EpochResult], out_dir: Path, render: str, every: int,
-          dump_epochs: set[int], threshold: float,
-          record_path: Optional[Path]) -> None:
+          dump_epochs: set[int], record_path: Optional[Path]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace: Optional[MovingTrace] = None
-    record = open(record_path, "w") if record_path else None
-    try:
-        with open(out_dir / "stats.ndjson", "w") as stats_out:
-            for result in results:
-                stats_out.write(json.dumps(result.stats) + "\n")
-                if record:
-                    record.write(_record_line(result) + "\n")
-                if trace is None:
-                    trace = MovingTrace(result.pg.spec.width, result.pg.spec.height)
-                trace.update(result.pg, threshold)
-                if result.epoch % every == 0:
-                    if render in ("decision", "both"):
-                        with open(out_dir / f"decision_{result.epoch:05d}.ppm", "w") as fh:
-                            write_ppm(decision_image(result.pg, threshold), fh)
-                    if render in ("pignistic", "both"):
-                        with open(out_dir / f"pignistic_{result.epoch:05d}.ppm", "w") as fh:
-                            write_ppm(pignistic_image(result.pg), fh)
-                if result.epoch in dump_epochs:
-                    with open(out_dir / f"grid_{result.epoch:05d}.csv", "w") as fh:
-                        write_grid_csv(result.pg, fh)
-        if trace is not None:
-            with open(out_dir / "trace.ppm", "w") as fh:
-                write_ppm(trace.image(), fh)
-    finally:
-        if record:
-            record.close()
+    with open(out_dir / "stats.ndjson", "w") as stats_out, \
+            open(record_path, "w") if record_path else nullcontext() as record:
+        for result in results:
+            stats_out.write(json.dumps(result.stats) + "\n")
+            if record:
+                record.write(format_scan(result.time, result.pose, result.scan) + "\n")
+            if trace is None:
+                trace = MovingTrace(*result.codes.shape)
+            trace.update(result.codes)
+            if result.epoch % every == 0:
+                if render in ("decision", "both"):
+                    with open(out_dir / f"decision_{result.epoch:05d}.ppm", "w") as fh:
+                        write_ppm(decision_image(result.codes), fh)
+                if render in ("pignistic", "both"):
+                    with open(out_dir / f"pignistic_{result.epoch:05d}.ppm", "w") as fh:
+                        write_ppm(pignistic_image(result.bet), fh)
+            if result.epoch in dump_epochs:
+                with open(out_dir / f"grid_{result.epoch:05d}.csv", "w") as fh:
+                    write_grid_csv(result.pg, fh)
+    if trace is not None:
+        with open(out_dir / "trace.ppm", "w") as fh:
+            write_ppm(trace.image(), fh)
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = ScenarioConfig.from_file(args.scenario)
-        if args.params:
-            overrides = json.loads(Path(args.params).read_text())
-            if "fusion" in overrides:
-                cfg.fusion = FusionParams(**overrides["fusion"])
-            if "map_confidence" in overrides:
-                cfg.map_confidence = MapConfidence(**overrides["map_confidence"])
-            if "decision_threshold" in overrides:
-                cfg.decision_threshold = float(overrides["decision_threshold"])
-        if not cfg.map_path.exists():
-            raise ScenarioError(f"map file not found: {cfg.map_path}")
-    except (ScenarioError, MapFormatError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"evigrid: configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        results = run_scenario(cfg, seed=args.seed)
-        _emit(results, Path(args.out), args.render, args.every,
-              _parse_epochs(args.dump_grid), cfg.decision_threshold,
-              Path(args.record) if args.record else None)
-    except (MapFormatError, ScenarioError) as exc:
-        # map content errors surface on first use, during the run
-        print(f"evigrid: configuration error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"evigrid: runtime error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def cmd_run(args, inputs: ExitStack) -> Iterator[EpochResult]:
+    """The epochs of a simulated scenario, with the overrides of --params."""
+    cfg = ScenarioConfig.from_file(args.scenario)
+    if args.params:
+        cfg = load_settings(args.params, base=cfg)
+    return run_scenario(cfg, seed=args.seed)
 
 
-def cmd_replay(args) -> int:
-    try:
-        params = json.loads(Path(args.params).read_text())
-        grid = GridSpec(**params["grid"])
-        fusion = FusionParams(**params.get("fusion", {}))
-        confidence = MapConfidence(**params.get("map_confidence", {}))
-        sensor_model = SensorGridParams(**params.get("sensor_model", {}))
-        threshold = float(params.get("decision_threshold", 0.5))
-        vmap = load_map(args.map)
-        gg = rasterize_gg(vmap, confidence, grid)
-    except (MapFormatError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"evigrid: configuration error: {exc}", file=sys.stderr)
-        return 1
-    records = []
-    last_t = -float("inf")
-    try:
-        with open(args.log) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    t = float(rec["t"])
-                    rec["pose"]["x"], rec["beams"]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    print(f"evigrid: line {lineno}: malformed record: {exc}", file=sys.stderr)
-                    return 2
-                if t <= last_t:
-                    print(f"evigrid: line {lineno}: out-of-order timestamp {t}", file=sys.stderr)
-                    return 2
-                last_t = t
-                records.append(rec)
-    except OSError as exc:
-        print(f"evigrid: configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        results = replay_scans(records, grid, gg, sensor_model, fusion, threshold)
-        _emit(results, Path(args.out), args.render, args.every,
-              _parse_epochs(args.dump_grid), threshold, None)
-    except Exception as exc:
-        print(f"evigrid: runtime error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def cmd_replay(args, inputs: ExitStack) -> Iterator[EpochResult]:
+    """The epochs of a recorded scan log, read as they are fused."""
+    settings = load_settings(args.params)
+    gg = rasterize_gg(load_map(args.map), settings.map_confidence, settings.grid)
+    return replay_scans(inputs.enter_context(open(args.log)), gg, settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,37 +85,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evigrid",
         description="Map-aided evidential occupancy-grid perception")
     sub = parser.add_subparsers(dest="command", required=True)
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", required=True, help="output directory")
+    outputs.add_argument("--render", choices=("pignistic", "decision", "both"), default="both")
+    outputs.add_argument("--every", type=int, default=1, metavar="N",
+                         help="render every N epochs")
+    outputs.add_argument("--dump-grid", default="", metavar="EPOCHS",
+                         help="comma-separated epochs to dump as CSV")
 
-    run = sub.add_parser("run", help="run a synthetic scenario")
+    run = sub.add_parser("run", parents=[outputs], help="run a synthetic scenario")
     run.add_argument("scenario", help="scenario JSON file")
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--render", choices=("pignistic", "decision", "both"), default="both")
-    run.add_argument("--every", type=int, default=1, metavar="N",
-                     help="render every N epochs")
-    run.add_argument("--dump-grid", default="", metavar="EPOCHS",
-                     help="comma-separated epochs to dump as CSV")
     run.add_argument("--record", metavar="FILE", help="write the scan log as NDJSON")
-    run.add_argument("--params", metavar="FILE", help="JSON file overriding fusion params")
+    run.add_argument("--params", metavar="FILE",
+                     help="JSON file overriding the scenario's settings")
     run.add_argument("--seed", type=int, default=None, help="RNG seed for sensor jitter")
     run.set_defaults(func=cmd_run)
 
-    replay = sub.add_parser("replay", help="replay a recorded scan log")
+    replay = sub.add_parser("replay", parents=[outputs], help="replay a recorded scan log")
     replay.add_argument("log", help="NDJSON scan log")
     replay.add_argument("map", help="map file (GeoJSON subset)")
-    replay.add_argument("--out", required=True, help="output directory")
     replay.add_argument("--params", required=True, metavar="FILE",
-                        help="JSON file with grid, fusion and confidence settings")
-    replay.add_argument("--render", choices=("pignistic", "decision", "both"), default="both")
-    replay.add_argument("--every", type=int, default=1, metavar="N")
-    replay.add_argument("--dump-grid", default="", metavar="EPOCHS")
-    replay.set_defaults(func=cmd_replay)
+                        help="JSON file with the grid and the other settings")
+    replay.set_defaults(func=cmd_replay, record=None)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Build the command's epochs, then fuse and write them; failures map to
+    the exit codes above."""
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with ExitStack() as inputs:
+        try:
+            results = args.func(args, inputs)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"evigrid: configuration error: {exc}", file=sys.stderr)
+            return 1
+        try:
+            _emit(results, Path(args.out), args.render, args.every,
+                  _parse_epochs(args.dump_grid), Path(args.record) if args.record else None)
+        except Exception as exc:
+            log.debug("runtime error", exc_info=True)
+            print(f"evigrid: runtime error: {exc}", file=sys.stderr)
+            return 2
+    return 0
 
 
 if __name__ == "__main__":

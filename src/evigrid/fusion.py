@@ -12,8 +12,8 @@ Each epoch, per cell:
 6. transfer counter-confirmed mass from moving-containing sets to their
    moving-free subsets (a sustained occupancy is a stopped object).
 
-``step`` runs this vectorised over the whole grid; ``step_cell`` is the
-per-cell reference the grid kernel is tested against.
+``step_with_conflicts`` runs this vectorised over the whole grid;
+``step_cell`` is the per-cell reference the grid kernel is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import frames
 from .dst import (MassFunction, TOTAL_CONFLICT_TOLERANCE, TotalConflictError,
                   combine_dempster, discount, pignistic, refine, specialize)
 from .grid import EvidentialGrid, PerceptionGrid
-from .map_ingest import context_of_cell
 
 DECISION_LABELS = ("F", "I", "U", "S", "M", "UNKNOWN")
 UNKNOWN = "UNKNOWN"
@@ -212,7 +211,7 @@ def step_cell(m_prev: MassFunction, counter_prev: float,
               m_sg: MassFunction, m_gg: MassFunction,
               params: FusionParams,
               context: str = "intermediate") -> tuple[MassFunction, float, ConflictPair]:
-    """Reference per-cell epoch update; mirrors the vectorised ``step``."""
+    """Reference per-cell epoch update; mirrors ``step_with_conflicts``."""
     m_prior = combine_prior(refine_sg(m_sg), m_gg)
     m_aged = discount(m_prev, params.ageing_for(context))
     m_new, conflicts = fuse_pg(m_aged, m_prior)
@@ -266,16 +265,15 @@ def _fuse_rows(prev: np.ndarray, sens: np.ndarray):
     return out, parts[0], parts[1], parts[2]
 
 
-def _ageing_vector(gg: EvidentialGrid, params: FusionParams) -> np.ndarray:
-    spec = gg.spec
-    n = spec.width * spec.height
+def _ageing_vector(gg_m: np.ndarray, params: FusionParams) -> np.ndarray:
+    """Per-cell ageing rate from the (N, 32) prior masses, with the context
+    precedence of ``map_ingest.context_of_cell``: building, road, then
+    intermediate."""
     if not params.ageing_by_context:
-        return np.full(n, params.ageing_rate)
-    alpha = np.empty(n)
-    for j in range(spec.height):
-        for i in range(spec.width):
-            alpha[j * spec.width + i] = params.ageing_for(context_of_cell(gg, i, j))
-    return alpha
+        return np.full(gg_m.shape[0], params.ageing_rate)
+    return np.select([gg_m[:, frames.BUILDING_SET] > 0.0, gg_m[:, frames.ROAD_SET] > 0.0],
+                     [params.ageing_for("building"), params.ageing_for("road")],
+                     params.ageing_for("intermediate"))
 
 
 def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGrid,
@@ -295,7 +293,7 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
     spec = pg.spec
     n = spec.width * spec.height
     size = frames.PERCEPTION_FRAME.size
-    # reshape in (j, i) raster order so the context vector lines up
+    # rows in (j, i) raster order: the grid conflict totals sum in this order
     sg_m = sg.masses.transpose(1, 0, 2).reshape(n, frames.SENSOR_FRAME.size)
     gg_m = gg.masses.transpose(1, 0, 2).reshape(n, size)
     prev = pg.masses.transpose(1, 0, 2).reshape(n, size).copy()
@@ -308,7 +306,7 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
 
     prior = _dempster_rows(refined, gg_m)
 
-    alpha = _ageing_vector(gg, params)
+    alpha = _ageing_vector(gg_m, params)
     prev *= (1.0 - alpha)[:, None]
     prev[:, frames.PG_OMEGA] += alpha
 
@@ -336,11 +334,6 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
     return out, totals
 
 
-def step(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGrid,
-         params: FusionParams) -> PerceptionGrid:
-    return step_with_conflicts(pg, sg, gg, params)[0]
-
-
 def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
     """Per-cell pignistic probabilities, shape (width, height, n_labels)."""
     frame = pg.frame
@@ -355,7 +348,11 @@ def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
 
 def decide_grid(pg: EvidentialGrid, unknown_threshold: float) -> np.ndarray:
     """Per-cell decision codes, indices into DECISION_LABELS."""
-    bet = pignistic_grid(pg)
+    return decide_pignistic(pignistic_grid(pg), unknown_threshold)
+
+
+def decide_pignistic(bet: np.ndarray, unknown_threshold: float) -> np.ndarray:
+    """Decision codes from the output of ``pignistic_grid``."""
     codes = bet.argmax(axis=2).astype(np.int8)
     codes[bet.max(axis=2) < unknown_threshold] = len(DECISION_LABELS) - 1
     return codes

@@ -29,7 +29,7 @@ class MapFormatError(ValueError):
     """A map file could not be parsed or violates the schema."""
 
 
-class MapOverlapError(ValueError):
+class MapOverlapError(MapFormatError):
     """A cell center falls inside both a building and a road polygon."""
 
 

@@ -12,8 +12,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .fusion import DECISION_LABELS, decide_grid, pignistic_grid
-from .grid import EvidentialGrid
+from .fusion import DECISION_LABELS
 
 # Row order: decision codes F, I, U, S, M, UNKNOWN.
 DECISION_COLORS = np.array([
@@ -51,13 +50,13 @@ def _to_image(cellwise: np.ndarray) -> np.ndarray:
     return cellwise.swapaxes(0, 1)[::-1]
 
 
-def decision_image(pg: EvidentialGrid, unknown_threshold: float) -> np.ndarray:
-    codes = decide_grid(pg, unknown_threshold)
+def decision_image(codes: np.ndarray) -> np.ndarray:
+    """Image of per-cell decision codes (``fusion.decide_grid``)."""
     return _to_image(DECISION_COLORS[codes])
 
 
-def pignistic_image(pg: EvidentialGrid) -> np.ndarray:
-    bet = pignistic_grid(pg)
+def pignistic_image(bet: np.ndarray) -> np.ndarray:
+    """Image of per-cell pignistic probabilities (``fusion.pignistic_grid``)."""
     rgb = np.clip(np.rint(bet @ CLASS_COLORS), 0, 255).astype(np.uint8)
     return _to_image(rgb)
 
@@ -68,9 +67,9 @@ class MovingTrace:
     def __init__(self, width: int, height: int):
         self.mask = np.zeros((width, height), dtype=bool)
 
-    def update(self, pg: EvidentialGrid, unknown_threshold: float) -> None:
-        moving_code = DECISION_LABELS.index("M")
-        self.mask |= decide_grid(pg, unknown_threshold) == moving_code
+    def update(self, codes: np.ndarray) -> None:
+        """Add the cells whose decision code is moving."""
+        self.mask |= codes == DECISION_LABELS.index("M")
 
     def image(self) -> np.ndarray:
         rgb = np.zeros(self.mask.shape + (3,), dtype=np.uint8)

@@ -38,6 +38,8 @@ class Pose:
     heading: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.heading))):
+            raise ValueError(f"pose must be finite, got ({self.x}, {self.y}, {self.heading})")
         object.__setattr__(self, "heading", normalize_heading(self.heading))
 
 
@@ -53,10 +55,13 @@ class LidarScan:
     max_range: float
 
     def __post_init__(self):
-        if self.max_range <= 0:
-            raise ValueError(f"max_range must be > 0, got {self.max_range}")
+        # with a finite max_range the range checks below reject non-finite ranges
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be finite and > 0, got {self.max_range}")
         object.__setattr__(self, "beams", tuple(Beam(*b) for b in self.beams))
         for k, beam in enumerate(self.beams):
+            if not math.isfinite(beam.bearing):
+                raise ValueError(f"beam {k}: bearing {beam.bearing} is not finite")
             if beam.hit:
                 if not 0.0 < beam.range <= self.max_range:
                     raise ValueError(f"beam {k}: hit range {beam.range} outside (0, max_range]")

@@ -1,4 +1,4 @@
-"""Synthetic worlds and lidar scans for end-to-end pipeline runs.
+"""The epoch pipeline and its two scan sources: synthetic worlds and scan logs.
 
 Scenario files are JSON documents describing a map, a vehicle trajectory,
 tracked objects and the sensor/fusion parameters; see the shipped files under
@@ -8,19 +8,20 @@ default; an optional uniform range jitter sits behind a seeded RNG.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import frames
-from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_grid,
+from . import frames, fusion
+from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignistic,
                      step_with_conflicts)
-from .grid import GridSpec, PerceptionGrid
+from .grid import EvidentialGrid, GridSpec, PerceptionGrid
 from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from .sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg, normalize_heading
 
@@ -30,17 +31,13 @@ _RAY_EPS = 1e-9
 
 
 class ScenarioError(ValueError):
-    """A scenario file could not be parsed or is inconsistent."""
+    """A scenario or params file could not be parsed or is inconsistent."""
 
 
 @dataclass(frozen=True)
 class TimedPose:
     t: float
     pose: Pose
-
-
-def _wrap_angle_diff(a: float, b: float) -> float:
-    return normalize_heading(b - a)
 
 
 def interpolate_pose(trajectory: tuple[TimedPose, ...], t: float) -> Pose:
@@ -58,7 +55,7 @@ def interpolate_pose(trajectory: tuple[TimedPose, ...], t: float) -> Pose:
             return Pose(
                 a.pose.x + frac * (b.pose.x - a.pose.x),
                 a.pose.y + frac * (b.pose.y - a.pose.y),
-                a.pose.heading + frac * _wrap_angle_diff(a.pose.heading, b.pose.heading))
+                a.pose.heading + frac * normalize_heading(b.pose.heading - a.pose.heading))
     return trajectory[-1].pose  # unreachable, timestamps are increasing
 
 
@@ -129,17 +126,49 @@ class SensorSpec:
 
 
 @dataclass
-class ScenarioConfig:
-    map_path: Path
+class Settings:
+    """The pipeline settings that scenario files and params files share."""
+
     grid: GridSpec
+    sensor_model: SensorGridParams = field(default_factory=SensorGridParams)
+    map_confidence: MapConfidence = field(default_factory=MapConfidence)
+    fusion: FusionParams = field(default_factory=FusionParams)
+    decision_threshold: float = 0.5
+
+
+def _parse_settings(data: dict) -> dict:
+    """The settings keys present in a scenario or params document, parsed.
+
+    Absent keys are left out, so that defaults or a base's values hold.
+    """
+    kinds = {"grid": GridSpec, "sensor_model": SensorGridParams,
+             "map_confidence": MapConfidence, "fusion": FusionParams}
+    parsed = {key: kind(**data[key]) for key, kind in kinds.items() if key in data}
+    if "decision_threshold" in data:
+        parsed["decision_threshold"] = float(data["decision_threshold"])
+    return parsed
+
+
+def load_settings(path, base: Optional[Settings] = None) -> Settings:
+    """Read a params file: any of the ``Settings`` keys, each replacing its
+    value in `base`.  Without a base the file must give the grid.  Other keys
+    are rejected."""
+    data = json.loads(Path(path).read_text())
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(Settings)})
+    if unknown:
+        raise ScenarioError(f"params {path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    parsed = _parse_settings(data)
+    return Settings(**parsed) if base is None else dataclasses.replace(base, **parsed)
+
+
+@dataclass
+class ScenarioConfig(Settings):
+    _: KW_ONLY
+    map_path: Path
     trajectory: tuple[TimedPose, ...]
     sensor: SensorSpec
-    sensor_model: SensorGridParams
-    map_confidence: MapConfidence
-    fusion: FusionParams
     epochs: int
     objects: list[ObjectTrack] = field(default_factory=list)
-    decision_threshold: float = 0.5
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -181,25 +210,18 @@ class ScenarioConfig:
             else:
                 p = entry["pose"]
                 kwargs["pose"] = Pose(float(p["x"]), float(p["y"]), float(p["heading"]))
-                if "appear_t" in entry:
-                    kwargs["appear_t"] = float(entry["appear_t"])
-                if "stop_t" in entry:
-                    kwargs["stop_t"] = float(entry["stop_t"])
-                if "disappear_t" in entry:
-                    kwargs["disappear_t"] = float(entry["disappear_t"])
+                for key in ("appear_t", "stop_t", "disappear_t"):
+                    if key in entry:
+                        kwargs[key] = float(entry[key])
             objects.append(ObjectTrack(**kwargs))
 
         return cls(
             map_path=base_dir / data["map"],
-            grid=GridSpec(**data["grid"]),
             trajectory=timed_poses(data["trajectory"]),
             sensor=SensorSpec(**data.get("sensor", {})),
-            sensor_model=SensorGridParams(**data.get("sensor_model", {})),
-            map_confidence=MapConfidence(**data.get("map_confidence", {})),
-            fusion=FusionParams(**data.get("fusion", {})),
             epochs=int(data["epochs"]),
             objects=objects,
-            decision_threshold=float(data.get("decision_threshold", 0.5)),
+            **_parse_settings(data),
         )
 
 
@@ -267,12 +289,12 @@ class EpochResult:
     scan: LidarScan
     pg: PerceptionGrid
     conflicts: ConflictPair
+    bet: np.ndarray      # pignistic probabilities of pg, (width, height, 5)
+    codes: np.ndarray    # decision codes of pg, indices into DECISION_LABELS
     stats: dict
 
 
-def epoch_stats(epoch: int, pg: PerceptionGrid, conflicts: ConflictPair,
-                threshold: float) -> dict:
-    codes = decide_grid(pg, threshold)
+def epoch_stats(epoch: int, codes: np.ndarray, conflicts: ConflictPair) -> dict:
     counts = np.bincount(codes.ravel(), minlength=len(DECISION_LABELS))
     return {
         "t": epoch,
@@ -288,41 +310,75 @@ def epoch_stats(epoch: int, pg: PerceptionGrid, conflicts: ConflictPair,
     }
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 seed: Optional[int] = None) -> Iterator[EpochResult]:
-    """Drive the full pipeline: map prior once, then scan/fuse per epoch."""
-    vmap = load_map(cfg.map_path)
-    gg = rasterize_gg(vmap, cfg.map_confidence, cfg.grid)
-    pg = PerceptionGrid(cfg.grid, frames.PERCEPTION_FRAME)
-    rng = random.Random(seed) if seed is not None else None
+def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
+            settings: Settings) -> Iterator[EpochResult]:
+    """Fuse each (t, pose, scan) with the map prior `gg`: one epoch per scan."""
+    pg = PerceptionGrid(settings.grid, frames.PERCEPTION_FRAME)
+    for epoch, (t, pose, scan) in enumerate(scans):
+        sg = build_sg(scan, pose, settings.grid, settings.sensor_model)
+        pg, conflicts = step_with_conflicts(pg, sg, gg, settings.fusion)
+        # looked up on the module, where perfbench/traced.py times it
+        bet = fusion.pignistic_grid(pg)
+        codes = decide_pignistic(bet, settings.decision_threshold)
+        yield EpochResult(epoch, t, pose, scan, pg, conflicts, bet, codes,
+                          epoch_stats(epoch, codes, conflicts))
+
+
+def _simulated_scans(cfg: ScenarioConfig, vmap: VectorMap,
+                     rng: Optional[random.Random]) -> Iterator[tuple[float, Pose, LidarScan]]:
     for epoch in range(cfg.epochs):
         t = epoch / cfg.sensor.rate
         pose = interpolate_pose(cfg.trajectory, t)
         segments = world_segments(vmap, cfg.objects, t)
-        scan = simulate_scan(segments, pose, cfg.sensor, rng)
-        sg = build_sg(scan, pose, cfg.grid, cfg.sensor_model)
-        pg, conflicts = step_with_conflicts(pg, sg, gg, cfg.fusion)
-        stats = epoch_stats(epoch, pg, conflicts, cfg.decision_threshold)
-        yield EpochResult(epoch, t, pose, scan, pg, conflicts, stats)
+        yield t, pose, simulate_scan(segments, pose, cfg.sensor, rng)
 
 
-def replay_scans(records: list[dict], cfg_grid: GridSpec, gg, sensor_model: SensorGridParams,
-                 fusion: FusionParams, decision_threshold: float) -> Iterator[EpochResult]:
-    """Run the pipeline from pre-recorded scan records instead of a simulator.
+def run_scenario(cfg: ScenarioConfig,
+                 seed: Optional[int] = None) -> Iterator[EpochResult]:
+    """Drive the full pipeline: the map prior at once, then one simulated
+    and fused scan per step of the returned iterator."""
+    vmap = load_map(cfg.map_path)
+    gg = rasterize_gg(vmap, cfg.map_confidence, cfg.grid)
+    rng = random.Random(seed) if seed is not None else None
+    return _epochs(_simulated_scans(cfg, vmap, rng), gg, cfg)
 
-    Each record is a dict {t, pose: {x, y, heading}, beams: [[bearing, range,
-    hit], ...]}; timestamps must be non-decreasing order-wise validated by the
-    caller.
+
+def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
+    """One scan-log line (NDJSON), without its newline."""
+    return json.dumps({
+        "t": t,
+        "pose": {"x": pose.x, "y": pose.y, "heading": pose.heading},
+        "beams": [[b.bearing, b.range, b.hit] for b in scan.beams],
+        "max_range": scan.max_range,
+    })
+
+
+def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan]]:
+    """Parse and check a scan log one line at a time.
+
+    Blank lines are skipped and timestamps must increase strictly; errors
+    name the line.
     """
-    pg = PerceptionGrid(cfg_grid, frames.PERCEPTION_FRAME)
-    for epoch, rec in enumerate(records):
-        pose = Pose(float(rec["pose"]["x"]), float(rec["pose"]["y"]),
-                    float(rec["pose"]["heading"]))
-        beams = tuple(Beam(float(b), float(r), bool(h)) for b, r, h in rec["beams"])
-        max_range = max((b.range for b in beams), default=1.0)
-        max_range = float(rec.get("max_range", max_range))
-        scan = LidarScan(beams, max_range)
-        sg = build_sg(scan, pose, cfg_grid, sensor_model)
-        pg, conflicts = step_with_conflicts(pg, sg, gg, fusion)
-        stats = epoch_stats(epoch, pg, conflicts, decision_threshold)
-        yield EpochResult(epoch, float(rec["t"]), pose, scan, pg, conflicts, stats)
+    last_t = -math.inf
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            t = float(rec["t"])
+            p = rec["pose"]
+            pose = Pose(float(p["x"]), float(p["y"]), float(p["heading"]))
+            beams = tuple(Beam(float(b), float(r), bool(h)) for b, r, h in rec["beams"])
+            scan = LidarScan(beams, float(rec["max_range"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
+        if not t > last_t:
+            raise ValueError(f"line {lineno}: out-of-order timestamp {t}")
+        last_t = t
+        yield t, pose, scan
+
+
+def replay_scans(lines: Iterable[str], gg: EvidentialGrid,
+                 settings: Settings) -> Iterator[EpochResult]:
+    """Run the pipeline on the lines of a scan log, each read as it is fused."""
+    return _epochs(read_scan_log(lines), gg, settings)

@@ -2,25 +2,48 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from evigrid.cli import main
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 GRID = {"origin_east": 0.0, "origin_north": 0.0,
         "cell_size": 0.5, "width": 24, "height": 24}
+
+BUILDING = [[8, 0], [12, 0], [12, 12], [8, 12], [8, 0]]
+
+
+def write_map(path, features):
+    path.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"kind": kind},
+                      "geometry": {"type": "Polygon", "coordinates": [ring]}}
+                     for kind, ring in features],
+    }))
+
+
+def replay(tmp_path, log, out, *extra):
+    """Replay `log` over the small scenario's map and grid."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"grid": GRID}))
+    return main(["replay", str(log), str(tmp_path / "m.geojson"),
+                 "--out", str(out), "--params", str(params), *extra])
+
+
+def record_line(t, pose=(0.0, 0.0, 0.0), beams=((0.0, 5.0, True),), max_range=10.0):
+    return json.dumps({"t": t, "pose": dict(zip(("x", "y", "heading"), pose)),
+                       "beams": [list(b) for b in beams], "max_range": max_range})
 
 
 @pytest.fixture
 def small_scenario(tmp_path):
-    (tmp_path / "m.geojson").write_text(json.dumps({
-        "type": "FeatureCollection",
-        "features": [{
-            "type": "Feature", "properties": {"kind": "building"},
-            "geometry": {"type": "Polygon",
-                         "coordinates": [[[8, 0], [12, 0], [12, 12], [8, 12], [8, 0]]]},
-        }],
-    }))
+    write_map(tmp_path / "m.geojson", [("building", BUILDING)])
     scn = tmp_path / "scn.json"
     scn.write_text(json.dumps({
         "map": "m.geojson",
@@ -106,47 +129,105 @@ def test_renders_reproducible(small_scenario, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_params_override_grid_and_sensor_model(small_scenario, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"grid": {**GRID, "width": 12, "height": 10},
+                                  "sensor_model": {"free_weight": 0.0,
+                                                   "occupied_weight": 0.0}}))
+    out = tmp_path / "out"
+    rc = main(["run", str(small_scenario), "--out", str(out), "--params", str(params),
+               "--render", "decision"])
+    assert rc == 0
+    stats = json.loads((out / "stats.ndjson").read_text().splitlines()[-1])
+    cells = [stats[key] for key in ("cells_F", "cells_I", "cells_U", "cells_S",
+                                    "cells_M", "cells_unknown")]
+    assert sum(cells) == 12 * 10
+    # a sensor that carries no evidence never shows free space
+    assert stats["cells_F"] == 0
+
+
+def test_params_unknown_key_is_config_error(small_scenario, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"fusion": {"ageing_rate": 0.2}, "decison_threshold": 0.9}))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out"),
+               "--params", str(params)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "decison_threshold" in err
+
+
+def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):
+    write_map(tmp_path / "m.geojson", [("building", BUILDING), ("road", BUILDING)])
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out_run")])
+    assert rc == 1
+    assert "configuration error: map overlap" in capsys.readouterr().err
+    log = tmp_path / "scans.ndjson"
+    log.write_text(record_line(0.0) + "\n")
+    rc = replay(tmp_path, log, tmp_path / "out_replay")
+    assert rc == 1
+    assert "configuration error: map overlap" in capsys.readouterr().err
+
+
 def test_record_then_replay_matches(small_scenario, tmp_path):
     out_run = tmp_path / "run"
     log = tmp_path / "scans.ndjson"
     rc = main(["run", str(small_scenario), "--out", str(out_run),
-               "--record", str(log)])
+               "--record", str(log), "--dump-grid", "0,2"])
     assert rc == 0
     assert len(log.read_text().splitlines()) == 3
 
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"grid": GRID}))
     out_rep = tmp_path / "rep"
-    rc = main(["replay", str(log), str(small_scenario.parent / "m.geojson"),
-               "--out", str(out_rep), "--params", str(params)])
-    assert rc == 0
-    assert (out_rep / "stats.ndjson").read_text() == (out_run / "stats.ndjson").read_text()
-    assert (out_rep / "decision_00002.ppm").read_bytes() == \
-        (out_run / "decision_00002.ppm").read_bytes()
+    assert replay(tmp_path, log, out_rep, "--dump-grid", "0,2") == 0
+    names = sorted(path.name for path in out_run.iterdir())
+    assert names == sorted(path.name for path in out_rep.iterdir())
+    assert {"stats.ndjson", "trace.ppm", "grid_00000.csv", "grid_00002.csv"} <= set(names)
+    for name in names:
+        assert (out_rep / name).read_bytes() == (out_run / name).read_bytes(), name
 
 
 def test_replay_malformed_line(small_scenario, tmp_path, capsys):
     log = tmp_path / "scans.ndjson"
-    good = json.dumps({"t": 0.0, "pose": {"x": 0, "y": 0, "heading": 0},
-                       "beams": [[0.0, 5.0, True]], "max_range": 10.0})
-    log.write_text(good + "\nnot json\n")
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"grid": GRID}))
-    rc = main(["replay", str(log), str(small_scenario.parent / "m.geojson"),
-               "--out", str(tmp_path / "out"), "--params", str(params)])
+    log.write_text(record_line(0.0) + "\nnot json\n")
+    rc = replay(tmp_path, log, tmp_path / "out")
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
 
 
+def test_replay_streams_until_bad_line(small_scenario, tmp_path, capsys):
+    log = tmp_path / "scans.ndjson"
+    main(["run", str(small_scenario), "--out", str(tmp_path / "run"), "--record", str(log)])
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:2] + ['{"t": 0.3, "pose": {}}']) + "\n")
+    out = tmp_path / "out"
+    rc = replay(tmp_path, log, out)
+    assert rc == 2
+    assert "line 3" in capsys.readouterr().err
+    # the epochs before the bad line were fused and written
+    assert len((out / "stats.ndjson").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    (record_line(0.1, pose=(math.nan, 1.0, 0.0)), "finite"),
+    (record_line(0.1, pose=(1.0, 1.0, math.inf)), "finite"),
+    (record_line(0.1, beams=((math.nan, 5.0, True),)), "finite"),
+    (record_line(0.1, beams=((0.0, 7.0, True),), max_range=6.0), "hit range 7.0"),
+    (record_line(0.1, beams=((0.0, 5.0, False),), max_range=math.inf), "max_range"),
+], ids=["nan_x", "inf_heading", "nan_bearing", "hit_beyond_max_range", "inf_max_range"])
+def test_replay_names_line_of_bad_scan(small_scenario, tmp_path, capsys, bad_line, message):
+    log = tmp_path / "scans.ndjson"
+    log.write_text(record_line(0.0) + "\n" + bad_line + "\n")
+    rc = replay(tmp_path, log, tmp_path / "out")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert message in err
+
+
 def test_replay_out_of_order_timestamps(small_scenario, tmp_path, capsys):
     log = tmp_path / "scans.ndjson"
-    rec = {"t": 1.0, "pose": {"x": 0, "y": 0, "heading": 0},
-           "beams": [[0.0, 5.0, True]], "max_range": 10.0}
-    log.write_text(json.dumps(rec) + "\n" + json.dumps(rec) + "\n")
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"grid": GRID}))
-    rc = main(["replay", str(log), str(small_scenario.parent / "m.geojson"),
-               "--out", str(tmp_path / "out"), "--params", str(params)])
+    log.write_text(record_line(1.0) + "\n" + record_line(1.0) + "\n")
+    rc = replay(tmp_path, log, tmp_path / "out")
     assert rc == 2
     assert "out-of-order" in capsys.readouterr().err
 
@@ -158,6 +239,34 @@ def test_replay_missing_params(small_scenario, tmp_path, capsys):
                "--params", str(tmp_path / "missing.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_benchmark_trace_hooks(small_scenario, tmp_path):
+    """The benchmark's traced runs find every name they wrap, and the
+    pignistic transform runs once per scan."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    log = tmp_path / "scans.ndjson"
+    commands = {
+        "run": ["run", str(small_scenario), "--record", str(log), "--dump-grid", "2"],
+        "replay": ["replay", str(log), str(tmp_path / "m.geojson"),
+                   "--params", str(tmp_path / "params.json"), "--dump-grid", "2"],
+    }
+    (tmp_path / "params.json").write_text(json.dumps({"grid": GRID}))
+    for name, args in commands.items():
+        trace_path = tmp_path / f"{name}.trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "perfbench" / "traced.py"), str(trace_path),
+             *args, "--out", str(tmp_path / name)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(trace_path.read_text())
+        assert trace["spans"] and trace["scans"] == 3
+        for layer in ("map_ingest.load_map", "map_ingest.rasterize_gg", "sensor.build_sg",
+                      "sensor.LidarScan", "fusion.step_with_conflicts",
+                      "simulator.epoch_stats", "render.images", "render.write_ppm",
+                      "grid.write_grid_csv"):
+            assert trace["calls"].get(layer), (name, layer)
+        assert trace["calls"]["fusion.pignistic_grid"] == 3, name
 
 
 def test_shipped_scenario_runs(scenario_dir, tmp_path):

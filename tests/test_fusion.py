@@ -8,7 +8,7 @@ from evigrid.dst import MassFunction, combine_conjunctive
 from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             apply_accumulator_specialization, combine_prior,
                             conflict_masses, decide, decide_grid, fuse_pg,
-                            refine_sg, step, step_cell, step_with_conflicts,
+                            refine_sg, step_cell, step_with_conflicts,
                             update_accumulator)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.map_ingest import context_of_cell
@@ -260,7 +260,7 @@ class TestStep:
 
     def test_vacuous_fixed_point(self):
         pg, sg, gg = self.fresh()
-        out = step(pg, sg, gg, FusionParams())
+        out = step_with_conflicts(pg, sg, gg, FusionParams())[0]
         assert (out.masses[:, :, PG.omega] == 1.0).all()
         assert (out.counter == 0.0).all()
 
@@ -268,7 +268,7 @@ class TestStep:
         pg, sg, gg = self.fresh()
         other = EvidentialGrid(GridSpec(0, 0, 0.5, 4, 4), SG)
         with pytest.raises(ValueError, match="GridSpec"):
-            step(pg, other, gg, FusionParams())
+            step_with_conflicts(pg, other, gg, FusionParams())
 
     def test_matches_per_cell_reference(self):
         rng = np.random.default_rng(3)
@@ -308,8 +308,8 @@ class TestStep:
         sg = random_grid(rng, self.SPEC, SG, 2)
         gg = random_grid(rng, self.SPEC, PG, 3)
         pg = PerceptionGrid(self.SPEC, PG)
-        a = step(pg, sg, gg, FusionParams())
-        b = step(pg, sg, gg, FusionParams())
+        a = step_with_conflicts(pg, sg, gg, FusionParams())[0]
+        b = step_with_conflicts(pg, sg, gg, FusionParams())[0]
         assert np.array_equal(a.masses, b.masses)
         assert np.array_equal(a.counter, b.counter)
 
@@ -356,7 +356,7 @@ class TestStep:
         pg = PerceptionGrid(spec, PG)
         m, z = MassFunction.vacuous(PG), 0.0
         for _ in range(3):
-            pg = step(pg, sg, gg, params)
+            pg = step_with_conflicts(pg, sg, gg, params)[0]
             m, z, _ = step_cell(m, z, m_sg, m_gg, params, "road")
         assert np.allclose(pg.masses[0, 0], m.masses, atol=1e-12)
         assert pg.counter[0, 0] == pytest.approx(z)

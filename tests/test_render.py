@@ -7,6 +7,7 @@ import pytest
 
 from evigrid.dst import MassFunction
 from evigrid.frames import PERCEPTION_FRAME
+from evigrid.fusion import decide_grid, pignistic_grid
 from evigrid.grid import GridSpec, PerceptionGrid
 from evigrid.render import (MovingTrace, decision_image, pignistic_image,
                             write_pgm, write_ppm)
@@ -43,7 +44,7 @@ def test_write_pgm_format():
 def test_decision_image_north_up():
     # cell (0, 1) is the top-left pixel: j grows north, image rows go down
     pg = grid_with({(0, 1): {"M": 1.0}, (2, 0): {"F": 1.0}})
-    img = decision_image(pg, 0.5)
+    img = decision_image(decide_grid(pg, 0.5))
     assert img.shape == (2, 3, 3)
     assert tuple(img[0, 0]) == (255, 0, 0)
     assert tuple(img[1, 2]) == (0, 255, 0)
@@ -53,15 +54,15 @@ def test_decision_image_north_up():
 
 def test_pignistic_image_blends():
     pg = grid_with({(0, 0): {"FIUSM": 1.0}})
-    img = pignistic_image(pg)
+    img = pignistic_image(pignistic_grid(pg))
     # equal weight on green, red and three blues
     assert tuple(img[1, 0]) == (51, 51, 153)
 
 
 def test_moving_trace_accumulates():
     trace = MovingTrace(SPEC.width, SPEC.height)
-    trace.update(grid_with({(1, 0): {"M": 1.0}}), 0.5)
-    trace.update(grid_with({(2, 1): {"M": 1.0}}), 0.5)
+    trace.update(decide_grid(grid_with({(1, 0): {"M": 1.0}}), 0.5))
+    trace.update(decide_grid(grid_with({(2, 1): {"M": 1.0}}), 0.5))
     img = trace.image()
     assert tuple(img[1, 1]) == (255, 0, 0)
     assert tuple(img[0, 2]) == (255, 0, 0)
@@ -71,6 +72,6 @@ def test_moving_trace_accumulates():
 def test_images_deterministic():
     pg = grid_with({(0, 0): {"SM": 0.5, "FIUSM": 0.5}})
     a, b = io.StringIO(), io.StringIO()
-    write_ppm(pignistic_image(pg), a)
-    write_ppm(pignistic_image(pg), b)
+    write_ppm(pignistic_image(pignistic_grid(pg)), a)
+    write_ppm(pignistic_image(pignistic_grid(pg)), b)
     assert a.getvalue() == b.getvalue()

@@ -25,6 +25,13 @@ class TestPose:
             w = normalize_heading(h)
             assert -math.pi < w <= math.pi
 
+    @pytest.mark.parametrize("x, y, heading", [
+        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
+        (0.0, 0.0, math.nan)])
+    def test_rejects_non_finite(self, x, y, heading):
+        with pytest.raises(ValueError, match="finite"):
+            Pose(x, y, heading)
+
 
 class TestLidarScan:
     def test_hit_range_validated(self):
@@ -36,6 +43,17 @@ class TestLidarScan:
     def test_non_hit_range_is_max(self):
         with pytest.raises(ValueError):
             LidarScan((Beam(0.0, 10.0, False),), max_range=20.0)
+
+    @pytest.mark.parametrize("beam, max_range", [
+        (Beam(0.0, math.inf, False), math.inf),
+        (Beam(0.0, 5.0, True), math.nan),
+        (Beam(math.nan, 5.0, True), 20.0),
+        (Beam(math.inf, 20.0, False), 20.0),
+        (Beam(0.0, math.nan, True), 20.0),
+        (Beam(0.0, math.nan, False), 20.0)])
+    def test_rejects_non_finite(self, beam, max_range):
+        with pytest.raises(ValueError):
+            LidarScan((beam,), max_range=max_range)
 
 
 class TestTraverseRay:
