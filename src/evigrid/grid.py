@@ -9,6 +9,7 @@ through them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -26,6 +27,14 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
+        for name in ("origin_east", "origin_north", "cell_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.cell_size <= 0:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
         if self.width < 1 or self.height < 1:

@@ -104,24 +104,30 @@ def load_map(path) -> VectorMap:
     return vmap
 
 
-def point_in_polygon(point, polygon: np.ndarray) -> bool:
-    """Even-odd (ray-crossing) membership test; boundary points are inside."""
-    x, y = float(point[0]), float(point[1])
-    inside = False
-    n = len(polygon)
-    for k in range(n):
-        x1, y1 = polygon[k]
-        x2, y2 = polygon[(k + 1) % n]
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if (abs(cross) <= _EDGE_EPS
-                and min(x1, x2) - _EDGE_EPS <= x <= max(x1, x2) + _EDGE_EPS
-                and min(y1, y2) - _EDGE_EPS <= y <= max(y1, y2) + _EDGE_EPS):
-            return True
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
-    return inside
+def point_in_polygon(points, polygon: np.ndarray) -> np.ndarray:
+    """Even-odd (ray-crossing) membership test; boundary points are inside.
+
+    ``points`` is array-like with (x, y) on its last axis; the result is a
+    bool array of the leading shape (0-d for a single point).  The loop runs
+    over the polygon's edges, each tested against every point at once.
+    """
+    pts = np.asarray(points, dtype=float)
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    on_edge = np.zeros(x.shape, dtype=bool)
+    inside = np.zeros(x.shape, dtype=bool)
+    for (x1, y1), (x2, y2) in zip(polygon, np.roll(polygon, -1, axis=0)):
+        dy = y - y1
+        cross = (x2 - x1) * dy - (y2 - y1) * (x - x1)
+        # the bounding-box test only where the point is on the edge's line
+        near = np.flatnonzero(np.abs(cross) <= _EDGE_EPS)
+        xn, yn = x[near], y[near]
+        on_edge[near] |= ((min(x1, x2) - _EDGE_EPS <= xn) & (xn <= max(x1, x2) + _EDGE_EPS)
+                          & (min(y1, y2) - _EDGE_EPS <= yn) & (yn <= max(y1, y2) + _EDGE_EPS))
+        # the crossing only where the edge straddles the point's ray, so a
+        # horizontal edge never divides by zero
+        k = np.flatnonzero((y1 > y) != (y2 > y))
+        inside[k] ^= x[k] < x1 + dy[k] * (x2 - x1) / (y2 - y1)
+    return (on_edge | inside).reshape(pts.shape[:-1])
 
 
 def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> EvidentialGrid:
@@ -131,26 +137,28 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
     can occupy a road, everything else is intermediate space; the complement
     of the confidence stays on the full frame.
     """
+    # cell centres as in GridSpec.cell_center, shape (width, height, 2)
+    xs = spec.origin_east + (np.arange(spec.width) + 0.5) * spec.cell_size
+    ys = spec.origin_north + (np.arange(spec.height) + 0.5) * spec.cell_size
+    centres = np.stack(np.broadcast_arrays(xs[:, None], ys[None, :]), axis=-1)
+    in_building = np.zeros((spec.width, spec.height), dtype=bool)
+    in_road = np.zeros_like(in_building)
+    for polygon in vmap.buildings:
+        in_building |= point_in_polygon(centres, polygon)
+    for polygon in vmap.roads:
+        in_road |= point_in_polygon(centres, polygon)
+    overlap = in_building & in_road
+    if overlap.any():
+        # the first overlapping cell with j outer, i inner
+        j, i = np.argwhere(overlap.T)[0]
+        raise MapOverlapError(f"map overlap at cell ({i}, {j})")
     grid = EvidentialGrid(spec, frames.PERCEPTION_FRAME)
-    omega = frames.PG_OMEGA
-    for j in range(spec.height):
-        for i in range(spec.width):
-            center = spec.cell_center(i, j)
-            in_building = any(point_in_polygon(center, p) for p in vmap.buildings)
-            in_road = any(point_in_polygon(center, p) for p in vmap.roads)
-            if in_building and in_road:
-                raise MapOverlapError(f"map overlap at cell ({i}, {j})")
-            cell = grid.masses[i, j]
-            cell[omega] = 0.0
-            if in_building:
-                cell[frames.BUILDING_SET] = conf.building
-                cell[omega] = 1.0 - conf.building
-            elif in_road:
-                cell[frames.ROAD_SET] = conf.road
-                cell[omega] = 1.0 - conf.road
-            else:
-                cell[frames.INTERMEDIATE_SET] = conf.intermediate
-                cell[omega] = 1.0 - conf.intermediate
+    for mask, focal, confidence in (
+            (in_building, frames.BUILDING_SET, conf.building),
+            (in_road, frames.ROAD_SET, conf.road),
+            (~(in_building | in_road), frames.INTERMEDIATE_SET, conf.intermediate)):
+        grid.masses[mask, focal] = confidence
+        grid.masses[mask, frames.PG_OMEGA] = 1.0 - confidence
     return grid
 
 

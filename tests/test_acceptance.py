@@ -204,12 +204,10 @@ def test_criterion_3_property_suites(criterion):
 
 
 def _footprint_cells(cfg, polygon):
-    cells = []
-    for i in range(cfg.grid.width):
-        for j in range(cfg.grid.height):
-            if point_in_polygon(cfg.grid.cell_center(i, j), polygon):
-                cells.append((i, j))
-    return cells
+    spec = cfg.grid
+    centres = [[spec.cell_center(i, j) for j in range(spec.height)] for i in range(spec.width)]
+    inside = point_in_polygon(centres, polygon)
+    return [(int(i), int(j)) for i, j in np.argwhere(inside)]
 
 
 def test_criterion_4_crossing_car(criterion, scenario_dir):

@@ -157,6 +157,18 @@ def test_params_unknown_key_is_config_error(small_scenario, tmp_path, capsys):
     assert "decison_threshold" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cell_size", float("nan")), ("origin_east", float("inf")), ("width", 10.5)])
+def test_bad_grid_value_is_config_error(small_scenario, tmp_path, capsys, field, value):
+    data = json.loads(small_scenario.read_text())
+    data["grid"][field] = value
+    small_scenario.write_text(json.dumps(data))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{field} must be" in err
+
+
 def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):
     write_map(tmp_path / "m.geojson", [("building", BUILDING), ("road", BUILDING)])
     rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out_run")])
@@ -267,6 +279,11 @@ def test_benchmark_trace_hooks(small_scenario, tmp_path):
                       "grid.write_grid_csv"):
             assert trace["calls"].get(layer), (name, layer)
         assert trace["calls"]["fusion.pignistic_grid"] == 3, name
+        # the counts perfbench/traced.py's per_layer reads without a default
+        for key in ("map_ingest.cell_polygon_tests", "sensor.ray_cells",
+                    "fusion.pignistic_grid_calls", "fusion.focal_sets_in_use",
+                    "grid.csv_rows"):
+            assert key in trace["counts"], (name, key)
 
 
 def test_shipped_scenario_runs(scenario_dir, tmp_path):

@@ -20,6 +20,20 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0, 0, 0.5, 0, 4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("origin_east", float("inf")), ("origin_north", float("-inf")),
+        ("origin_north", float("nan")), ("cell_size", float("nan")),
+        ("cell_size", float("inf")), ("origin_east", "0"),
+        ("width", 10.5), ("height", 4.0), ("width", True), ("height", "4")])
+    def test_rejects_non_finite_and_non_integer(self, field, value):
+        args = {"origin_east": 0.0, "origin_north": 0.0, "cell_size": 0.5,
+                "width": 4, "height": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GridSpec(**args)
+
+    def test_accepts_numpy_integers(self):
+        assert GridSpec(0, 0, 0.5, np.int64(4), np.int32(3)).height == 3
+
     def test_world_to_cell(self):
         assert SPEC.world_to_cell(0.0, 0.0) == (0, 0)
         assert SPEC.world_to_cell(0.74, 1.26) == (1, 2)

@@ -1,6 +1,7 @@
 """Map loading, point-in-polygon and prior-grid rasterization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from evigrid.grid import GridSpec
 from evigrid.map_ingest import (MapConfidence, MapFormatError, MapOverlapError,
                                 VectorMap, load_map, point_in_polygon,
                                 rasterize_gg)
+from evigrid.simulator import ScenarioConfig
+from oracles import point_in_polygon_oracle, rasterize_oracle
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
@@ -83,6 +88,29 @@ def winding_number_inside(point, polygon):
     return abs(total) > np.pi  # ~2*pi inside, ~0 outside
 
 
+# A notched (non-convex) polygon with horizontal, vertical and slanted edges,
+# and the same shape rotated and shifted off the lattice.
+NOTCHED = np.array([(0, 0), (6, 0), (6, 4), (4, 4), (3, 2), (2, 4), (0, 4)], dtype=float)
+_TURN = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+TURNED = NOTCHED @ _TURN.T + (0.03, -1.7)
+
+
+def boundary_probes(polygon):
+    """Every vertex, points level with every vertex (whose rays pass through
+    it), points along every edge, and those points moved 1e-10 (inside the
+    edge tolerance) and 1e-8 (outside it) either way along the edge normal."""
+    shifts = np.array([-2.5, -1.0, -0.5, 0.5, 1.0, 2.5])
+    probes = [polygon] + [np.column_stack([x + shifts, np.full(len(shifts), y)])
+                          for x, y in polygon]
+    for a, b in zip(polygon, np.roll(polygon, -1, axis=0)):
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(b - a))
+        for frac in (0.5, 0.25, 1 / 3):
+            on = a + frac * (b - a)
+            probes.append([on] + [on + sign * d * normal
+                                  for d in (1e-10, 1e-8) for sign in (1, -1)])
+    return np.vstack(probes)
+
+
 class TestPointInPolygon:
     def test_center(self):
         assert point_in_polygon((0.5, 0.5), UNIT_SQUARE)
@@ -107,6 +135,63 @@ class TestPointInPolygon:
             if abs(p[1] - 0) < 1e-6:
                 continue
             assert point_in_polygon(p, poly) == winding_number_inside(p, poly)
+
+    @pytest.mark.parametrize("polygon", [NOTCHED, TURNED], ids=["notched", "turned"])
+    def test_equals_scalar_oracle(self, polygon):
+        rng = np.random.default_rng(11)
+        points = np.vstack([rng.uniform(-1.0, 7.0, size=(2000, 2)), boundary_probes(polygon)])
+        got = point_in_polygon(points, polygon)
+        assert got.shape == (len(points),) and got.dtype == bool
+        want = np.array([point_in_polygon_oracle(p, polygon) for p in points])
+        assert np.array_equal(got, want)
+        # the points fall on both sides
+        assert got.any() and not got.all()
+
+    def test_leading_shape(self):
+        points = np.array([[[0.5, 0.5], [2.0, 2.0]], [[1.0, 0.5], [-0.1, 0.5]]])
+        assert np.array_equal(point_in_polygon(points, UNIT_SQUARE),
+                              [[True, False], [True, False]])
+        assert point_in_polygon((0.5, 0.5), UNIT_SQUARE).shape == ()
+
+
+def scenario_prior(name):
+    cfg = ScenarioConfig.from_file(SCENARIOS / name)
+    return load_map(cfg.map_path), cfg.map_confidence, cfg.grid
+
+
+# Edges on cell centres: cell size 0.5 puts centres at odd multiples of 0.25.
+CENTRED_SPEC = GridSpec(0.0, 0.0, 0.5, 20, 16)
+CENTRED_MAP = VectorMap(
+    buildings=[np.array([(0.25, 0.25), (2.75, 0.25), (2.75, 2.75), (0.25, 2.75)]),
+               np.array([(5.25, 5.25), (9.75, 5.25), (5.25, 9.75)])],
+    roads=[np.array([(3.75, 0.25), (9.75, 0.25), (9.75, 1.75), (6.25, 1.75),
+                     (6.25, 4.25), (3.75, 4.25)]),
+           np.array([(0.25, 4.75), (4.25, 4.75), (0.25, 7.75)])])
+
+
+class TestRasterizeMatchesOracle:
+    @pytest.mark.parametrize("name", ["crossing_car.json", "parked_then_leaves.json",
+                                      "street_canyon.json"])
+    def test_shipped_scenarios(self, name):
+        vmap, conf, spec = scenario_prior(name)
+        assert vmap.buildings and vmap.roads
+        got = rasterize_gg(vmap, conf, spec).masses
+        assert got.tobytes() == rasterize_oracle(vmap, conf, spec).tobytes()
+
+    def test_intersection_map(self):
+        vmap = load_map(SCENARIOS / "maps" / "intersection.geojson")
+        conf, spec = MapConfidence(0.95, 0.7, 0.55), GridSpec(0.0, 0.0, 0.25, 120, 120)
+        got = rasterize_gg(vmap, conf, spec).masses
+        assert got.tobytes() == rasterize_oracle(vmap, conf, spec).tobytes()
+
+    def test_edges_on_cell_centres(self):
+        conf = MapConfidence(0.7, 0.65, 0.3)
+        got = rasterize_gg(CENTRED_MAP, conf, CENTRED_SPEC).masses
+        want = rasterize_oracle(CENTRED_MAP, conf, CENTRED_SPEC)
+        assert got.tobytes() == want.tobytes()
+        # centres on a vertex and on an edge are inside; the next one is not
+        assert got[0, 0, frames.BUILDING_SET] == got[5, 3, frames.BUILDING_SET] == 0.7
+        assert got[6, 3, frames.INTERMEDIATE_SET] == 0.3
 
 
 class TestRasterize:
@@ -139,6 +224,17 @@ class TestRasterize:
         vmap = VectorMap(buildings=[square], roads=[square])
         with pytest.raises(MapOverlapError, match=r"map overlap at cell \(0, 0\)"):
             rasterize_gg(vmap, MapConfidence(), self.SPEC)
+
+    def test_overlap_names_first_cell_row_by_row(self):
+        """Overlaps at (3, 0) and (0, 2): the first in j-outer, i-inner order
+        is (3, 0); an i-outer order would name (0, 2)."""
+        squares = [np.array([(3, 0), (4, 0), (4, 1), (3, 1)]),
+                   np.array([(0, 2), (1, 2), (1, 3), (0, 3)])]
+        vmap = VectorMap(buildings=squares, roads=squares[::-1])
+        with pytest.raises(MapOverlapError, match=r"^map overlap at cell \(3, 0\)$"):
+            rasterize_gg(vmap, MapConfidence(), self.SPEC)
+        with pytest.raises(MapOverlapError, match=r"^map overlap at cell \(3, 0\)$"):
+            rasterize_oracle(vmap, MapConfidence(), self.SPEC)
 
     def test_zero_confidence_is_vacuous(self):
         vmap = VectorMap(buildings=[np.array([(0, 0), (2, 0), (2, 2), (0, 2)])])
