@@ -11,7 +11,7 @@ from .dst import (FrameOfDiscernment, MassFunction, Refining, TotalConflictError
                   discount, pignistic, refine, specialize)
 from .frames import PERCEPTION_FRAME, SENSOR_FRAME, SENSOR_REFINING
 from .fusion import (ConflictPair, FusionParams, apply_accumulator_specialization,
-                     combine_prior, conflict_masses, decide, decide_grid, fuse_pg,
+                     combine_prior, decide, decide_grid, fuse_pg,
                      refine_sg, step_cell, step_with_conflicts,
                      update_accumulator)
 from .grid import EvidentialGrid, GridSpec, PerceptionGrid
@@ -29,7 +29,7 @@ __all__ = [
     "discount", "pignistic", "refine", "specialize",
     "PERCEPTION_FRAME", "SENSOR_FRAME", "SENSOR_REFINING",
     "ConflictPair", "FusionParams", "apply_accumulator_specialization",
-    "combine_prior", "conflict_masses", "decide", "decide_grid", "fuse_pg",
+    "combine_prior", "decide", "decide_grid", "fuse_pg",
     "refine_sg", "step_cell", "step_with_conflicts", "update_accumulator",
     "EvidentialGrid", "GridSpec", "PerceptionGrid",
     "MapConfidence", "VectorMap", "load_map", "point_in_polygon", "rasterize_gg",

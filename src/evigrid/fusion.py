@@ -130,16 +130,6 @@ def combine_prior(m_sensor: MassFunction, m_map: MassFunction) -> MassFunction:
     return combine_dempster(m_sensor, m_map)
 
 
-def conflict_masses(m_prev: MassFunction, m_sensor: MassFunction) -> ConflictPair:
-    """Partition the conjunctive conflict of (stored grid, sensor evidence)."""
-    parts = [0.0, 0.0, 0.0]
-    for b, vb in m_prev.focal():
-        for c, vc in m_sensor.focal():
-            if b & c == 0:
-                parts[_conflict_kind(b, c)] += vb * vc
-    return ConflictPair(*parts)
-
-
 def fuse_pg(m_prev: MassFunction, m_sensor: MassFunction) -> tuple[MassFunction, ConflictPair]:
     """Modified conjunctive rule adapted to mobile object detection.
 
@@ -222,53 +212,32 @@ def step_cell(m_prev: MassFunction, counter_prev: float,
 
 # --- vectorised grid kernel -------------------------------------------------
 
-def _conjunctive_rows(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Row-wise conjunctive combination of two (N, 2**n) mass arrays."""
+def _conjunctive_rows(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise conjunctive combination of two (N, 2**n) mass arrays.
+
+    Returns the non-empty products (column 0 stays zero) and the (3, N)
+    empty-set mass partitioned by ``_conflict_kind``, with `m1` as the
+    stored side.
+    """
     out = np.zeros_like(m1)
+    parts = np.zeros((3, m1.shape[0]))
     for b in np.flatnonzero(m1.any(axis=0)):
-        col = m1[:, int(b)]
-        for c in np.flatnonzero(m2.any(axis=0)):
-            out[:, int(b) & int(c)] += col * m2[:, int(c)]
-    return out
-
-
-def _dempster_rows(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    out = _conjunctive_rows(m1, m2)
-    conflict = out[:, 0]
-    if np.any(conflict >= 1.0 - TOTAL_CONFLICT_TOLERANCE):
-        cell = int(np.argmax(conflict))
-        raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
-    out[:, 0] = 0.0
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _fuse_rows(prev: np.ndarray, sens: np.ndarray):
-    """Row-wise modified conjunctive rule with conflict partitioning."""
-    n = prev.shape[0]
-    out = np.zeros_like(prev)
-    parts = np.zeros((3, n))
-    for b in np.flatnonzero(prev.any(axis=0)):
         b = int(b)
-        col = prev[:, b]
-        for c in np.flatnonzero(sens.any(axis=0)):
+        col = m1[:, b]
+        for c in np.flatnonzero(m2.any(axis=0)):
             c = int(c)
-            term = col * sens[:, c]
-            a = b & c
-            if a:
-                out[:, a] += term
+            term = col * m2[:, c]
+            if b & c:
+                out[:, b & c] += term
             else:
                 parts[_conflict_kind(b, c)] += term
-    out[:, frames.PG_MOVING] += parts[0]
-    out[:, frames.PG_OMEGA] += parts[1] + parts[2]
-    out /= out.sum(axis=1, keepdims=True)
-    return out, parts[0], parts[1], parts[2]
+    return out, parts
 
 
 def _ageing_vector(gg_m: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Per-cell ageing rate from the (N, 32) prior masses, with the context
-    precedence of ``map_ingest.context_of_cell``: building, road, then
-    intermediate."""
+    """Per-cell ageing rate from the (N, 32) prior masses by map context:
+    building where the prior supports I, else road where it supports FSM,
+    else intermediate."""
     if not params.ageing_by_context:
         return np.full(gg_m.shape[0], params.ageing_rate)
     return np.select([gg_m[:, frames.BUILDING_SET] > 0.0, gg_m[:, frames.ROAD_SET] > 0.0],
@@ -304,13 +273,24 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
     refined[:, frames.OCCUPIED_SET] = sg_m[:, frames.SG_OCCUPIED]
     refined[:, frames.PG_OMEGA] = sg_m[:, frames.SG_OMEGA]
 
-    prior = _dempster_rows(refined, gg_m)
+    # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
+    prior = _conjunctive_rows(refined, gg_m)[0]
+    norm = prior.sum(axis=1, keepdims=True)
+    if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
+        cell = int(np.argmin(norm))
+        raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
+    prior /= norm
 
     alpha = _ageing_vector(gg_m, params)
     prev *= (1.0 - alpha)[:, None]
     prev[:, frames.PG_OMEGA] += alpha
 
-    fused, appear, disappear, residual = _fuse_rows(prev, prior)
+    # the modified conjunctive rule: appearance conflict to M, the rest to
+    # the full frame
+    fused, (appear, disappear, residual) = _conjunctive_rows(prev, prior)
+    fused[:, frames.PG_MOVING] += appear
+    fused[:, frames.PG_OMEGA] += disappear + residual
+    fused /= fused.sum(axis=1, keepdims=True)
 
     occupied = fused[:, list(_OCCUPIED_SUBSETS)].sum(axis=1)
     dynamic = appear + disappear

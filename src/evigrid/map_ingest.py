@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .dst import MassFunction
 from .grid import EvidentialGrid, GridSpec
 
 # Tolerance for the boundary-inclusive point-on-edge test (metres^2 scale in
@@ -77,6 +76,8 @@ def _parse_polygon(feature_idx: int, geometry: dict) -> np.ndarray:
         raise MapFormatError(f"feature {feature_idx}: non-numeric coordinates") from exc
     if poly.ndim != 2 or poly.shape[1] != 2:
         raise MapFormatError(f"feature {feature_idx}: vertices must be [x, y] pairs")
+    if not np.isfinite(poly).all():
+        raise MapFormatError(f"feature {feature_idx}: coordinates must be finite")
     return poly
 
 
@@ -161,15 +162,3 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
         grid.masses[mask, frames.PG_OMEGA] = 1.0 - confidence
     return grid
 
-
-def context_of_cell(gg: EvidentialGrid, i: int, j: int) -> str:
-    """Map context of a prior-grid cell: building, road or intermediate.
-
-    A vacuous cell (all confidences zero) counts as intermediate.
-    """
-    cell = gg.masses[i, j]
-    if cell[frames.BUILDING_SET] > 0.0:
-        return "building"
-    if cell[frames.ROAD_SET] > 0.0:
-        return "road"
-    return "intermediate"

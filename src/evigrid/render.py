@@ -3,7 +3,7 @@
 Two styles: per-cell decision colors and a pignistic mean color.  The palette
 is fixed: free space green, moving objects red, static classes (mapped and
 unmapped infrastructure, stopped objects) blue, unknown black.  Images are
-written as PPM P3 (color) / PGM P2 (grayscale), which are diffable text.
+written as ASCII PPM (P3), which is diffable text.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
     out.write(f"P3\n{cols} {rows}\n255\n")
     for r in range(rows):
         out.write(" ".join(str(int(v)) for v in pixels[r].ravel()) + "\n")
-
-
-def write_pgm(values: np.ndarray, out: TextIO) -> None:
-    """Write an (rows, cols) uint8 array as ASCII PGM (P2)."""
-    rows, cols = values.shape
-    out.write(f"P2\n{cols} {rows}\n255\n")
-    for r in range(rows):
-        out.write(" ".join(str(int(v)) for v in values[r]) + "\n")
 
 
 def _to_image(cellwise: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each beam is walked through the grid with an exact cell-stepping traversal:
 cells strictly before the hit point collect free-space evidence, the cell
 containing the hit point collects occupied evidence, cells beyond stay
-vacuous.  Contributions of multiple beams to one cell are merged with
-Dempster's rule, so an occupied verdict is never silently overwritten by a
-free verdict from another beam.
+vacuous.  A scan is reduced to per-cell counts of free and hit beams, and
+each cell's mass is Dempster's rule of those beams in closed form, so an
+occupied verdict is never overwritten by a free verdict from another beam
+and the grid does not depend on the order of the beams.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import frames
-from .dst import TOTAL_CONFLICT_TOLERANCE, TotalConflictError
 from .grid import EvidentialGrid, GridSpec
 
 _TAU = 2.0 * math.pi
@@ -149,54 +151,47 @@ def traverse_ray(spec: GridSpec, x0: float, y0: float,
     return cells
 
 
-def _merge_free(cell, weight: float) -> None:
-    """Dempster-combine a cell's free/occupied masses with free evidence."""
-    f, o, w = cell[frames.SG_FREE], cell[frames.SG_OCCUPIED], cell[frames.SG_OMEGA]
-    k = o * weight
-    if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
-        raise TotalConflictError("total conflict between beams in one cell")
-    norm = 1.0 - k
-    cell[frames.SG_FREE] = (f + w * weight) / norm
-    cell[frames.SG_OCCUPIED] = o * (1.0 - weight) / norm
-    cell[frames.SG_OMEGA] = w * (1.0 - weight) / norm
-
-
-def _merge_occupied(cell, weight: float) -> None:
-    f, o, w = cell[frames.SG_FREE], cell[frames.SG_OCCUPIED], cell[frames.SG_OMEGA]
-    k = f * weight
-    if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
-        raise TotalConflictError("total conflict between beams in one cell")
-    norm = 1.0 - k
-    cell[frames.SG_OCCUPIED] = (o + w * weight) / norm
-    cell[frames.SG_FREE] = f * (1.0 - weight) / norm
-    cell[frames.SG_OMEGA] = w * (1.0 - weight) / norm
-
-
 def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
              params: SensorGridParams) -> EvidentialGrid:
     """Convert a scan plus pose into a sensor grid on the free/occupied frame.
 
-    Beams are merged in scan order; the result is invariant under beam
-    ordering up to float tolerance because Dempster's rule is commutative
-    and associative.
+    Each beam adds one to the free count ``n_f`` of the cells it crosses; a
+    hit beam adds one to the hit count ``n_o`` of the cell it ends in
+    instead.  Dempster's rule of
+    ``n_f`` free and ``n_o`` occupied simple supports is, with
+    ``a = (1 - w_f)**n_f`` and ``b = (1 - w_o)**n_o`` the masses each side
+    leaves on the frame and ``Z = a + b - a*b = 1 - K``:
+
+        m(F) = (1 - a) b / Z,   m(O) = (1 - b) a / Z,   m(FO) = a b / Z.
+
+    The counts do not depend on the order of the beams, so neither does the
+    grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
+    beam: total conflict) the cell stays vacuous.
     """
-    grid = EvidentialGrid(spec, frames.SENSOR_FRAME)
-    masses = grid.masses
+    # each beam's cells as flat indices i * height + j of the (width, height) grid
+    height = spec.height
+    free, hits = [np.empty(0, dtype=np.intp)], []
     for beam in scan.beams:
         angle = pose.heading + beam.bearing
         dx, dy = math.cos(angle), math.sin(angle)
-        cells = traverse_ray(spec, pose.x, pose.y, dx, dy, beam.range)
+        cells = np.array(traverse_ray(spec, pose.x, pose.y, dx, dy, beam.range),
+                         dtype=np.intp).reshape(-1, 2)
+        crossed = cells[:, 0] * height + cells[:, 1]
         if beam.hit:
-            end_x = pose.x + beam.range * dx
-            end_y = pose.y + beam.range * dy
-            hit_cell = spec.world_to_cell(end_x, end_y)
-            for c in cells:
-                if c == hit_cell:
-                    continue
-                _merge_free(masses[c], params.free_weight)
+            hit_cell = spec.world_to_cell(pose.x + beam.range * dx, pose.y + beam.range * dy)
             if hit_cell is not None:
-                _merge_occupied(masses[hit_cell], params.occupied_weight)
-        else:
-            for c in cells:
-                _merge_free(masses[c], params.free_weight)
+                hit = hit_cell[0] * height + hit_cell[1]
+                hits.append(hit)
+                crossed = crossed[crossed != hit]
+        free.append(crossed)
+    n = spec.width * height
+    a = (1.0 - params.free_weight) ** np.bincount(np.concatenate(free), minlength=n)
+    b = (1.0 - params.occupied_weight) ** np.bincount(hits, minlength=n)
+    norm = a + b - a * b
+    grid = EvidentialGrid(spec, frames.SENSOR_FRAME)
+    masses = grid.masses.reshape(n, frames.SENSOR_FRAME.size)
+    seen = norm > 0.0
+    for focal, mass in ((frames.SG_FREE, (1.0 - a) * b), (frames.SG_OCCUPIED, (1.0 - b) * a),
+                        (frames.SG_OMEGA, a * b)):
+        np.divide(mass, norm, out=masses[:, focal], where=seen)
     return grid

@@ -1,10 +1,14 @@
-"""Independent brute-force oracles for the combination rules and the map
-prior.
+"""Independent brute-force oracles for the combination rules, the sensor
+merge and the map prior.
 
 The rule oracles iterate over *all* 2**n x 2**n subset pairs (not just focal
-elements) and never share code with the implementation under test.  The map
-oracles classify one cell centre at a time with the scalar even-odd test.
+elements) and never share code with the implementation under test.  The
+sensor-merge oracle applies Dempster's rule one beam at a time in exact
+rational arithmetic.  The map oracles classify one cell centre at a time
+with the scalar even-odd test.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +41,22 @@ def dempster_oracle(m1: MassFunction, m2: MassFunction) -> np.ndarray:
     k = out[0]
     out[0] = 0.0
     return out / (1.0 - k)
+
+
+def sensor_merge_oracle(free_weight: float, occupied_weight: float,
+                        n_free: int, n_occupied: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (m(F), m(O), m(FO)) of one sensor cell: Dempster's rule of
+    ``n_free`` simple supports of F and ``n_occupied`` of O, merged one beam
+    at a time in ``Fraction`` arithmetic, so the order cannot matter."""
+    wf, wo = Fraction(free_weight), Fraction(occupied_weight)
+    f, o, w = Fraction(0), Fraction(0), Fraction(1)
+    for _ in range(n_free):
+        norm = 1 - o * wf
+        f, o, w = (f + w * wf) / norm, o * (1 - wf) / norm, w * (1 - wf) / norm
+    for _ in range(n_occupied):
+        norm = 1 - f * wo
+        f, o, w = f * (1 - wo) / norm, (o + w * wo) / norm, w * (1 - wo) / norm
+    return f, o, w
 
 
 def pignistic_oracle(m: MassFunction) -> np.ndarray:
@@ -107,3 +127,16 @@ def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np
                 cell[frames.INTERMEDIATE_SET] = conf.intermediate
                 cell[omega] = 1.0 - conf.intermediate
     return masses
+
+
+def context_of_cell(gg: EvidentialGrid, i: int, j: int) -> str:
+    """Map context of a prior-grid cell: building, road or intermediate.
+
+    A vacuous cell (all confidences zero) counts as intermediate.
+    """
+    cell = gg.masses[i, j]
+    if cell[frames.BUILDING_SET] > 0.0:
+        return "building"
+    if cell[frames.ROAD_SET] > 0.0:
+        return "road"
+    return "intermediate"

@@ -181,6 +181,22 @@ def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):
     assert "configuration error: map overlap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_map_vertex_is_config_error(small_scenario, tmp_path, capsys, value):
+    ring = [list(v) for v in BUILDING]
+    ring[2][1] = value
+    write_map(tmp_path / "m.geojson", [("road", [[0, 20], [4, 20], [4, 22], [0, 20]]),
+                                       ("building", ring)])
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out_run")])
+    assert rc == 1
+    assert "configuration error: feature 1" in capsys.readouterr().err
+    log = tmp_path / "scans.ndjson"
+    log.write_text(record_line(0.0) + "\n")
+    rc = replay(tmp_path, log, tmp_path / "out_replay")
+    assert rc == 1
+    assert "configuration error: feature 1" in capsys.readouterr().err
+
+
 def test_record_then_replay_matches(small_scenario, tmp_path):
     out_run = tmp_path / "run"
     log = tmp_path / "scans.ndjson"
@@ -290,6 +306,18 @@ def test_shipped_scenario_runs(scenario_dir, tmp_path):
     rc = main(["run", str(scenario_dir / "parked_then_leaves.json"),
                "--out", str(tmp_path / "out"), "--render", "decision",
                "--every", "10"])
+    assert rc == 0
+    lines = (tmp_path / "out" / "stats.ndjson").read_text().splitlines()
+    assert len(lines) == 50
+
+
+def test_weights_of_one_run_to_completion(scenario_dir, tmp_path):
+    # free and occupied beams meet in some cells: total conflict there
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"sensor_model": {"free_weight": 1.0,
+                                                   "occupied_weight": 1.0}}))
+    rc = main(["run", str(scenario_dir / "crossing_car.json"), "--params", str(params),
+               "--out", str(tmp_path / "out"), "--render", "decision", "--every", "10"])
     assert rc == 0
     lines = (tmp_path / "out" / "stats.ndjson").read_text().splitlines()
     assert len(lines) == 50

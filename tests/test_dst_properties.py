@@ -1,18 +1,27 @@
-"""Randomized algebraic properties of the combination rules.
+"""Randomized algebraic properties of the combination rules, and the
+invariants of the grid kernels built on them.
 
 Hypothesis generates arbitrary normal mass functions on frames of 2..4
 hypotheses; each property is checked against the stated identity rather than
-against the implementation itself.
+against the implementation itself.  The grid properties run the sensor-grid
+build and the fusion step on random grids and beam fans: masses stay
+non-negative and sum to 1, the counter stays in [0, 1].
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evigrid import frames
 from evigrid.dst import (FrameOfDiscernment, MassFunction, Refining,
                          TotalConflictError, combine_conjunctive,
                          combine_dempster, combine_disjunctive, discount,
                          pignistic, refine)
+from evigrid.fusion import FusionParams, step_with_conflicts
+from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
+from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
 
 FRAMES = {n: FrameOfDiscernment(tuple("abcd"[:n])) for n in (2, 3, 4)}
 
@@ -135,3 +144,73 @@ def test_operations_stay_normalized(pair):
     for out in (combine_conjunctive(m1, m2), combine_disjunctive(m1, m2),
                 discount(m1, 0.3)):
         assert abs(out.masses.sum() - 1.0) < 1e-9
+
+
+# --- grid kernels -------------------------------------------------------------
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+GRID_SPEC = GridSpec(0.0, 0.0, 0.5, 12, 10)
+
+
+def assert_normal_grid(masses: np.ndarray) -> None:
+    assert (masses >= 0.0).all()
+    assert (masses[..., 0] == 0.0).all()
+    assert np.abs(masses.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+@st.composite
+def fusion_inputs(draw):
+    """Random perception, sensor and prior grids on a small spec.  Each
+    prior cell keeps some ignorance (a rate of at least 0.01), as a map
+    confidence below 1 does, so the prior step never meets total conflict."""
+    spec = GridSpec(0.0, 0.0, 0.5, draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    cells = [(i, j) for i in range(spec.width) for j in range(spec.height)]
+    pg = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
+    sg = EvidentialGrid(spec, frames.SENSOR_FRAME)
+    gg = EvidentialGrid(spec, frames.PERCEPTION_FRAME)
+    for i, j in cells:
+        pg.set_cell(i, j, draw(mass_functions(frame=frames.PERCEPTION_FRAME)))
+        pg.counter[i, j] = draw(unit)
+        sg.set_cell(i, j, draw(mass_functions(frame=frames.SENSOR_FRAME)))
+        prior = draw(mass_functions(frame=frames.PERCEPTION_FRAME))
+        gg.set_cell(i, j, discount(prior, draw(st.floats(min_value=0.01, max_value=1.0))))
+    params = FusionParams(*(draw(unit) for _ in range(5)))
+    return pg, sg, gg, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusion_inputs())
+def test_step_with_conflicts_invariants(inputs):
+    pg, sg, gg, params = inputs
+    out, totals = step_with_conflicts(pg, sg, gg, params)
+    assert_normal_grid(out.masses)
+    assert ((out.counter >= 0.0) & (out.counter <= 1.0)).all()
+    assert min(totals.free_to_occupied, totals.occupied_to_free, totals.residual) >= 0.0
+
+
+@st.composite
+def beam_fans(draw):
+    """A scan from a pose near the grid, with hit and non-hit beams."""
+    max_range = 8.0
+    beams = draw(st.lists(st.tuples(
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.floats(min_value=0.01, max_value=max_range), st.booleans()), max_size=40))
+    scan = LidarScan(tuple(Beam(bearing, r if hit else max_range, hit)
+                           for bearing, r, hit in beams), max_range)
+    pose = Pose(draw(st.floats(-1.0, 7.0)), draw(st.floats(-1.0, 6.0)),
+                draw(st.floats(-math.pi, math.pi)))
+    params = SensorGridParams(draw(st.sampled_from([0.0, 0.7, 1.0]) | unit),
+                              draw(st.sampled_from([0.0, 0.8, 1.0]) | unit))
+    return scan, pose, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(beam_fans(), st.randoms(use_true_random=False))
+def test_build_sg_invariants_and_order(fan, rnd):
+    scan, pose, params = fan
+    grid = build_sg(scan, pose, GRID_SPEC, params)
+    assert_normal_grid(grid.masses)
+    shuffled = list(scan.beams)
+    rnd.shuffle(shuffled)
+    again = build_sg(LidarScan(tuple(shuffled), scan.max_range), pose, GRID_SPEC, params)
+    assert np.array_equal(grid.masses, again.masses)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from evigrid import frames
-from evigrid.dst import MassFunction, combine_conjunctive
+from evigrid.dst import MassFunction, TotalConflictError, combine_conjunctive
 from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             apply_accumulator_specialization, combine_prior,
-                            conflict_masses, decide, decide_grid, fuse_pg,
-                            refine_sg, step_cell, step_with_conflicts,
-                            update_accumulator)
+                            decide, decide_grid, fuse_pg, refine_sg, step_cell,
+                            step_with_conflicts, update_accumulator)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
-from evigrid.map_ingest import context_of_cell
+from oracles import context_of_cell
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -61,10 +60,12 @@ class TestCombinePrior:
 
 
 class TestConflictMasses:
+    """The conflict partition that ``fuse_pg`` returns."""
+
     def test_disappearing_object(self):
         prev = pg_mass({"F": 0.6, "FIUSM": 0.4})
         sens = pg_mass({"IUSM": 0.5, "FIUSM": 0.5})
-        out = conflict_masses(prev, sens)
+        out = fuse_pg(prev, sens)[1]
         assert out.free_to_occupied == pytest.approx(0.30)
         assert out.occupied_to_free == 0.0
         assert out.residual == 0.0
@@ -72,17 +73,17 @@ class TestConflictMasses:
     def test_appearing_free(self):
         prev = pg_mass({"I": 0.5, "FIUSM": 0.5})
         sens = pg_mass({"F": 0.4, "FIUSM": 0.6})
-        out = conflict_masses(prev, sens)
+        out = fuse_pg(prev, sens)[1]
         assert out.occupied_to_free == pytest.approx(0.20)
         assert out.free_to_occupied == 0.0
         assert out.residual == 0.0
 
     def test_vacuous(self):
-        out = conflict_masses(MassFunction.vacuous(PG), MassFunction.vacuous(PG))
+        out = fuse_pg(MassFunction.vacuous(PG), MassFunction.vacuous(PG))[1]
         assert out.total == 0.0
 
     def test_residual(self):
-        out = conflict_masses(pg_mass({"I": 1.0}), pg_mass({"S": 1.0}))
+        out = fuse_pg(pg_mass({"I": 1.0}), pg_mass({"S": 1.0}))[1]
         assert out.residual == pytest.approx(1.0)
         assert out.free_to_occupied == out.occupied_to_free == 0.0
 
@@ -91,7 +92,7 @@ class TestConflictMasses:
         # the partition equals the product of the aggregates
         prev = pg_mass({"F": 0.3, "SM": 0.2, "I": 0.1, "FIUSM": 0.4})
         sens = pg_mass({"F": 0.5, "IUSM": 0.3, "FIUSM": 0.2})
-        out = conflict_masses(prev, sens)
+        out = fuse_pg(prev, sens)[1]
         prev_occupied = 0.2 + 0.1
         sens_occupied = 0.3
         assert out.free_to_occupied == pytest.approx(0.3 * sens_occupied)
@@ -302,6 +303,15 @@ class TestStep:
                 expect, _, _ = step_cell(pg.cell(i, j), 0.0, sg.cell(i, j),
                                          MassFunction.vacuous(PG), FusionParams())
                 assert np.allclose(out.masses[i, j], expect.masses, atol=1e-12)
+
+    def test_total_conflict_with_prior_raises(self):
+        # a certain free cell against a certain building: Dempster's rule is
+        # undefined there
+        pg, sg, gg = self.fresh()
+        sg.set_cell(2, 1, sg_mass({"F": 1.0}))
+        gg.set_cell(2, 1, pg_mass({"I": 1.0}))
+        with pytest.raises(TotalConflictError, match="cell index 7"):
+            step_with_conflicts(pg, sg, gg, FusionParams())
 
     def test_determinism(self):
         rng = np.random.default_rng(9)

@@ -72,6 +72,15 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="cannot read"):
             load_map(tmp_path / "nope.geojson")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates(self, tmp_path, value):
+        ring = [list(v) for v in SQUARE_RING]
+        ring[1][0] = value
+        path = write_map(tmp_path / "m.geojson", [polygon_feature("road", SQUARE_RING),
+                                                  polygon_feature("building", ring)])
+        with pytest.raises(MapFormatError, match="feature 1: .*finite"):
+            load_map(path)
+
 
 def winding_number_inside(point, polygon):
     """Independent oracle: winding number via summed signed angles."""

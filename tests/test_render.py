@@ -1,4 +1,4 @@
-"""PPM/PGM writers and grid-to-image orientation."""
+"""The PPM writer and grid-to-image orientation."""
 
 import io
 
@@ -9,8 +9,7 @@ from evigrid.dst import MassFunction
 from evigrid.frames import PERCEPTION_FRAME
 from evigrid.fusion import decide_grid, pignistic_grid
 from evigrid.grid import GridSpec, PerceptionGrid
-from evigrid.render import (MovingTrace, decision_image, pignistic_image,
-                            write_pgm, write_ppm)
+from evigrid.render import MovingTrace, decision_image, pignistic_image, write_ppm
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 3, 2)
 
@@ -31,14 +30,6 @@ def test_write_ppm_format():
     assert lines[:3] == ["P3", "3 2", "255"]
     assert lines[3].startswith("255 0 0")
     assert len(lines) == 3 + 2
-
-
-def test_write_pgm_format():
-    buf = io.StringIO()
-    write_pgm(np.array([[0, 128], [255, 7]], dtype=np.uint8), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[:3] == ["P2", "2 2", "255"]
-    assert lines[3] == "0 128"
 
 
 def test_decision_image_north_up():

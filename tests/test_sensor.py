@@ -10,6 +10,7 @@ from evigrid.dst import MassFunction, combine_dempster
 from evigrid.grid import GridSpec
 from evigrid.sensor import (Beam, LidarScan, Pose, SensorGridParams, build_sg,
                             normalize_heading, traverse_ray)
+from oracles import sensor_merge_oracle
 
 PARAMS = SensorGridParams(free_weight=0.7, occupied_weight=0.8)
 
@@ -119,7 +120,7 @@ class TestBuildSg:
         pose = Pose(0.1, 1.0, 0.0)
         a = build_sg(LidarScan(beams, 20.0), pose, self.SPEC, PARAMS)
         b = build_sg(LidarScan(beams[::-1], 20.0), pose, self.SPEC, PARAMS)
-        assert np.allclose(a.masses, b.masses, atol=1e-9)
+        assert np.array_equal(a.masses, b.masses)
 
     def test_merge_matches_dempster(self):
         # two beams hitting the same cell: inline merge == dst Dempster rule
@@ -144,3 +145,33 @@ class TestBuildSg:
         expect = combine_dempster(occ, free)
         assert np.allclose(cell.masses, expect.masses, atol=1e-12)
         assert cell["O"] > cell["F"]
+
+    @staticmethod
+    def stacked_scan(n_free, n_occupied):
+        """Beams along the x axis from (0, 0.25): each hit beam ends in cell
+        (2, 0), each non-hit beam crosses it; the two kinds interleave."""
+        hits = [Beam(0.0, 1.2, True)] * n_occupied
+        frees = [Beam(0.0, 20.0, False)] * n_free
+        beams = [b for pair in zip(hits, frees) for b in pair]
+        beams += hits[len(frees):] + frees[len(hits):]
+        return LidarScan(tuple(beams), max_range=20.0)
+
+    @pytest.mark.parametrize("n_free, n_occupied", [
+        (20, 20), (0, 0), (1, 0), (0, 1), (1, 1), (3, 7), (12, 2), (40, 40)])
+    def test_matches_exact_dempster(self, n_free, n_occupied):
+        scan = self.stacked_scan(n_free, n_occupied)
+        grid = build_sg(scan, Pose(0.0, 0.25, 0.0), self.SPEC, PARAMS)
+        for cell, counts in (((2, 0), (n_free, n_occupied)),
+                             ((0, 0), (n_free + n_occupied, 0))):
+            expect = sensor_merge_oracle(PARAMS.free_weight, PARAMS.occupied_weight, *counts)
+            got = grid.masses[cell][[frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA]]
+            assert np.abs(got - [float(m) for m in expect]).max() <= 1e-12, cell
+
+    def test_total_conflict_leaves_cell_vacuous(self):
+        # weights 1.0: a free and an occupied beam in one cell contradict
+        # each other totally, so the cell carries no evidence
+        params = SensorGridParams(free_weight=1.0, occupied_weight=1.0)
+        grid = build_sg(self.stacked_scan(1, 1), Pose(0.0, 0.25, 0.0), self.SPEC, params)
+        assert not np.isnan(grid.masses).any()
+        assert grid.cell(2, 0).is_vacuous()
+        assert grid.cell(0, 0)["F"] == 1.0
