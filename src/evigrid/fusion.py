@@ -212,35 +212,42 @@ def step_cell(m_prev: MassFunction, counter_prev: float,
 
 # --- vectorised grid kernel -------------------------------------------------
 
-def _conjunctive_rows(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise conjunctive combination of two (N, 2**n) mass arrays.
+def _rows(values: np.ndarray) -> np.ndarray:
+    """(width, height, ...) cell data as the (..., N) rows the kernel works
+    on, one column per cell in (j, i) raster order: for masses, one row per
+    subset.  A view of a grid's stored planes, a copy of other layouts."""
+    return values.T.reshape(values.shape[2:][::-1] + (-1,))
 
-    Returns the non-empty products (column 0 stays zero) and the (3, N)
+
+def _conjunctive_rows(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conjunctive combination of two (2**n, N) mass arrays, cell by cell.
+
+    Returns the non-empty products (row 0 stays zero) and the (3, N)
     empty-set mass partitioned by ``_conflict_kind``, with `m1` as the
-    stored side.
+    stored side.  Only the focal sets present in some cell are visited.
     """
     out = np.zeros_like(m1)
-    parts = np.zeros((3, m1.shape[0]))
-    for b in np.flatnonzero(m1.any(axis=0)):
+    parts = np.zeros((3, m1.shape[1]))
+    term = np.empty(m1.shape[1])
+    focal2 = [int(c) for c in np.flatnonzero(m2.any(axis=1))]
+    for b in np.flatnonzero(m1.any(axis=1)):
         b = int(b)
-        col = m1[:, b]
-        for c in np.flatnonzero(m2.any(axis=0)):
-            c = int(c)
-            term = col * m2[:, c]
+        for c in focal2:
+            np.multiply(m1[b], m2[c], out=term)
             if b & c:
-                out[:, b & c] += term
+                out[b & c] += term
             else:
                 parts[_conflict_kind(b, c)] += term
     return out, parts
 
 
 def _ageing_vector(gg_m: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Per-cell ageing rate from the (N, 32) prior masses by map context:
+    """Per-cell ageing rate from the (32, N) prior masses by map context:
     building where the prior supports I, else road where it supports FSM,
     else intermediate."""
     if not params.ageing_by_context:
-        return np.full(gg_m.shape[0], params.ageing_rate)
-    return np.select([gg_m[:, frames.BUILDING_SET] > 0.0, gg_m[:, frames.ROAD_SET] > 0.0],
+        return np.full(gg_m.shape[1], params.ageing_rate)
+    return np.select([gg_m[frames.BUILDING_SET] > 0.0, gg_m[frames.ROAD_SET] > 0.0],
                      [params.ageing_for("building"), params.ageing_for("road")],
                      params.ageing_for("intermediate"))
 
@@ -260,39 +267,34 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
         raise ValueError("perception and map grids must be on the 5-class frame")
 
     spec = pg.spec
-    n = spec.width * spec.height
-    size = frames.PERCEPTION_FRAME.size
-    # rows in (j, i) raster order: the grid conflict totals sum in this order
-    sg_m = sg.masses.transpose(1, 0, 2).reshape(n, frames.SENSOR_FRAME.size)
-    gg_m = gg.masses.transpose(1, 0, 2).reshape(n, size)
-    prev = pg.masses.transpose(1, 0, 2).reshape(n, size).copy()
-    counter_prev = pg.counter.transpose(1, 0).reshape(n)
+    # the grid conflict totals sum in (j, i) raster order
+    sg_m, gg_m, counter_prev = _rows(sg.masses), _rows(gg.masses), _rows(pg.counter)
 
-    refined = np.zeros((n, size))
-    refined[:, frames.PG_FREE] = sg_m[:, frames.SG_FREE]
-    refined[:, frames.OCCUPIED_SET] = sg_m[:, frames.SG_OCCUPIED]
-    refined[:, frames.PG_OMEGA] = sg_m[:, frames.SG_OMEGA]
+    refined = np.zeros((frames.PERCEPTION_FRAME.size, sg_m.shape[1]))
+    refined[frames.PG_FREE] = sg_m[frames.SG_FREE]
+    refined[frames.OCCUPIED_SET] = sg_m[frames.SG_OCCUPIED]
+    refined[frames.PG_OMEGA] = sg_m[frames.SG_OMEGA]
 
     # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
     prior = _conjunctive_rows(refined, gg_m)[0]
-    norm = prior.sum(axis=1, keepdims=True)
+    norm = prior.sum(axis=0)
     if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
         cell = int(np.argmin(norm))
         raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
     prior /= norm
 
     alpha = _ageing_vector(gg_m, params)
-    prev *= (1.0 - alpha)[:, None]
-    prev[:, frames.PG_OMEGA] += alpha
+    prev = _rows(pg.masses) * (1.0 - alpha)
+    prev[frames.PG_OMEGA] += alpha
 
     # the modified conjunctive rule: appearance conflict to M, the rest to
     # the full frame
     fused, (appear, disappear, residual) = _conjunctive_rows(prev, prior)
-    fused[:, frames.PG_MOVING] += appear
-    fused[:, frames.PG_OMEGA] += disappear + residual
-    fused /= fused.sum(axis=1, keepdims=True)
+    fused[frames.PG_MOVING] += appear
+    fused[frames.PG_OMEGA] += disappear + residual
+    fused /= fused.sum(axis=0)
 
-    occupied = fused[:, list(_OCCUPIED_SUBSETS)].sum(axis=1)
+    occupied = fused[list(_OCCUPIED_SUBSETS)].sum(axis=0)
     dynamic = appear + disappear
     counter = np.where(
         dynamic > params.conflict_threshold,
@@ -302,28 +304,29 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
                  counter_prev))
 
     for a in _MOVING_SUPERSETS:
-        moved = counter * fused[:, a]
-        fused[:, a] -= moved
-        fused[:, a & ~frames.PG_MOVING] += moved
+        moved = counter * fused[a]
+        fused[a] -= moved
+        fused[a & ~frames.PG_MOVING] += moved
 
     out = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
-    out.masses = fused.reshape(spec.height, spec.width, size).transpose(1, 0, 2)
-    out.counter = counter.reshape(spec.height, spec.width).transpose(1, 0)
+    out.masses = fused.reshape(-1, spec.height, spec.width).T
+    out.counter = counter.reshape(spec.height, spec.width).T
     totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
                           float(residual.sum()))
     return out, totals
 
 
+# (5, 32): row k shares each subset's mass equally among its members
+_BET_WEIGHTS = np.array([[1.0 / a.bit_count() if a >> k & 1 else 0.0
+                          for a in range(frames.PERCEPTION_FRAME.size)]
+                         for k in range(frames.PERCEPTION_FRAME.n)])
+
+
 def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
-    """Per-cell pignistic probabilities, shape (width, height, n_labels)."""
-    frame = pg.frame
-    weights = np.zeros((frame.size, frame.n))
-    for a in range(1, frame.size):
-        share = 1.0 / a.bit_count()
-        for k in range(frame.n):
-            if a >> k & 1:
-                weights[a, k] = share
-    return pg.masses @ weights
+    """Per-cell pignistic probabilities of a grid on the 5-class frame,
+    shape (width, height, 5): a view of (5, height, width) planes."""
+    bet = _BET_WEIGHTS @ _rows(pg.masses)
+    return bet.reshape(-1, pg.spec.height, pg.spec.width).T
 
 
 def decide_grid(pg: EvidentialGrid, unknown_threshold: float) -> np.ndarray:

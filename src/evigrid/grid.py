@@ -66,14 +66,17 @@ class GridSpec:
 class EvidentialGrid:
     """A lattice whose cells carry normal mass functions on a shared frame.
 
-    Masses are stored densely as a (width, height, 2**n) array; every cell
-    starts vacuous.
+    Masses are stored as one C-contiguous (2**n, height, width) array: one
+    plane per subset, each in (j, i) raster order, so ``masses.T.reshape(
+    2**n, -1)`` gives the (subset, cell) rows the grid kernels work on
+    without a copy.  ``masses`` is the (width, height, 2**n) view of that
+    array, indexed ``masses[i, j]`` by cell.  Every cell starts vacuous.
     """
 
     def __init__(self, spec: GridSpec, frame: FrameOfDiscernment):
         self.spec = spec
         self.frame = frame
-        self.masses = np.zeros((spec.width, spec.height, frame.size))
+        self.masses = np.zeros((frame.size, spec.height, spec.width)).T
         self.masses[:, :, frame.omega] = 1.0
 
     def cell(self, i: int, j: int) -> MassFunction:
@@ -96,7 +99,7 @@ class PerceptionGrid(EvidentialGrid):
 
     def __init__(self, spec: GridSpec, frame: FrameOfDiscernment):
         super().__init__(spec, frame)
-        self.counter = np.zeros((spec.width, spec.height))
+        self.counter = np.zeros((spec.height, spec.width)).T
 
 
 def mass_column_names(frame: FrameOfDiscernment) -> list[str]:

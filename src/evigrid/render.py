@@ -43,7 +43,7 @@ def _to_image(cellwise: np.ndarray) -> np.ndarray:
 
 
 def decision_image(codes: np.ndarray) -> np.ndarray:
-    """Image of per-cell decision codes (``fusion.decide_grid``)."""
+    """Image of per-cell decision codes (``fusion.decide_pignistic``)."""
     return _to_image(DECISION_COLORS[codes])
 
 

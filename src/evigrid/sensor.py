@@ -168,30 +168,31 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
     beam: total conflict) the cell stays vacuous.
     """
-    # each beam's cells as flat indices i * height + j of the (width, height) grid
-    height = spec.height
+    # each beam's cells as flat raster indices j * width + i, the cell order
+    # of the grid's stored planes
+    width = spec.width
     free, hits = [np.empty(0, dtype=np.intp)], []
     for beam in scan.beams:
         angle = pose.heading + beam.bearing
         dx, dy = math.cos(angle), math.sin(angle)
         cells = np.array(traverse_ray(spec, pose.x, pose.y, dx, dy, beam.range),
                          dtype=np.intp).reshape(-1, 2)
-        crossed = cells[:, 0] * height + cells[:, 1]
+        crossed = cells[:, 1] * width + cells[:, 0]
         if beam.hit:
             hit_cell = spec.world_to_cell(pose.x + beam.range * dx, pose.y + beam.range * dy)
             if hit_cell is not None:
-                hit = hit_cell[0] * height + hit_cell[1]
+                hit = hit_cell[1] * width + hit_cell[0]
                 hits.append(hit)
                 crossed = crossed[crossed != hit]
         free.append(crossed)
-    n = spec.width * height
+    n = width * spec.height
     a = (1.0 - params.free_weight) ** np.bincount(np.concatenate(free), minlength=n)
     b = (1.0 - params.occupied_weight) ** np.bincount(hits, minlength=n)
     norm = a + b - a * b
     grid = EvidentialGrid(spec, frames.SENSOR_FRAME)
-    masses = grid.masses.reshape(n, frames.SENSOR_FRAME.size)
+    masses = grid.masses.T.reshape(frames.SENSOR_FRAME.size, n)
     seen = norm > 0.0
     for focal, mass in ((frames.SG_FREE, (1.0 - a) * b), (frames.SG_OCCUPIED, (1.0 - b) * a),
                         (frames.SG_OMEGA, a * b)):
-        np.divide(mass, norm, out=masses[:, focal], where=seen)
+        np.divide(mass, norm, out=masses[focal], where=seen)
     return grid

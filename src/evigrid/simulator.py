@@ -250,34 +250,35 @@ def simulate_scan(segments: np.ndarray, pose: Pose, sensor: SensorSpec,
                   rng: Optional[random.Random] = None) -> LidarScan:
     """Cast one beam fan against a set of opaque segments.
 
-    Ranges are exact geometric ray-segment intersections; the same ray
-    against the same world always returns the identical range.
+    Ranges are exact geometric ray-segment intersections, every beam against
+    every segment at once; the same ray against the same world always
+    returns the identical range.
     """
-    p = np.array([pose.x, pose.y])
+    bearings = sensor.bearings()
+    ranges = np.full(len(bearings), math.inf)
     if segments.size:
         a = segments[:, :2]
         v = segments[:, 2:] - a
-        w = a - p
+        w = a - np.array([pose.x, pose.y])
+        # math.cos/math.sin, not np.cos/np.sin, which can differ in the last bit
+        angles = (pose.heading + bearings).tolist()
+        dx = np.array([math.cos(angle) for angle in angles])[:, None]
+        dy = np.array([math.sin(angle) for angle in angles])[:, None]
+        denom = dx * v[:, 1] - dy * v[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
+            u = (w[:, 0] * dy - w[:, 1] * dx) / denom
+        valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
+        ranges = np.where(valid, t_ray, math.inf).min(axis=1)
     beams = []
-    for bearing in sensor.bearings():
-        angle = pose.heading + bearing
-        d = np.array([math.cos(angle), math.sin(angle)])
-        rng_t = math.inf
-        if segments.size:
-            denom = d[0] * v[:, 1] - d[1] * v[:, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
-                u = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
-            valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
-            if valid.any():
-                rng_t = float(t_ray[valid].min())
+    for bearing, rng_t in zip(bearings.tolist(), ranges.tolist()):
         if rng is not None and sensor.range_jitter > 0.0 and math.isfinite(rng_t):
             rng_t += rng.uniform(-sensor.range_jitter, sensor.range_jitter)
             rng_t = max(rng_t, _RAY_EPS)
         if rng_t <= sensor.max_range:
-            beams.append(Beam(float(bearing), rng_t, True))
+            beams.append(Beam(bearing, rng_t, True))
         else:
-            beams.append(Beam(float(bearing), sensor.max_range, False))
+            beams.append(Beam(bearing, sensor.max_range, False))
     return LidarScan(tuple(beams), sensor.max_range)
 
 
@@ -353,6 +354,13 @@ def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
     })
 
 
+def _hit_flag(value) -> bool:
+    """A beam's hit flag from a log record: a JSON boolean, nothing else."""
+    if not isinstance(value, bool):
+        raise ValueError(f"hit flag {value!r} is not true or false")
+    return value
+
+
 def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan]]:
     """Parse and check a scan log one line at a time.
 
@@ -368,7 +376,7 @@ def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan
             t = float(rec["t"])
             p = rec["pose"]
             pose = Pose(float(p["x"]), float(p["y"]), float(p["heading"]))
-            beams = tuple(Beam(float(b), float(r), bool(h)) for b, r, h in rec["beams"])
+            beams = tuple(Beam(float(b), float(r), _hit_flag(h)) for b, r, h in rec["beams"])
             scan = LidarScan(beams, float(rec["max_range"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: malformed record: {exc}") from exc

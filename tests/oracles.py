@@ -1,13 +1,14 @@
 """Independent brute-force oracles for the combination rules, the sensor
-merge and the map prior.
+merge, the map prior and the lidar simulation.
 
 The rule oracles iterate over *all* 2**n x 2**n subset pairs (not just focal
 elements) and never share code with the implementation under test.  The
 sensor-merge oracle applies Dempster's rule one beam at a time in exact
 rational arithmetic.  The map oracles classify one cell centre at a time
-with the scalar even-odd test.
+with the scalar even-odd test.  The scan oracle casts one beam at a time.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from evigrid import frames
 from evigrid.dst import FrameOfDiscernment, MassFunction
 from evigrid.grid import EvidentialGrid, GridSpec
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
+from evigrid.sensor import Beam, LidarScan
+from evigrid.simulator import _RAY_EPS
 
 
 def conjunctive_oracle(m1: MassFunction, m2: MassFunction) -> np.ndarray:
@@ -140,3 +143,33 @@ def context_of_cell(gg: EvidentialGrid, i: int, j: int) -> str:
     if cell[frames.ROAD_SET] > 0.0:
         return "road"
     return "intermediate"
+
+
+def simulate_scan_oracle(segments, pose, sensor, rng=None) -> LidarScan:
+    """One beam at a time against every segment, with the arithmetic of
+    ``simulate_scan``, so the scans must be equal float for float."""
+    p = np.array([pose.x, pose.y])
+    beams = []
+    for bearing in sensor.bearings():
+        angle = pose.heading + bearing
+        d = np.array([math.cos(angle), math.sin(angle)])
+        rng_t = math.inf
+        if segments.size:
+            a = segments[:, :2]
+            v = segments[:, 2:] - a
+            w = a - p
+            denom = d[0] * v[:, 1] - d[1] * v[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
+                u = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
+            valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
+            if valid.any():
+                rng_t = float(t_ray[valid].min())
+        if rng is not None and sensor.range_jitter > 0.0 and math.isfinite(rng_t):
+            rng_t += rng.uniform(-sensor.range_jitter, sensor.range_jitter)
+            rng_t = max(rng_t, _RAY_EPS)
+        if rng_t <= sensor.max_range:
+            beams.append(Beam(float(bearing), rng_t, True))
+        else:
+            beams.append(Beam(float(bearing), sensor.max_range, False))
+    return LidarScan(tuple(beams), sensor.max_range)

@@ -241,7 +241,9 @@ def test_replay_streams_until_bad_line(small_scenario, tmp_path, capsys):
     (record_line(0.1, beams=((math.nan, 5.0, True),)), "finite"),
     (record_line(0.1, beams=((0.0, 7.0, True),), max_range=6.0), "hit range 7.0"),
     (record_line(0.1, beams=((0.0, 5.0, False),), max_range=math.inf), "max_range"),
-], ids=["nan_x", "inf_heading", "nan_bearing", "hit_beyond_max_range", "inf_max_range"])
+    (record_line(0.1, beams=((0.0, 10.0, "false"),)), "hit flag 'false'"),
+], ids=["nan_x", "inf_heading", "nan_bearing", "hit_beyond_max_range", "inf_max_range",
+        "string_hit_flag"])
 def test_replay_names_line_of_bad_scan(small_scenario, tmp_path, capsys, bad_line, message):
     log = tmp_path / "scans.ndjson"
     log.write_text(record_line(0.0) + "\n" + bad_line + "\n")

@@ -5,7 +5,8 @@ Hypothesis generates arbitrary normal mass functions on frames of 2..4
 hypotheses; each property is checked against the stated identity rather than
 against the implementation itself.  The grid properties run the sensor-grid
 build and the fusion step on random grids and beam fans: masses stay
-non-negative and sum to 1, the counter stays in [0, 1].
+non-negative and sum to 1, the counter stays in [0, 1], and the conflict
+partition adds up to the conjunctive conflict K.
 """
 
 import math
@@ -19,9 +20,11 @@ from evigrid.dst import (FrameOfDiscernment, MassFunction, Refining,
                          TotalConflictError, combine_conjunctive,
                          combine_dempster, combine_disjunctive, discount,
                          pignistic, refine)
-from evigrid.fusion import FusionParams, step_with_conflicts
+from evigrid.fusion import (FusionParams, combine_prior, refine_sg, step_cell,
+                            step_with_conflicts)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
+from oracles import context_of_cell
 
 FRAMES = {n: FrameOfDiscernment(tuple("abcd"[:n])) for n in (2, 3, 4)}
 
@@ -186,6 +189,29 @@ def test_step_with_conflicts_invariants(inputs):
     assert_normal_grid(out.masses)
     assert ((out.counter >= 0.0) & (out.counter <= 1.0)).all()
     assert min(totals.free_to_occupied, totals.occupied_to_free, totals.residual) >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusion_inputs())
+def test_conflict_partition_adds_up_to_k(inputs):
+    """appear + disappear + residual = K, the empty-set mass of the scalar
+    conjunctive rule of the aged cell and the prior-fused sensor cell: per
+    cell for ``step_cell``, and over the grid for ``step_with_conflicts``."""
+    pg, sg, gg, params = inputs
+    grid_k = 0.0
+    for i in range(pg.spec.width):
+        for j in range(pg.spec.height):
+            context = context_of_cell(gg, i, j)
+            k = combine_conjunctive(
+                discount(pg.cell(i, j), params.ageing_for(context)),
+                combine_prior(refine_sg(sg.cell(i, j)), gg.cell(i, j))).conflict
+            pair = step_cell(pg.cell(i, j), pg.counter[i, j], sg.cell(i, j), gg.cell(i, j),
+                             params, context)[2]
+            assert abs(pair.total - k) <= 1e-12
+            grid_k += k
+    totals = step_with_conflicts(pg, sg, gg, params)[1]
+    assert abs(totals.free_to_occupied + totals.occupied_to_free + totals.residual
+               - grid_k) <= 1e-12
 
 
 @st.composite

@@ -7,9 +7,12 @@ from evigrid import frames
 from evigrid.dst import MassFunction, TotalConflictError, combine_conjunctive
 from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             apply_accumulator_specialization, combine_prior,
-                            decide, decide_grid, fuse_pg, refine_sg, step_cell,
-                            step_with_conflicts, update_accumulator)
+                            decide, decide_grid, fuse_pg, pignistic_grid,
+                            refine_sg, step_cell, step_with_conflicts,
+                            update_accumulator)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
+from evigrid.map_ingest import MapConfidence, VectorMap, rasterize_gg
+from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
 from oracles import context_of_cell
 
 PG = frames.PERCEPTION_FRAME
@@ -383,3 +386,56 @@ class TestDecideGrid:
         for i in range(spec.width):
             for j in range(spec.height):
                 assert DECISION_LABELS[codes[i, j]] == decide(pg.cell(i, j), 0.4)
+
+
+class TestStoredLayout:
+    """Masses are stored as (2**n, height, width) planes, so ``masses.T`` is
+    C-contiguous and the kernels read (subset, cell) rows without a copy."""
+
+    SPEC = GridSpec(0.0, 0.0, 0.5, 5, 4)
+
+    @staticmethod
+    def assert_planes(grid):
+        assert grid.masses.shape == (grid.spec.width, grid.spec.height, grid.frame.size)
+        assert grid.masses.T.flags.c_contiguous
+
+    def inputs(self):
+        rng = np.random.default_rng(11)
+        sg = random_grid(rng, self.SPEC, SG, 2)
+        gg = random_grid(rng, self.SPEC, PG, 3)
+        pg = PerceptionGrid(self.SPEC, PG)
+        pg.masses = random_grid(rng, self.SPEC, PG, 6).masses
+        pg.counter = rng.random((self.SPEC.height, self.SPEC.width)).T
+        return pg, sg, gg
+
+    def test_grids_store_planes(self):
+        self.assert_planes(EvidentialGrid(self.SPEC, SG))
+        pg = PerceptionGrid(self.SPEC, PG)
+        self.assert_planes(pg)
+        assert pg.counter.T.flags.c_contiguous
+        scan = LidarScan((Beam(0.3, 1.2, True), Beam(-0.4, 3.0, False)), 3.0)
+        self.assert_planes(build_sg(scan, Pose(0.6, 0.7, 0.0), self.SPEC, SensorGridParams()))
+        vmap = VectorMap(buildings=[np.array([(0.1, 0.1), (1.1, 0.1), (1.1, 1.1), (0.1, 1.1)])])
+        self.assert_planes(rasterize_gg(vmap, MapConfidence(), self.SPEC))
+        out = step_with_conflicts(*self.inputs(), FusionParams())[0]
+        self.assert_planes(out)
+        assert out.counter.T.flags.c_contiguous
+
+    def test_plain_cell_major_arrays_give_identical_results(self):
+        # tests and callers may assign plain C-contiguous (width, height, 32)
+        # arrays; the kernels copy those into rows and compute the same bits
+        params = FusionParams(ageing_by_context={"building": 0.01, "road": 0.1})
+        pg, sg, gg = self.inputs()
+        plain = PerceptionGrid(self.SPEC, PG)
+        plain.masses = np.ascontiguousarray(pg.masses)
+        plain.counter = np.ascontiguousarray(pg.counter)
+        assert plain.masses.flags.c_contiguous and not plain.masses.T.flags.c_contiguous
+        plain_sg, plain_gg = EvidentialGrid(self.SPEC, SG), EvidentialGrid(self.SPEC, PG)
+        plain_sg.masses = np.ascontiguousarray(sg.masses)
+        plain_gg.masses = np.ascontiguousarray(gg.masses)
+        out, totals = step_with_conflicts(pg, sg, gg, params)
+        out_plain, totals_plain = step_with_conflicts(plain, plain_sg, plain_gg, params)
+        assert np.array_equal(out.masses, out_plain.masses)
+        assert np.array_equal(out.counter, out_plain.counter)
+        assert totals == totals_plain
+        assert np.array_equal(pignistic_grid(pg), pignistic_grid(plain))

@@ -1,17 +1,21 @@
 """Scenario files, synthetic lidar casting and the end-to-end loop."""
 
+import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from evigrid.map_ingest import VectorMap
+from evigrid.map_ingest import VectorMap, load_map
 from evigrid.sensor import Pose
 from evigrid.simulator import (ObjectTrack, ScenarioConfig, ScenarioError,
-                               SensorSpec, TimedPose, interpolate_pose,
-                               polygon_segments, run_scenario, simulate_scan,
+                               SensorSpec, TimedPose, format_scan,
+                               interpolate_pose, polygon_segments,
+                               read_scan_log, run_scenario, simulate_scan,
                                world_segments)
+from oracles import simulate_scan_oracle
 
 WALL = np.array([[10.0, -5.0, 10.0, 5.0]])  # vertical segment at x = 10
 
@@ -263,3 +267,31 @@ class TestShippedScenarios:
         forward = min(scan.beams, key=lambda b: abs(b.bearing))
         assert forward.hit
         assert forward.range < cfg.sensor.max_range / 2
+
+    @pytest.mark.parametrize("name", ["crossing_car", "parked_then_leaves", "street_canyon"])
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_scans_match_per_beam_oracle(self, scenario_dir, name, jitter):
+        cfg = ScenarioConfig.from_file(scenario_dir / f"{name}.json")
+        sensor = dataclasses.replace(cfg.sensor, range_jitter=jitter)
+        vmap = load_map(cfg.map_path)
+        rng, rng_oracle = random.Random(5), random.Random(5)
+        for epoch in range(cfg.epochs):
+            t = epoch / sensor.rate
+            segs = world_segments(vmap, cfg.objects, t)
+            pose = interpolate_pose(cfg.trajectory, t)
+            scan = simulate_scan(segs, pose, sensor, rng)
+            expect = simulate_scan_oracle(segs, pose, sensor, rng_oracle)
+            assert format_scan(t, pose, scan) == format_scan(t, pose, expect), epoch
+
+
+class TestReadScanLog:
+    def line(self, hit):
+        return json.dumps({"t": 0.0, "pose": {"x": 0.0, "y": 0.0, "heading": 0.0},
+                           "beams": [[0.0, 6.0, hit]], "max_range": 6.0})
+
+    @pytest.mark.parametrize("hit", ["false", "true", 0, 1, None])
+    def test_rejects_non_boolean_hit_flag(self, hit):
+        # "false" is truthy: read as a hit it would put a phantom obstacle
+        # at max range
+        with pytest.raises(ValueError, match=r"line 2: .*hit flag"):
+            list(read_scan_log(["", self.line(hit)]))
