@@ -40,27 +40,36 @@ class GridSpec:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
 
-    def world_to_cell(self, x: float, y: float) -> Optional[tuple[int, int]]:
-        """Cell containing a world point, or None outside the grid.
+    def world_to_index(self, x, y) -> np.ndarray:
+        """Flat raster index ``j * width + i`` of the cell containing each world
+        point, element-wise over arrays, -1 outside the grid.  Points exactly on
+        an upper cell boundary belong to the higher-index cell, except on the
+        grid's outer edge which belongs to the last cell."""
+        fx = np.asarray(x, dtype=float) - self.origin_east
+        fy = np.asarray(y, dtype=float) - self.origin_north
+        i = np.floor(fx / self.cell_size)
+        j = np.floor(fy / self.cell_size)
+        i -= (i == self.width) & (fx == self.width * self.cell_size)
+        j -= (j == self.height) & (fy == self.height * self.cell_size)
+        inside = (0 <= i) & (i < self.width) & (0 <= j) & (j < self.height)
+        # points far outside may overflow the index; np.where drops them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(inside, j * self.width + i, -1).astype(np.intp)
 
-        Points exactly on an upper cell boundary belong to the higher-index
-        cell, except on the grid's outer edge which belongs to the last cell.
-        """
-        i = math.floor((x - self.origin_east) / self.cell_size)
-        j = math.floor((y - self.origin_north) / self.cell_size)
-        if i == self.width and x - self.origin_east == self.width * self.cell_size:
-            i -= 1
-        if j == self.height and y - self.origin_north == self.height * self.cell_size:
-            j -= 1
-        if 0 <= i < self.width and 0 <= j < self.height:
-            return i, j
-        return None
+    def world_to_cell(self, x: float, y: float) -> Optional[tuple[int, int]]:
+        """Cell (i, j) containing a world point, or None outside the grid."""
+        index = int(self.world_to_index(x, y))
+        return (index % self.width, index // self.width) if index >= 0 else None
+
+    def cell_centers(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """Centres of cells (i, j), element-wise over index arrays."""
+        return (self.origin_east + (np.asarray(i) + 0.5) * self.cell_size,
+                self.origin_north + (np.asarray(j) + 0.5) * self.cell_size)
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         if not (0 <= i < self.width and 0 <= j < self.height):
             raise IndexError(f"cell ({i}, {j}) out of bounds for {self.width}x{self.height} grid")
-        return (self.origin_east + (i + 0.5) * self.cell_size,
-                self.origin_north + (j + 0.5) * self.cell_size)
+        return tuple(map(float, self.cell_centers(i, j)))
 
 
 class EvidentialGrid:
@@ -113,14 +122,12 @@ def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     The counter column is 0 for grids that do not carry one.
     """
     spec = grid.spec
-    counter = getattr(grid, "counter", None)
+    zeta = getattr(grid, "counter", np.zeros((spec.width, spec.height)))
     header = ["i", "j", "x_center", "y_center"] + mass_column_names(grid.frame) + ["zeta"]
     out.write(",".join(header) + "\n")
-    for j in range(spec.height):
-        for i in range(spec.width):
-            x, y = spec.cell_center(i, j)
-            z = counter[i, j] if counter is not None else 0.0
-            row = [repr(i), repr(j), repr(x), repr(y)]
-            row += [repr(float(v)) for v in grid.masses[i, j]]
-            row.append(repr(float(z)))
-            out.write(",".join(row) + "\n")
+    xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height))
+    # one raster row at a time: a whole-grid table of Python floats is large
+    for j, y in enumerate(ys):
+        rows = np.column_stack((xs, np.full(spec.width, y), grid.masses[:, j], zeta[:, j]))
+        out.writelines(f"{i},{j},{','.join(map(repr, row))}\n"
+                       for i, row in enumerate(rows.tolist()))

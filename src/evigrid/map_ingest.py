@@ -138,10 +138,9 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
     can occupy a road, everything else is intermediate space; the complement
     of the confidence stays on the full frame.
     """
-    # cell centres as in GridSpec.cell_center, shape (width, height, 2)
-    xs = spec.origin_east + (np.arange(spec.width) + 0.5) * spec.cell_size
-    ys = spec.origin_north + (np.arange(spec.height) + 0.5) * spec.cell_size
-    centres = np.stack(np.broadcast_arrays(xs[:, None], ys[None, :]), axis=-1)
+    # cell centres, shape (width, height, 2)
+    xs, ys = spec.cell_centers(np.arange(spec.width)[:, None], np.arange(spec.height))
+    centres = np.stack(np.broadcast_arrays(xs, ys), axis=-1)
     in_building = np.zeros((spec.width, spec.height), dtype=bool)
     in_road = np.zeros_like(in_building)
     for polygon in vmap.buildings:

@@ -33,8 +33,7 @@ def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
     """Write an (rows, cols, 3) uint8 array as ASCII PPM (P3)."""
     rows, cols, _ = pixels.shape
     out.write(f"P3\n{cols} {rows}\n255\n")
-    for r in range(rows):
-        out.write(" ".join(str(int(v)) for v in pixels[r].ravel()) + "\n")
+    out.writelines(" ".join(map(str, row.ravel().tolist())) + "\n" for row in pixels)
 
 
 def _to_image(cellwise: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Lidar scan to sensor-grid conversion.
 
-Each beam is walked through the grid with an exact cell-stepping traversal:
-cells strictly before the hit point collect free-space evidence, the cell
-containing the hit point collects occupied evidence, cells beyond stay
-vacuous.  A scan is reduced to per-cell counts of free and hit beams, and
-each cell's mass is Dempster's rule of those beams in closed form, so an
-occupied verdict is never overwritten by a free verdict from another beam
-and the grid does not depend on the order of the beams.
+All beams of a scan are walked through the grid together, in lockstep, by
+one exact cell-stepping traversal (Amanatides & Woo, 1987): cells strictly
+before the hit point collect free-space evidence, the cell containing the
+hit point collects occupied evidence, cells beyond stay vacuous.  A scan
+is reduced to per-cell counts of free and hit beams, and each cell's mass
+is Dempster's rule of those beams in closed form, so an occupied verdict is
+never overwritten by a free verdict from another beam and the grid does
+not depend on the order of the beams.
 """
 
 from __future__ import annotations
@@ -85,70 +86,62 @@ class SensorGridParams:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def traverse_ray(spec: GridSpec, x0: float, y0: float,
-                 dx: float, dy: float, length: float) -> list[tuple[int, int]]:
-    """In-bounds cells entered by the ray segment, in order along the ray.
+def traverse_ray(spec: GridSpec, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
+                 length: np.ndarray) -> np.ndarray:
+    """In-bounds cells entered by each ray segment, all rays stepped together.
 
-    A cell is included when the ray enters it strictly before `length`; exact
-    corner hits step diagonally so no zero-dwell cell is reported.
+    Ray k runs from (x0, y0) along (dx[k], dy[k]) and enters a cell when it
+    reaches it strictly before length[k]; exact corner hits step diagonally,
+    so no zero-dwell cell is reported.  Returns one row (k, j * width + i)
+    per entered cell, each ray's rows in order along it.  Each ray does the
+    operations of the scalar Amanatides & Woo traversal in the same order.
     """
     ox, oy, cs = spec.origin_east, spec.origin_north, spec.cell_size
-    t_lo, t_hi = 0.0, length
-    for p, d, lo, hi in ((x0, dx, ox, ox + spec.width * cs),
-                         (y0, dy, oy, oy + spec.height * cs)):
-        if d == 0.0:
-            if not lo <= p <= hi:
-                return []
-        else:
-            t1 = (lo - p) / d
-            t2 = (hi - p) / d
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_lo = max(t_lo, t1)
-            t_hi = min(t_hi, t2)
-    if t_lo >= t_hi:
-        return []
-    px, py = x0 + t_lo * dx, y0 + t_lo * dy
-    fi = (px - ox) / cs
-    fj = (py - oy) / cs
-    i, j = math.floor(fi), math.floor(fj)
-    # Entering exactly on a boundary while moving towards lower indices means
-    # the ray is about to leave the floor() cell, not enter it.
-    if dx < 0 and fi == i:
-        i -= 1
-    if dy < 0 and fj == j:
-        j -= 1
-    i = min(max(i, 0), spec.width - 1)
-    j = min(max(j, 0), spec.height - 1)
-
-    if dx > 0:
-        si, tx, dtx = 1, (ox + (i + 1) * cs - x0) / dx, cs / dx
-    elif dx < 0:
-        si, tx, dtx = -1, (ox + i * cs - x0) / dx, -cs / dx
-    else:
-        si, tx, dtx = 0, math.inf, math.inf
-    if dy > 0:
-        sj, ty, dty = 1, (oy + (j + 1) * cs - y0) / dy, cs / dy
-    elif dy < 0:
-        sj, ty, dty = -1, (oy + j * cs - y0) / dy, -cs / dy
-    else:
-        sj, ty, dty = 0, math.inf, math.inf
-
-    cells: list[tuple[int, int]] = []
-    for _ in range(spec.width + spec.height + 2):
-        if not (0 <= i < spec.width and 0 <= j < spec.height):
+    width, height = spec.width, spec.height
+    t_lo, t_hi = np.zeros(len(length)), length
+    # slab clipping; np.where drops the quotients of d == 0 (the ray enters no
+    # cell if it starts outside on that axis); a subnormal d overflows to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, d, lo, hi in ((x0, dx, ox, ox + width * cs), (y0, dy, oy, oy + height * cs)):
+            moving = d != 0.0
+            t1, t2 = (lo - p) / d, (hi - p) / d
+            t_lo = np.where(moving, np.maximum(t_lo, np.minimum(t1, t2)), t_lo)
+            t_hi = np.where(moving, np.minimum(t_hi, np.maximum(t1, t2)),
+                            t_hi if lo <= p <= hi else -np.inf)
+        ray = np.flatnonzero(t_lo < t_hi)
+        times, steps = [], []
+        for p, d, o, n in ((x0, dx[ray], ox, width), (y0, dy[ray], oy, height)):
+            f = (p + t_lo[ray] * d - o) / cs
+            k = np.floor(f)
+            # entering exactly on a boundary while moving towards lower
+            # indices means leaving the floor() cell, not entering it
+            k = np.clip(k - ((d < 0) & (f == k)), 0, n - 1)
+            # the ray parameter of the next boundary crossed, and the boundary spacing
+            times += [np.where(d != 0.0, (o + (k + (d > 0)) * cs - p) / d, np.inf), cs / abs(d)]
+            steps += [k, np.sign(d)]
+    # the stepping state, one column per live ray
+    times = np.stack(times + [t_hi[ray]])
+    steps = np.stack(steps).astype(np.intp)
+    rays, cells = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for _ in range(width + height + 2):
+        if not ray.size:
             break
-        cells.append((i, j))
-        t_next = min(tx, ty)
-        if t_next >= t_hi:
-            break
-        if tx <= t_next:
-            tx += dtx
-            i += si
-        if ty <= t_next:
-            ty += dty
-            j += sj
-    return cells
+        tx, dtx, ty, dty, t_end = times
+        i, si, j, sj = steps
+        rays.append(ray)
+        cells.append(j * width + i)
+        t_next = np.minimum(tx, ty)
+        for t, dt, k, sign in ((tx, dtx, i, si), (ty, dty, j, sj)):
+            step = t <= t_next
+            np.add(t, dt, out=t, where=step)
+            np.add(k, sign, out=k, where=step)
+        alive = (t_next < t_end) & (i >= 0) & (i < width) & (j >= 0) & (j < height)
+        if not alive.all():
+            ray, times, steps = ray[alive], times[:, alive], steps[:, alive]
+    out = np.empty((sum(map(len, rays)), 2), dtype=np.intp)
+    np.concatenate(rays, out=out[:, 0])
+    np.concatenate(cells, out=out[:, 1])
+    return out
 
 
 def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
@@ -168,25 +161,20 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
     beam: total conflict) the cell stays vacuous.
     """
-    # each beam's cells as flat raster indices j * width + i, the cell order
-    # of the grid's stored planes
-    width = spec.width
-    free, hits = [np.empty(0, dtype=np.intp)], []
-    for beam in scan.beams:
-        angle = pose.heading + beam.bearing
-        dx, dy = math.cos(angle), math.sin(angle)
-        cells = np.array(traverse_ray(spec, pose.x, pose.y, dx, dy, beam.range),
-                         dtype=np.intp).reshape(-1, 2)
-        crossed = cells[:, 1] * width + cells[:, 0]
-        if beam.hit:
-            hit_cell = spec.world_to_cell(pose.x + beam.range * dx, pose.y + beam.range * dy)
-            if hit_cell is not None:
-                hit = hit_cell[1] * width + hit_cell[0]
-                hits.append(hit)
-                crossed = crossed[crossed != hit]
-        free.append(crossed)
-    n = width * spec.height
-    a = (1.0 - params.free_weight) ** np.bincount(np.concatenate(free), minlength=n)
+    bearings, ranges, hit = np.array(scan.beams, dtype=float).reshape(-1, 3).T
+    # math.cos/math.sin, not np.cos/np.sin, which can differ in the last bit
+    angles = (pose.heading + bearings).tolist()
+    dx = np.array([math.cos(angle) for angle in angles])
+    dy = np.array([math.sin(angle) for angle in angles])
+    # cells as flat raster indices j * width + i, the cell order of the
+    # grid's stored planes; -1 for a beam without a hit cell in the grid
+    hit_cell = np.where(hit.astype(bool), spec.world_to_index(pose.x + ranges * dx,
+                                                              pose.y + ranges * dy), -1)
+    ray, cell = traverse_ray(spec, pose.x, pose.y, dx, dy, ranges).T
+    free = cell[cell != hit_cell[ray]]
+    hits = hit_cell[hit_cell >= 0]
+    n = spec.width * spec.height
+    a = (1.0 - params.free_weight) ** np.bincount(free, minlength=n)
     b = (1.0 - params.occupied_weight) ** np.bincount(hits, minlength=n)
     norm = a + b - a * b
     grid = EvidentialGrid(spec, frames.SENSOR_FRAME)

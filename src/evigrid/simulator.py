@@ -64,8 +64,7 @@ class ObjectTrack:
     """A rectangular object, either waypoint-driven or parked.
 
     Waypoint tracks exist from their first to their last timestamp.  Static
-    tracks exist in [appear_t, disappear_t); stop_t is a scenario annotation
-    only (a static track never moves).
+    tracks exist in [appear_t, disappear_t).
     """
 
     length: float
@@ -73,7 +72,6 @@ class ObjectTrack:
     waypoints: tuple[TimedPose, ...] = ()
     pose: Optional[Pose] = None
     appear_t: float = -math.inf
-    stop_t: Optional[float] = None
     disappear_t: float = math.inf
 
     def __post_init__(self):
@@ -354,6 +352,13 @@ def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
     })
 
 
+def _number(value, name: str) -> float:
+    """A number from a log record: a JSON number, not a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return float(value)
+
+
 def _hit_flag(value) -> bool:
     """A beam's hit flag from a log record: a JSON boolean, nothing else."""
     if not isinstance(value, bool):
@@ -373,12 +378,13 @@ def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan
             continue
         try:
             rec = json.loads(line)
-            t = float(rec["t"])
+            t = _number(rec["t"], "t")
             p = rec["pose"]
-            pose = Pose(float(p["x"]), float(p["y"]), float(p["heading"]))
-            beams = tuple(Beam(float(b), float(r), _hit_flag(h)) for b, r, h in rec["beams"])
-            scan = LidarScan(beams, float(rec["max_range"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            pose = Pose(*(_number(p[key], f"pose {key}") for key in ("x", "y", "heading")))
+            beams = tuple(Beam(_number(b, "bearing"), _number(r, "range"), _hit_flag(h))
+                          for b, r, h in rec["beams"])
+            scan = LidarScan(beams, _number(rec["max_range"], "max_range"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
         if not t > last_t:
             raise ValueError(f"line {lineno}: out-of-order timestamp {t}")

@@ -4,7 +4,8 @@ merge, the map prior and the lidar simulation.
 The rule oracles iterate over *all* 2**n x 2**n subset pairs (not just focal
 elements) and never share code with the implementation under test.  The
 sensor-merge oracle applies Dempster's rule one beam at a time in exact
-rational arithmetic.  The map oracles classify one cell centre at a time
+rational arithmetic.  The traversal oracle steps one ray through the grid
+one cell at a time.  The map oracles classify one cell centre at a time
 with the scalar even-odd test.  The scan oracle casts one beam at a time.
 """
 
@@ -60,6 +61,93 @@ def sensor_merge_oracle(free_weight: float, occupied_weight: float,
         norm = 1 - f * wo
         f, o, w = f * (1 - wo) / norm, (o + w * wo) / norm, w * (1 - wo) / norm
     return f, o, w
+
+
+def traverse_ray_oracle(spec: GridSpec, x0: float, y0: float,
+                        dx: float, dy: float, length: float) -> list[tuple[int, int]]:
+    """In-bounds cells entered by one ray segment, in order along the ray:
+    the scalar cell-stepping traversal, one cell per loop iteration.
+
+    A cell is included when the ray enters it strictly before `length`; exact
+    corner hits step diagonally so no zero-dwell cell is reported.
+    """
+    ox, oy, cs = spec.origin_east, spec.origin_north, spec.cell_size
+    t_lo, t_hi = 0.0, length
+    for p, d, lo, hi in ((x0, dx, ox, ox + spec.width * cs),
+                         (y0, dy, oy, oy + spec.height * cs)):
+        if d == 0.0:
+            if not lo <= p <= hi:
+                return []
+        else:
+            t1 = (lo - p) / d
+            t2 = (hi - p) / d
+            if t1 > t2:
+                t1, t2 = t2, t1
+            t_lo = max(t_lo, t1)
+            t_hi = min(t_hi, t2)
+    if t_lo >= t_hi:
+        return []
+    px, py = x0 + t_lo * dx, y0 + t_lo * dy
+    fi = (px - ox) / cs
+    fj = (py - oy) / cs
+    i, j = math.floor(fi), math.floor(fj)
+    # Entering exactly on a boundary while moving towards lower indices means
+    # the ray is about to leave the floor() cell, not enter it.
+    if dx < 0 and fi == i:
+        i -= 1
+    if dy < 0 and fj == j:
+        j -= 1
+    i = min(max(i, 0), spec.width - 1)
+    j = min(max(j, 0), spec.height - 1)
+
+    if dx > 0:
+        si, tx, dtx = 1, (ox + (i + 1) * cs - x0) / dx, cs / dx
+    elif dx < 0:
+        si, tx, dtx = -1, (ox + i * cs - x0) / dx, -cs / dx
+    else:
+        si, tx, dtx = 0, math.inf, math.inf
+    if dy > 0:
+        sj, ty, dty = 1, (oy + (j + 1) * cs - y0) / dy, cs / dy
+    elif dy < 0:
+        sj, ty, dty = -1, (oy + j * cs - y0) / dy, -cs / dy
+    else:
+        sj, ty, dty = 0, math.inf, math.inf
+
+    cells: list[tuple[int, int]] = []
+    for _ in range(spec.width + spec.height + 2):
+        if not (0 <= i < spec.width and 0 <= j < spec.height):
+            break
+        cells.append((i, j))
+        t_next = min(tx, ty)
+        if t_next >= t_hi:
+            break
+        if tx <= t_next:
+            tx += dtx
+            i += si
+        if ty <= t_next:
+            ty += dty
+            j += sj
+    return cells
+
+
+def sensor_counts_oracle(scan: LidarScan, pose, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell counts of free and hit beams, as (width, height) arrays, one
+    beam at a time: a beam's free cells are its scalar traversal less its
+    hit cell, and the hit cell is ``world_to_cell`` of the hit point."""
+    n_free = np.zeros((spec.width, spec.height), dtype=int)
+    n_hit = np.zeros_like(n_free)
+    for beam in scan.beams:
+        angle = pose.heading + beam.bearing
+        dx, dy = math.cos(angle), math.sin(angle)
+        hit = None
+        if beam.hit:
+            hit = spec.world_to_cell(pose.x + beam.range * dx, pose.y + beam.range * dy)
+        for cell in traverse_ray_oracle(spec, pose.x, pose.y, dx, dy, beam.range):
+            if cell != hit:
+                n_free[cell] += 1
+        if hit is not None:
+            n_hit[hit] += 1
+    return n_free, n_hit
 
 
 def pignistic_oracle(m: MassFunction) -> np.ndarray:

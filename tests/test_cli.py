@@ -242,8 +242,12 @@ def test_replay_streams_until_bad_line(small_scenario, tmp_path, capsys):
     (record_line(0.1, beams=((0.0, 7.0, True),), max_range=6.0), "hit range 7.0"),
     (record_line(0.1, beams=((0.0, 5.0, False),), max_range=math.inf), "max_range"),
     (record_line(0.1, beams=((0.0, 10.0, "false"),)), "hit flag 'false'"),
+    (record_line(True), "t True is not a number"),
+    (record_line(0.1, pose=("0.5", False, 0.0)), "pose x '0.5' is not a number"),
+    (record_line(0.1, beams=(("0.0", 6.0, True),)), "bearing '0.0' is not a number"),
+    (record_line(0.1, max_range="6"), "max_range '6' is not a number"),
 ], ids=["nan_x", "inf_heading", "nan_bearing", "hit_beyond_max_range", "inf_max_range",
-        "string_hit_flag"])
+        "string_hit_flag", "bool_t", "string_pose_x", "string_bearing", "string_max_range"])
 def test_replay_names_line_of_bad_scan(small_scenario, tmp_path, capsys, bad_line, message):
     log = tmp_path / "scans.ndjson"
     log.write_text(record_line(0.0) + "\n" + bad_line + "\n")

@@ -57,6 +57,28 @@ class TestGridSpec:
             for j in range(SPEC.height):
                 assert SPEC.world_to_cell(*SPEC.cell_center(i, j)) == (i, j)
 
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(-3.25, 7.5, 0.125, 37, 11)])
+    def test_world_to_index_matches_world_to_cell(self, spec):
+        # lattice points (upper boundaries, outer edges, corners) and points
+        # in between, inside and outside the grid
+        steps = np.arange(-2, 2 * max(spec.width, spec.height) + 3) * spec.cell_size / 2
+        x = spec.origin_east + steps[:, None]
+        y = spec.origin_north + steps[None, :]
+        x, y = np.broadcast_arrays(x, y)
+        index = spec.world_to_index(x, y)
+        assert index.shape == x.shape and index.dtype == np.intp
+        for k, xk, yk in zip(index.ravel().tolist(), x.ravel().tolist(), y.ravel().tolist()):
+            cell = spec.world_to_cell(xk, yk)
+            assert k == (-1 if cell is None else cell[1] * spec.width + cell[0]), (xk, yk)
+        assert (index >= 0).any() and (index == -1).any()
+
+    def test_cell_centers_match_cell_center(self):
+        spec = GridSpec(100.0, -7.3, 0.3, 5, 3)
+        xs, ys = spec.cell_centers(np.arange(spec.width)[:, None], np.arange(spec.height))
+        for i in range(spec.width):
+            for j in range(spec.height):
+                assert (xs[i, 0], ys[j]) == spec.cell_center(i, j)
+
 
 class TestEvidentialGrid:
     def test_starts_vacuous(self):
@@ -107,3 +129,24 @@ class TestCsvExport:
         row = next(r for r in rows if r[0] == "1" and r[1] == "2")
         assert float(row[4 + PERCEPTION_FRAME.mask("F")]) == 0.25
         assert float(row[-1]) == 0.5
+
+    @pytest.mark.parametrize("with_counter", [True, False])
+    def test_matches_per_cell_format(self, with_counter):
+        spec = GridSpec(100.0, -7.3, 0.3, 5, 3)
+        rng = np.random.default_rng(3)
+        grid = (PerceptionGrid if with_counter else EvidentialGrid)(spec, PERCEPTION_FRAME)
+        grid.masses[...] = rng.dirichlet(np.ones(PERCEPTION_FRAME.size), (5, 3))
+        grid.masses[0, 0] = 0.0
+        grid.masses[0, 0, PERCEPTION_FRAME.omega] = 1.0
+        if with_counter:
+            grid.counter[...] = rng.random((5, 3))
+        buf = io.StringIO()
+        write_grid_csv(grid, buf)
+        expect = []
+        for j in range(spec.height):
+            for i in range(spec.width):
+                x, y = spec.cell_center(i, j)
+                z = grid.counter[i, j] if with_counter else 0.0
+                values = [x, y] + [float(v) for v in grid.masses[i, j]] + [float(z)]
+                expect.append(",".join([repr(i), repr(j)] + [repr(v) for v in values]))
+        assert buf.getvalue().splitlines()[1:] == expect

@@ -32,6 +32,14 @@ def test_write_ppm_format():
     assert len(lines) == 3 + 2
 
 
+def test_write_ppm_matches_per_pixel_format():
+    img = np.random.default_rng(4).integers(0, 256, (4, 5, 3), dtype=np.uint8)
+    buf = io.StringIO()
+    write_ppm(img, buf)
+    rows = [" ".join(str(int(v)) for v in img[r].ravel()) for r in range(4)]
+    assert buf.getvalue() == "P3\n5 4\n255\n" + "".join(row + "\n" for row in rows)
+
+
 def test_decision_image_north_up():
     # cell (0, 1) is the top-left pixel: j grows north, image rows go down
     pg = grid_with({(0, 1): {"M": 1.0}, (2, 0): {"F": 1.0}})

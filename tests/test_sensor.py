@@ -10,7 +10,7 @@ from evigrid.dst import MassFunction, combine_dempster
 from evigrid.grid import GridSpec
 from evigrid.sensor import (Beam, LidarScan, Pose, SensorGridParams, build_sg,
                             normalize_heading, traverse_ray)
-from oracles import sensor_merge_oracle
+from oracles import sensor_counts_oracle, sensor_merge_oracle, traverse_ray_oracle
 
 PARAMS = SensorGridParams(free_weight=0.7, occupied_weight=0.8)
 
@@ -57,27 +57,175 @@ class TestLidarScan:
             LidarScan((beam,), max_range=max_range)
 
 
+def ray_cells(spec, cells, ray=0):
+    """The (i, j) cells of one ray of a batched traversal, in order."""
+    return [(c % spec.width, c // spec.width) for c in cells[cells[:, 0] == ray, 1].tolist()]
+
+
+def traverse_one(spec, x0, y0, dx, dy, length):
+    return ray_cells(spec, traverse_ray(spec, x0, y0, np.array([dx]), np.array([dy]),
+                                        np.array([length])))
+
+
 class TestTraverseRay:
     SPEC = GridSpec(0.0, 0.0, 0.5, 20, 20)
 
     def test_axis_aligned(self):
-        cells = traverse_ray(self.SPEC, 0.25, 0.25, 1.0, 0.0, 3.0)
+        cells = traverse_one(self.SPEC, 0.25, 0.25, 1.0, 0.0, 3.0)
         assert cells == [(i, 0) for i in range(7)]  # entry of (7,0) is at 3.25
 
     def test_starts_outside(self):
-        cells = traverse_ray(self.SPEC, -1.0, 0.25, 1.0, 0.0, 2.0)
+        cells = traverse_one(self.SPEC, -1.0, 0.25, 1.0, 0.0, 2.0)
         assert cells == [(0, 0), (1, 0)]  # enters at t=1, stops before t=2
 
     def test_misses_grid(self):
-        assert traverse_ray(self.SPEC, -1.0, -1.0, -1.0, 0.0, 10.0) == []
+        assert traverse_one(self.SPEC, -1.0, -1.0, -1.0, 0.0, 10.0) == []
 
     def test_diagonal(self):
-        cells = traverse_ray(self.SPEC, 0.25, 0.25, math.sqrt(0.5), math.sqrt(0.5), 1.4)
+        cells = traverse_one(self.SPEC, 0.25, 0.25, math.sqrt(0.5), math.sqrt(0.5), 1.4)
         assert cells[0] == (0, 0)
         assert cells[-1][0] == cells[-1][1]  # stays on the diagonal corridor
         # consecutive cells differ by a single-axis or exact-corner step
         for (i1, j1), (i2, j2) in zip(cells, cells[1:]):
             assert abs(i2 - i1) <= 1 and abs(j2 - j1) <= 1
+
+
+SPECS = [GridSpec(0.0, 0.0, 0.5, 20, 20), GridSpec(-3.25, 7.5, 0.125, 37, 11),
+         GridSpec(100.0, -50.0, 1.0, 5, 64)]
+DIAG = math.sqrt(0.5)
+# exact zero components of both signs, and 45-degree rays through cell corners
+AXIS_AND_CORNER_DIRECTIONS = [
+    (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, 1.0),
+    (0.0, -1.0), (-0.0, -1.0), (DIAG, DIAG), (DIAG, -DIAG), (-DIAG, DIAG), (-DIAG, -DIAG)]
+
+
+def origins(spec, rng):
+    """Ray origins on the lattice, on cell centres and outside the grid."""
+    cs = spec.cell_size
+    lattice = [(spec.origin_east + i * cs, spec.origin_north + j * cs)
+               for i, j in ((0, 0), (spec.width, spec.height), (1, spec.height // 2),
+                            (spec.width // 2, 3))]
+    centres = [spec.cell_center(int(rng.integers(spec.width)), int(rng.integers(spec.height)))
+               for _ in range(3)]
+    outside = [(spec.origin_east - 2.5 * cs, spec.origin_north + 0.5 * spec.height * cs),
+               (spec.origin_east + (spec.width + 3) * cs, spec.origin_north - 4 * cs),
+               (spec.origin_east - 1.0 * cs, spec.origin_north - 1.0 * cs)]
+    return lattice + centres + outside
+
+
+def assert_matches_oracle(spec, x0, y0, dx, dy, length):
+    cells = traverse_ray(spec, x0, y0, dx, dy, length)
+    total = 0
+    for k in range(len(dx)):
+        expect = traverse_ray_oracle(spec, x0, y0, float(dx[k]), float(dy[k]), float(length[k]))
+        assert ray_cells(spec, cells, k) == expect, (x0, y0, dx[k], dy[k], length[k])
+        total += len(expect)
+    # no row outside the rays checked above
+    assert cells.shape == (total, 2) and cells.dtype == np.intp
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["square", "offset_fine", "tall_coarse"])
+class TestBatchedTraversal:
+    """The batched traversal against the scalar oracle, cell for cell."""
+
+    def test_random_fans(self, spec):
+        rng = np.random.default_rng(11)
+        extent = max(spec.width, spec.height) * spec.cell_size
+        for x0, y0 in origins(spec, rng):
+            angles = rng.uniform(-math.pi, math.pi, 200).tolist()
+            dx = np.array([math.cos(a) for a in angles])
+            dy = np.array([math.sin(a) for a in angles])
+            assert_matches_oracle(spec, x0, y0, dx, dy, rng.uniform(0.01, 1.5 * extent, 200))
+
+    def test_axis_and_corner_rays(self, spec):
+        rng = np.random.default_rng(12)
+        dx, dy = np.array(AXIS_AND_CORNER_DIRECTIONS).T
+        extent = max(spec.width, spec.height) * spec.cell_size
+        for x0, y0 in origins(spec, rng):
+            assert_matches_oracle(spec, x0, y0, dx, dy, np.full(len(dx), 2.0 * extent))
+        # the 45-degree rays from a lattice point step diagonally through corners
+        cells = traverse_one(spec, spec.origin_east, spec.origin_north, DIAG, DIAG,
+                             3.0 * spec.cell_size)
+        assert cells == [(0, 0), (1, 1), (2, 2)]
+
+    def test_subnormal_direction_components(self, spec):
+        # 1/d overflows to inf, as in the scalar float arithmetic
+        tiny = 1.1125369292536007e-308
+        dx = np.array([1.0, -1.0, tiny, -tiny, 5e-324])
+        dy = np.array([tiny, -tiny, 1.0, -1.0, -1.0])
+        for x0, y0 in origins(spec, np.random.default_rng(14)):
+            assert_matches_oracle(spec, x0, y0, dx, dy, np.full(len(dx), 8.0))
+
+    def test_lengths_ending_on_cell_boundaries(self, spec):
+        cs = spec.cell_size
+        dx, dy = np.array(AXIS_AND_CORNER_DIRECTIONS[:8]).T
+        for x0, y0, offset in ((spec.origin_east + 2 * cs, spec.origin_north + 2 * cs, 0.0),
+                               (*spec.cell_center(2, 2), 0.5)):
+            for steps in (1, 2, 3):
+                length = np.full(len(dx), (steps + offset) * cs)
+                assert_matches_oracle(spec, x0, y0, dx, dy, length)
+        # along +x from a lattice point, a ray of k cells enters exactly k
+        assert len(traverse_one(spec, spec.origin_east, spec.origin_north + 0.5 * cs,
+                                1.0, 0.0, 3 * cs)) == 3
+
+    def test_hit_cells_on_boundaries_follow_world_to_cell(self, spec):
+        # hit points on an upper cell boundary and on the grid's outer edge
+        cs, (xc, yc) = spec.cell_size, spec.cell_center(0, 1)
+        beams, ends = [], []
+        for bearing, end in ((0.0, (spec.origin_east + 3 * cs, yc)),
+                             (0.0, (spec.origin_east + spec.width * cs, yc)),
+                             (math.pi / 2, (xc, spec.origin_north + 2 * cs)),
+                             (math.pi / 2, (xc, spec.origin_north + spec.height * cs))):
+            beams.append(Beam(bearing, math.dist((xc, yc), end), True))
+            ends.append(end)
+        scan = LidarScan(tuple(beams), max_range=1e3)
+        pose = Pose(xc, yc, 0.0)
+        grid = build_sg(scan, pose, spec, PARAMS)
+        n_free, n_hit = sensor_counts_oracle(scan, pose, spec)
+        # the upper boundary belongs to the higher-index cell, the outer edge
+        # to the last cell
+        hits = [(3, 1), (spec.width - 1, 1), (0, 2), (0, spec.height - 1)]
+        assert [spec.world_to_cell(*end) for end in ends] == hits
+        for hit in hits:
+            assert grid.cell(*hit)["O"] > 0.0
+        assert n_free[spec.width - 1, 1] == 0 and grid.cell(spec.width - 1, 1)["F"] == 0.0
+        assert_counts(grid, n_free, n_hit)
+
+    def test_sensor_grid_matches_counts(self, spec):
+        rng = np.random.default_rng(13)
+        for x0, y0 in origins(spec, rng)[::2]:
+            bearings = np.linspace(-math.pi, math.pi, 90, endpoint=False).tolist()
+            max_range = max(spec.width, spec.height) * spec.cell_size
+            ranges = rng.uniform(0.05, max_range, len(bearings)).tolist()
+            beams = tuple(Beam(b, r, True) if r < 0.8 * max_range else Beam(b, max_range, False)
+                          for b, r in zip(bearings, ranges))
+            scan, pose = LidarScan(beams, max_range), Pose(x0, y0, float(rng.uniform(-3, 3)))
+            grid = build_sg(scan, pose, spec, PARAMS)
+            assert_counts(grid, *sensor_counts_oracle(scan, pose, spec))
+
+    def test_empty_scan_and_missing_fan_are_vacuous(self, spec):
+        assert traverse_ray(spec, 0.0, 0.0, np.empty(0), np.empty(0), np.empty(0)).shape == (0, 2)
+        omega = frames.SENSOR_FRAME.omega
+        pose = Pose(spec.origin_east, spec.origin_north, 0.0)
+        grid = build_sg(LidarScan((), 20.0), pose, spec, PARAMS)
+        assert (grid.masses[:, :, omega] == 1.0).all()
+        # a fan facing away from the grid, from a pose south-west of it
+        beams = tuple(Beam(b, 5.0, True) for b in np.linspace(-2.8, -1.9, 31).tolist())
+        pose = Pose(spec.origin_east - 1.0, spec.origin_north - 1.0, 0.0)
+        grid = build_sg(LidarScan(beams, 20.0), pose, spec, PARAMS)
+        assert (grid.masses[:, :, omega] == 1.0).all()
+
+
+def assert_counts(grid, n_free, n_hit):
+    """Each cell's masses are the exact Dempster merge of its beam counts."""
+    expect = {}
+    for counts in set(zip(n_free.ravel().tolist(), n_hit.ravel().tolist())):
+        expect[counts] = [float(m) for m in sensor_merge_oracle(
+            PARAMS.free_weight, PARAMS.occupied_weight, *counts)]
+    want = np.array([[expect[nf, no] for nf, no in zip(row_f, row_o)]
+                     for row_f, row_o in zip(n_free.tolist(), n_hit.tolist())])
+    got = grid.masses[:, :, [frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA]]
+    assert np.abs(got - want).max() <= 1e-12
 
 
 class TestBuildSg:

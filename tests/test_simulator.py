@@ -285,9 +285,9 @@ class TestShippedScenarios:
 
 
 class TestReadScanLog:
-    def line(self, hit):
+    def line(self, hit=True, **fields):
         return json.dumps({"t": 0.0, "pose": {"x": 0.0, "y": 0.0, "heading": 0.0},
-                           "beams": [[0.0, 6.0, hit]], "max_range": 6.0})
+                           "beams": [[0.0, 6.0, hit]], "max_range": 6.0, **fields})
 
     @pytest.mark.parametrize("hit", ["false", "true", 0, 1, None])
     def test_rejects_non_boolean_hit_flag(self, hit):
@@ -295,3 +295,27 @@ class TestReadScanLog:
         # at max range
         with pytest.raises(ValueError, match=r"line 2: .*hit flag"):
             list(read_scan_log(["", self.line(hit)]))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"t": True}, "t True is not a number"),
+        ({"pose": {"x": "0.5", "y": False, "heading": 0.0}}, "pose x '0.5' is not a number"),
+        ({"pose": {"x": 0.5, "y": False, "heading": 0.0}}, "pose y False is not a number"),
+        ({"beams": [["0.0", 6.0, True]]}, "bearing '0.0' is not a number"),
+        ({"beams": [[0.0, "6.0", True]]}, "range '6.0' is not a number"),
+        ({"max_range": "6"}, "max_range '6' is not a number"),
+        ({"t": 10**400}, "too large to convert to float"),
+    ], ids=["bool_t", "string_x", "bool_y", "string_bearing", "string_range",
+            "string_max_range", "huge_int_t"])
+    def test_rejects_non_numbers(self, fields, message):
+        # float() would read true as 1.0 and "6" as 6.0, and raise
+        # OverflowError, not naming the line, on an integer beyond float range
+        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+            list(read_scan_log(["", self.line(**fields)]))
+
+    def test_accepts_json_integers(self):
+        line = self.line(t=1, pose={"x": 2, "y": -3, "heading": 0}, beams=[[0, 6, True]],
+                         max_range=6)
+        (t, pose, scan), = read_scan_log([line])
+        values = (t, pose.x, pose.y, scan.beams[0].bearing, scan.beams[0].range, scan.max_range)
+        assert values == (1.0, 2.0, -3.0, 0.0, 6.0, 6.0)
+        assert all(isinstance(v, float) for v in values)
