@@ -12,12 +12,19 @@ Each epoch, per cell:
 6. transfer counter-confirmed mass from moving-containing sets to their
    moving-free subsets (a sustained occupancy is a stopped object).
 
-``step_with_conflicts`` runs this vectorised over the whole grid;
-``step_cell`` is the per-cell reference the grid kernel is tested against.
+``step_with_conflicts`` runs this vectorised over the whole grid, one row
+of cells per subset.  It carries compact row blocks: only the subsets that
+can hold mass at each stage, named by an ascending tuple of bitmasks (the
+three refined sensor sets, the at most 3 x k sets of the prior, the focal
+sets of the stored grid plus the full frame, and their intersections).
+The other rows of the 32 are zero and are never stored, scanned or
+normalised; only the output grid holds all 32 planes.  ``step_cell`` is
+the per-cell reference the grid kernel is tested against.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -219,23 +226,38 @@ def _rows(values: np.ndarray) -> np.ndarray:
     return values.T.reshape(values.shape[2:][::-1] + (-1,))
 
 
-def _conjunctive_rows(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conjunctive combination of two (2**n, N) mass arrays, cell by cell.
+def _sum_rows(rows, n: int) -> np.ndarray:
+    """Cell-wise sum of (N,) rows, added in the order given.  Not
+    ``sum(axis=0)``: that adds a single column pairwise, so a one-cell grid
+    would round differently from the same cell in a larger grid."""
+    total = np.zeros(n)
+    for row in rows:
+        total += row
+    return total
 
-    Returns the non-empty products (row 0 stays zero) and the (3, N)
-    empty-set mass partitioned by ``_conflict_kind``, with `m1` as the
-    stored side.  Only the focal sets present in some cell are visited.
+
+def _conjunctive_rows(m1, sets1: tuple[int, ...], m2, sets2: tuple[int, ...],
+                      sets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Conjunctive combination of two compact mass blocks, cell by cell.
+
+    Row k of `m1` holds every cell's mass on the subset ``sets1[k]``, and
+    likewise for `m2`; unlisted subsets carry no mass.  Returns the
+    non-empty products as a (len(sets), N) block, row k for ``sets[k]``
+    (`sets` must hold every non-empty ``b & c``), and the (3, N) empty-set
+    mass partitioned by ``_conflict_kind``, with `m1` as the stored side.
+    With `sets1` and `sets2` ascending, each output row adds its terms in
+    the order of the rule on all 2**n rows; the zero rows left out would
+    only add exact zeros.
     """
-    out = np.zeros_like(m1)
+    row = {a: k for k, a in enumerate(sets)}
+    out = np.zeros((len(sets), m1.shape[1]))
     parts = np.zeros((3, m1.shape[1]))
     term = np.empty(m1.shape[1])
-    focal2 = [int(c) for c in np.flatnonzero(m2.any(axis=1))]
-    for b in np.flatnonzero(m1.any(axis=1)):
-        b = int(b)
-        for c in focal2:
-            np.multiply(m1[b], m2[c], out=term)
+    for b, mb in zip(sets1, m1):
+        for c, mc in zip(sets2, m2):
+            np.multiply(mb, mc, out=term)
             if b & c:
-                out[b & c] += term
+                out[row[b & c]] += term
             else:
                 parts[_conflict_kind(b, c)] += term
     return out, parts
@@ -250,6 +272,11 @@ def _ageing_vector(gg_m: np.ndarray, params: FusionParams) -> np.ndarray:
     return np.select([gg_m[frames.BUILDING_SET] > 0.0, gg_m[frames.ROAD_SET] > 0.0],
                      [params.ageing_for("building"), params.ageing_for("road")],
                      params.ageing_for("intermediate"))
+
+
+# The refined sensor rows: the sensor planes F, O and FO, in that order,
+# are the masses of F, IUSM and the full frame on the 5-class frame.
+_SENSOR_SETS = (frames.PG_FREE, frames.OCCUPIED_SET, frames.PG_OMEGA)
 
 
 def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGrid,
@@ -268,33 +295,45 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
 
     spec = pg.spec
     # the grid conflict totals sum in (j, i) raster order
-    sg_m, gg_m, counter_prev = _rows(sg.masses), _rows(gg.masses), _rows(pg.counter)
-
-    refined = np.zeros((frames.PERCEPTION_FRAME.size, sg_m.shape[1]))
-    refined[frames.PG_FREE] = sg_m[frames.SG_FREE]
-    refined[frames.OCCUPIED_SET] = sg_m[frames.SG_OCCUPIED]
-    refined[frames.PG_OMEGA] = sg_m[frames.SG_OMEGA]
+    sg_m, gg_m, pg_m = _rows(sg.masses), _rows(gg.masses), _rows(pg.masses)
+    counter_prev = _rows(pg.counter)
+    n = counter_prev.size
 
     # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
-    prior = _conjunctive_rows(refined, gg_m)[0]
-    norm = prior.sum(axis=0)
+    gg_sets = tuple(np.flatnonzero(gg_m.any(axis=1)).tolist())
+    prior_sets = tuple(sorted({b & c for b in _SENSOR_SETS for c in gg_sets} - {0}))
+    prior = _conjunctive_rows(sg_m[frames.SG_FREE:], _SENSOR_SETS,
+                              [gg_m[c] for c in gg_sets], gg_sets, prior_sets)[0]
+    norm = _sum_rows(prior, n)
     if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
         cell = int(np.argmin(norm))
         raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
     prior /= norm
 
+    # ageing: discount the stored masses, moving the rate alpha to the full
+    # frame (the largest bitmask, so the last row)
     alpha = _ageing_vector(gg_m, params)
-    prev = _rows(pg.masses) * (1.0 - alpha)
-    prev[frames.PG_OMEGA] += alpha
+    keep = 1.0 - alpha
+    prev_sets = tuple(sorted({*np.flatnonzero(pg_m.any(axis=1)).tolist(), frames.PG_OMEGA}))
+    prev = np.empty((len(prev_sets), n))
+    for k, a in enumerate(prev_sets):
+        np.multiply(pg_m[a], keep, out=prev[k])
+    prev[-1] += alpha
 
     # the modified conjunctive rule: appearance conflict to M, the rest to
-    # the full frame
-    fused, (appear, disappear, residual) = _conjunctive_rows(prev, prior)
-    fused[frames.PG_MOVING] += appear
-    fused[frames.PG_OMEGA] += disappear + residual
-    fused /= fused.sum(axis=0)
+    # the full frame; the specialization below moves mass to M-free sets
+    fused_sets = {b & c for b in prev_sets for c in prior_sets} - {0}
+    fused_sets |= {frames.PG_MOVING, frames.PG_OMEGA}
+    fused_sets = tuple(sorted(fused_sets | {a & ~frames.PG_MOVING for a in fused_sets
+                                            if a in _MOVING_SUPERSETS}))
+    row = {a: k for k, a in enumerate(fused_sets)}
+    fused, (appear, disappear, residual) = _conjunctive_rows(
+        prev, prev_sets, prior, prior_sets, fused_sets)
+    fused[row[frames.PG_MOVING]] += appear
+    fused[row[frames.PG_OMEGA]] += disappear + residual
+    fused /= _sum_rows(fused, n)
 
-    occupied = fused[list(_OCCUPIED_SUBSETS)].sum(axis=0)
+    occupied = _sum_rows((fused[row[a]] for a in fused_sets if a in _OCCUPIED_SUBSETS), n)
     dynamic = appear + disappear
     counter = np.where(
         dynamic > params.conflict_threshold,
@@ -303,13 +342,16 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
                  np.minimum(1.0, counter_prev + params.counter_inc),
                  counter_prev))
 
-    for a in _MOVING_SUPERSETS:
-        moved = counter * fused[a]
-        fused[a] -= moved
-        fused[a & ~frames.PG_MOVING] += moved
+    for a in fused_sets:
+        if a in _MOVING_SUPERSETS:
+            moved = counter * fused[row[a]]
+            fused[row[a]] -= moved
+            fused[row[a & ~frames.PG_MOVING]] += moved
 
-    out = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
-    out.masses = fused.reshape(-1, spec.height, spec.width).T
+    planes = np.zeros((frames.PERCEPTION_FRAME.size, spec.height, spec.width))
+    planes.reshape(frames.PERCEPTION_FRAME.size, n)[list(fused_sets)] = fused
+    out = copy.copy(pg)  # the spec and frame of pg, new masses and counter
+    out.masses = planes.T
     out.counter = counter.reshape(spec.height, spec.width).T
     totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
                           float(residual.sum()))

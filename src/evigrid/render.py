@@ -29,11 +29,16 @@ DECISION_COLORS = np.array([
 CLASS_COLORS = DECISION_COLORS[:5].astype(float)
 
 
+# Decimal text of every uint8 sample value, looked up instead of formatted.
+_SAMPLE_TEXT = tuple(map(str, range(256)))
+
+
 def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
     """Write an (rows, cols, 3) uint8 array as ASCII PPM (P3)."""
     rows, cols, _ = pixels.shape
     out.write(f"P3\n{cols} {rows}\n255\n")
-    out.writelines(" ".join(map(str, row.ravel().tolist())) + "\n" for row in pixels)
+    out.writelines(" ".join(map(_SAMPLE_TEXT.__getitem__, row.ravel().tolist())) + "\n"
+                   for row in pixels)
 
 
 def _to_image(cellwise: np.ndarray) -> np.ndarray:

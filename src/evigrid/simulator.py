@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import random
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
@@ -110,6 +111,8 @@ class SensorSpec:
     range_jitter: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.beam_count, bool) or not isinstance(self.beam_count, numbers.Integral):
+            raise ScenarioError(f"beam_count must be an integer, got {self.beam_count!r}")
         if self.beam_count < 1:
             raise ScenarioError("beam_count must be >= 1")
         if self.max_range <= 0 or self.rate <= 0:
@@ -159,6 +162,9 @@ def load_settings(path, base: Optional[Settings] = None) -> Settings:
     return Settings(**parsed) if base is None else dataclasses.replace(base, **parsed)
 
 
+_OBJECT_KEYS = {"length", "width", "waypoints", "pose", "appear_t", "disappear_t"}
+
+
 @dataclass
 class ScenarioConfig(Settings):
     _: KW_ONLY
@@ -169,6 +175,8 @@ class ScenarioConfig(Settings):
     objects: list[ObjectTrack] = field(default_factory=list)
 
     def __post_init__(self):
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise ScenarioError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 1:
             raise ScenarioError("epoch count must be >= 1")
         if not self.trajectory:
@@ -188,36 +196,41 @@ class ScenarioConfig(Settings):
             raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
         try:
             return cls.from_dict(data, base_dir=path.parent)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ScenarioError):
                 raise
             raise ScenarioError(f"scenario {path}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path = Path(".")) -> "ScenarioConfig":
-        def timed_poses(entries):
-            return tuple(TimedPose(float(e["t"]),
-                                   Pose(float(e["x"]), float(e["y"]), float(e["heading"])))
+        def pose(entry, where):
+            return Pose(*(_number(entry[key], f"{where} {key}") for key in ("x", "y", "heading")))
+
+        def timed_poses(entries, where):
+            return tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
                          for e in entries)
 
         objects = []
-        for entry in data.get("objects", []):
-            kwargs = dict(length=float(entry["length"]), width=float(entry["width"]))
+        for k, entry in enumerate(data.get("objects", [])):
+            where = f"object {k}"
+            unknown = sorted(set(entry) - _OBJECT_KEYS)
+            if unknown:
+                raise ScenarioError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+            kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
             if "waypoints" in entry:
-                kwargs["waypoints"] = timed_poses(entry["waypoints"])
+                kwargs["waypoints"] = timed_poses(entry["waypoints"], f"{where} waypoint")
             else:
-                p = entry["pose"]
-                kwargs["pose"] = Pose(float(p["x"]), float(p["y"]), float(p["heading"]))
-                for key in ("appear_t", "stop_t", "disappear_t"):
+                kwargs["pose"] = pose(entry["pose"], f"{where} pose")
+                for key in ("appear_t", "disappear_t"):
                     if key in entry:
-                        kwargs[key] = float(entry[key])
+                        kwargs[key] = _number(entry[key], f"{where} {key}")
             objects.append(ObjectTrack(**kwargs))
 
         return cls(
             map_path=base_dir / data["map"],
-            trajectory=timed_poses(data["trajectory"]),
+            trajectory=timed_poses(data["trajectory"], "trajectory"),
             sensor=SensorSpec(**data.get("sensor", {})),
-            epochs=int(data["epochs"]),
+            epochs=data["epochs"],
             objects=objects,
             **_parse_settings(data),
         )
@@ -353,7 +366,8 @@ def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
 
 
 def _number(value, name: str) -> float:
-    """A number from a log record: a JSON number, not a boolean or a string."""
+    """A number from a scenario file or a log record: a JSON number, not a
+    boolean or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} {value!r} is not a number")
     return float(value)

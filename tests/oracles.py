@@ -7,6 +7,8 @@ sensor-merge oracle applies Dempster's rule one beam at a time in exact
 rational arithmetic.  The traversal oracle steps one ray through the grid
 one cell at a time.  The map oracles classify one cell centre at a time
 with the scalar even-odd test.  The scan oracle casts one beam at a time.
+The dense fusion oracle runs one epoch on all 2**n subset rows of every
+grid, zero rows included, with the fusion module's per-pair helpers.
 """
 
 import math
@@ -15,8 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from evigrid import frames
-from evigrid.dst import FrameOfDiscernment, MassFunction
-from evigrid.grid import EvidentialGrid, GridSpec
+from evigrid.dst import (FrameOfDiscernment, MassFunction, TOTAL_CONFLICT_TOLERANCE,
+                         TotalConflictError)
+from evigrid.fusion import (_MOVING_SUPERSETS, _OCCUPIED_SUBSETS, ConflictPair,
+                            FusionParams, _ageing_vector, _conflict_kind, _rows)
+from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
 from evigrid.sensor import Beam, LidarScan
 from evigrid.simulator import _RAY_EPS
@@ -261,3 +266,95 @@ def simulate_scan_oracle(segments, pose, sensor, rng=None) -> LidarScan:
         else:
             beams.append(Beam(float(bearing), sensor.max_range, False))
     return LidarScan(tuple(beams), sensor.max_range)
+
+
+def _sum_in_row_order(rows: np.ndarray) -> np.ndarray:
+    """Column sums of (k, N) rows added strictly in row order: the order
+    ``sum(axis=0)`` uses for N >= 2, while a single column is summed
+    pairwise."""
+    return np.cumsum(rows, axis=0)[-1]
+
+
+def _conjunctive_rows_dense(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conjunctive combination of two (2**n, N) mass arrays, cell by cell.
+
+    Returns the non-empty products (row 0 stays zero) and the (3, N)
+    empty-set mass partitioned by ``_conflict_kind``, with `m1` as the
+    stored side.  Only the focal sets present in some cell are visited.
+    """
+    out = np.zeros_like(m1)
+    parts = np.zeros((3, m1.shape[1]))
+    term = np.empty(m1.shape[1])
+    focal2 = [int(c) for c in np.flatnonzero(m2.any(axis=1))]
+    for b in np.flatnonzero(m1.any(axis=1)):
+        b = int(b)
+        for c in focal2:
+            np.multiply(m1[b], m2[c], out=term)
+            if b & c:
+                out[b & c] += term
+            else:
+                parts[_conflict_kind(b, c)] += term
+    return out, parts
+
+
+def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
+                                     gg: EvidentialGrid, params: FusionParams
+                                     ) -> tuple[PerceptionGrid, ConflictPair]:
+    """One fusion epoch over the whole grid on all 32 subset rows: refine
+    the sensor grid into 32 rows, Dempster with the prior, age, the
+    modified conjunctive rule, the counter and the specialization."""
+    if not (pg.spec == sg.spec == gg.spec):
+        raise ValueError("perception, sensor and map grids must share a GridSpec")
+    if sg.frame != frames.SENSOR_FRAME:
+        raise ValueError("sensor grid must be on the free/occupied frame")
+    if pg.frame != frames.PERCEPTION_FRAME or gg.frame != frames.PERCEPTION_FRAME:
+        raise ValueError("perception and map grids must be on the 5-class frame")
+
+    spec = pg.spec
+    # the grid conflict totals sum in (j, i) raster order
+    sg_m, gg_m, counter_prev = _rows(sg.masses), _rows(gg.masses), _rows(pg.counter)
+
+    refined = np.zeros((frames.PERCEPTION_FRAME.size, sg_m.shape[1]))
+    refined[frames.PG_FREE] = sg_m[frames.SG_FREE]
+    refined[frames.OCCUPIED_SET] = sg_m[frames.SG_OCCUPIED]
+    refined[frames.PG_OMEGA] = sg_m[frames.SG_OMEGA]
+
+    # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
+    prior = _conjunctive_rows_dense(refined, gg_m)[0]
+    norm = _sum_in_row_order(prior)
+    if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
+        cell = int(np.argmin(norm))
+        raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
+    prior /= norm
+
+    alpha = _ageing_vector(gg_m, params)
+    prev = _rows(pg.masses) * (1.0 - alpha)
+    prev[frames.PG_OMEGA] += alpha
+
+    # the modified conjunctive rule: appearance conflict to M, the rest to
+    # the full frame
+    fused, (appear, disappear, residual) = _conjunctive_rows_dense(prev, prior)
+    fused[frames.PG_MOVING] += appear
+    fused[frames.PG_OMEGA] += disappear + residual
+    fused /= _sum_in_row_order(fused)
+
+    occupied = _sum_in_row_order(fused[list(_OCCUPIED_SUBSETS)])
+    dynamic = appear + disappear
+    counter = np.where(
+        dynamic > params.conflict_threshold,
+        np.maximum(0.0, counter_prev - params.counter_dec),
+        np.where(occupied >= params.occupancy_threshold,
+                 np.minimum(1.0, counter_prev + params.counter_inc),
+                 counter_prev))
+
+    for a in _MOVING_SUPERSETS:
+        moved = counter * fused[a]
+        fused[a] -= moved
+        fused[a & ~frames.PG_MOVING] += moved
+
+    out = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
+    out.masses = fused.reshape(-1, spec.height, spec.width).T
+    out.counter = counter.reshape(spec.height, spec.width).T
+    totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
+                          float(residual.sum()))
+    return out, totals

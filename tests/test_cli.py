@@ -169,6 +169,17 @@ def test_bad_grid_value_is_config_error(small_scenario, tmp_path, capsys, field,
     assert "configuration error" in err and f"{field} must be" in err
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_non_integer_beam_count_is_config_error(small_scenario, tmp_path, capsys, value):
+    data = json.loads(small_scenario.read_text())
+    data["sensor"]["beam_count"] = value
+    small_scenario.write_text(json.dumps(data))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "beam_count must be an integer" in err
+
+
 def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):
     write_map(tmp_path / "m.geojson", [("building", BUILDING), ("road", BUILDING)])
     rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out_run")])

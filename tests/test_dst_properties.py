@@ -24,7 +24,7 @@ from evigrid.fusion import (FusionParams, combine_prior, refine_sg, step_cell,
                             step_with_conflicts)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
-from oracles import context_of_cell
+from oracles import context_of_cell, step_with_conflicts_dense_oracle
 
 FRAMES = {n: FrameOfDiscernment(tuple("abcd"[:n])) for n in (2, 3, 4)}
 
@@ -212,6 +212,31 @@ def test_conflict_partition_adds_up_to_k(inputs):
     totals = step_with_conflicts(pg, sg, gg, params)[1]
     assert abs(totals.free_to_occupied + totals.occupied_to_free + totals.residual
                - grid_k) <= 1e-12
+
+
+def keep_focal_sets(grid: EvidentialGrid, keep: set[int]) -> None:
+    """Move the mass of every subset outside `keep` to the full frame."""
+    omega = grid.frame.omega
+    dropped = [a for a in range(1, omega) if a not in keep]
+    grid.masses[..., omega] += grid.masses[..., dropped].sum(axis=-1)
+    grid.masses[..., dropped] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(fusion_inputs(), st.sets(st.integers(1, 31)), st.sets(st.integers(1, 31)))
+def test_step_with_conflicts_equals_dense_oracle(inputs, pg_keep, gg_keep):
+    """The compact kernel computes the dense 32-row kernel's bits, on grids
+    with mass on any subsets and on grids restricted to a few."""
+    pg, sg, gg, params = inputs
+    for restrict in (False, True):
+        if restrict:
+            keep_focal_sets(pg, pg_keep)
+            keep_focal_sets(gg, gg_keep)
+        out, totals = step_with_conflicts(pg, sg, gg, params)
+        dense, dense_totals = step_with_conflicts_dense_oracle(pg, sg, gg, params)
+        assert out.masses.tobytes() == dense.masses.tobytes()
+        assert out.counter.tobytes() == dense.counter.tobytes()
+        assert totals == dense_totals
 
 
 @st.composite

@@ -11,9 +11,10 @@ from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             refine_sg, step_cell, step_with_conflicts,
                             update_accumulator)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
-from evigrid.map_ingest import MapConfidence, VectorMap, rasterize_gg
+from evigrid.map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
-from oracles import context_of_cell
+from evigrid.simulator import ScenarioConfig, run_scenario
+from oracles import context_of_cell, step_with_conflicts_dense_oracle
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -373,6 +374,26 @@ class TestStep:
             m, z, _ = step_cell(m, z, m_sg, m_gg, params, "road")
         assert np.allclose(pg.masses[0, 0], m.masses, atol=1e-12)
         assert pg.counter[0, 0] == pytest.approx(z)
+
+
+@pytest.mark.parametrize("name, ageing_by_context", [
+    ("crossing_car", None), ("parked_then_leaves", None), ("street_canyon", None),
+    ("street_canyon", {"building": 0.01, "road": 0.1})])
+def test_scenario_epochs_equal_dense_oracle(scenario_dir, name, ageing_by_context):
+    """Every epoch of a shipped scenario, fused by the dense 32-row oracle
+    from the previous epoch's grid, gives the same bits."""
+    cfg = ScenarioConfig.from_file(scenario_dir / f"{name}.json")
+    if ageing_by_context:
+        cfg.fusion = FusionParams(ageing_by_context=ageing_by_context)
+    gg = rasterize_gg(load_map(cfg.map_path), cfg.map_confidence, cfg.grid)
+    pg = PerceptionGrid(cfg.grid, PG)
+    for result in run_scenario(cfg):
+        sg = build_sg(result.scan, result.pose, cfg.grid, cfg.sensor_model)
+        dense, totals = step_with_conflicts_dense_oracle(pg, sg, gg, cfg.fusion)
+        assert result.pg.masses.tobytes() == dense.masses.tobytes(), result.epoch
+        assert result.pg.counter.tobytes() == dense.counter.tobytes(), result.epoch
+        assert result.conflicts == totals, result.epoch
+        pg = result.pg
 
 
 class TestDecideGrid:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,38 @@ class TestScenarioConfig:
         data["epochs"] = 0
         with pytest.raises(ScenarioError, match="epoch count"):
             ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("trajectory", 0, "t"), True, "trajectory t True is not a number"),
+        (("trajectory", 0, "heading"), "0", "trajectory heading '0' is not a number"),
+        (("objects", 0, "length"), "4", "object 0 length '4' is not a number"),
+        (("objects", 0, "pose", "y"), None, "object 0 pose y None is not a number"),
+        (("objects", 0, "appear_t"), False, "object 0 appear_t False is not a number"),
+        (("objects", 0, "disappear_t"), "9", "object 0 disappear_t '9' is not a number"),
+        (("objects", 1, "width"), True, "object 1 width True is not a number"),
+        (("objects", 1, "waypoints", 1, "t"), "1", "object 1 waypoint t '1' is not a number"),
+        (("objects", 0, "stop_t"), 2.0, "object 0: unknown key(s) 'stop_t'"),
+        (("epochs",), True, "epochs must be an integer, got True"),
+        (("epochs",), 2.5, "epochs must be an integer, got 2.5"),
+        (("trajectory", 0, "x"), 10**400, "int too large to convert to float"),
+    ])
+    def test_rejects_bad_field(self, tmp_path, path, value, message):
+        data = self.base_dict()
+        data["objects"] = [
+            {"length": 4.0, "width": 2.0, "pose": {"x": 5.0, "y": 5.0, "heading": 0.0},
+             "appear_t": 0.0, "disappear_t": 9.0},
+            {"length": 4.0, "width": 2.0, "waypoints": [
+                {"t": 0.0, "x": 1.0, "y": 2.0, "heading": 0.0},
+                {"t": 1.0, "x": 3.0, "y": 2.0, "heading": 0.0}]}]
+        assert len(ScenarioConfig.from_dict(data).objects) == 2
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            ScenarioConfig.from_file(scenario)
 
     def test_missing_key_wrapped(self, tmp_path):
         data = self.base_dict()
