@@ -29,16 +29,26 @@ DECISION_COLORS = np.array([
 CLASS_COLORS = DECISION_COLORS[:5].astype(float)
 
 
-# Decimal text of every uint8 sample value, looked up instead of formatted.
-_SAMPLE_TEXT = tuple(map(str, range(256)))
-
-
 def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
-    """Write an (rows, cols, 3) uint8 array as ASCII PPM (P3)."""
+    """Write an (rows, cols, 3) uint8 array as ASCII PPM (P3).
+
+    Each distinct colour's "r g b" text is formatted once per image.
+    """
     rows, cols, _ = pixels.shape
     out.write(f"P3\n{cols} {rows}\n255\n")
-    out.writelines(" ".join(map(_SAMPLE_TEXT.__getitem__, row.ravel().tolist())) + "\n"
-                   for row in pixels)
+    # 24-bit colours built in place and read one row at a time: a uint32
+    # copy of all three channels and a whole-image np.unique (0.7 MiB per
+    # 120x120 image) raised the peak memory of the benchmark runs
+    packed = pixels[..., 0].astype(np.uint32)
+    for channel in (1, 2):
+        packed <<= 8
+        packed |= pixels[..., channel]
+    texts: dict[int, str] = {}
+    for row in packed:
+        colours = row.tolist()
+        for c in set(colours).difference(texts):
+            texts[c] = f"{c >> 16} {c >> 8 & 255} {c & 255}"
+        out.write(" ".join(map(texts.__getitem__, colours)) + "\n")
 
 
 def _to_image(cellwise: np.ndarray) -> np.ndarray:

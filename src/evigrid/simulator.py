@@ -141,13 +141,35 @@ def _parse_settings(data: dict) -> dict:
     """The settings keys present in a scenario or params document, parsed.
 
     Absent keys are left out, so that defaults or a base's values hold.
+    The numbers of the other sections and the decision threshold must be
+    JSON numbers; ``GridSpec`` checks the grid's.
     """
-    kinds = {"grid": GridSpec, "sensor_model": SensorGridParams,
-             "map_confidence": MapConfidence, "fusion": FusionParams}
-    parsed = {key: kind(**data[key]) for key, kind in kinds.items() if key in data}
+    parsed = {"grid": GridSpec(**data["grid"])} if "grid" in data else {}
+    kinds = {"sensor_model": SensorGridParams, "map_confidence": MapConfidence,
+             "fusion": FusionParams}
+    for key, kind in kinds.items():
+        if key in data:
+            parsed[key] = kind(**{name: _setting(value, f"{key} {name}")
+                                  for name, value in _object(data[key], key).items()})
     if "decision_threshold" in data:
-        parsed["decision_threshold"] = float(data["decision_threshold"])
+        parsed["decision_threshold"] = _number(data["decision_threshold"], "decision_threshold")
     return parsed
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} {value!r} is not an object")
+    return value
+
+
+def _setting(value, name: str):
+    """One value of a settings section: a number, except that
+    ``fusion ageing_by_context`` is null or an object of numbers."""
+    if name != "fusion ageing_by_context":
+        return _number(value, name)
+    if value is None:
+        return None
+    return {key: _number(rate, f"{name} {key}") for key, rate in _object(value, name).items()}
 
 
 def load_settings(path, base: Optional[Settings] = None) -> Settings:
@@ -218,6 +240,9 @@ class ScenarioConfig(Settings):
                 raise ScenarioError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
             kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
             if "waypoints" in entry:
+                for key in ("appear_t", "disappear_t"):
+                    if key in entry:
+                        raise ScenarioError(f"{where}: {key!r} applies to static objects only")
                 kwargs["waypoints"] = timed_poses(entry["waypoints"], f"{where} waypoint")
             else:
                 kwargs["pose"] = pose(entry["pose"], f"{where} pose")

@@ -9,6 +9,7 @@ one cell at a time.  The map oracles classify one cell centre at a time
 with the scalar even-odd test.  The scan oracle casts one beam at a time.
 The dense fusion oracle runs one epoch on all 2**n subset rows of every
 grid, zero rows included, with the fusion module's per-pair helpers.
+The writer oracles format every cell and every pixel on its own.
 """
 
 import math
@@ -21,7 +22,7 @@ from evigrid.dst import (FrameOfDiscernment, MassFunction, TOTAL_CONFLICT_TOLERA
                          TotalConflictError)
 from evigrid.fusion import (_MOVING_SUPERSETS, _OCCUPIED_SUBSETS, ConflictPair,
                             FusionParams, _ageing_vector, _conflict_kind, _rows)
-from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
+from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid, mass_column_names
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
 from evigrid.sensor import Beam, LidarScan
 from evigrid.simulator import _RAY_EPS
@@ -358,3 +359,23 @@ def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
     totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
                           float(residual.sum()))
     return out, totals
+
+
+def write_grid_csv_oracle(grid: EvidentialGrid, out) -> None:
+    """``write_grid_csv`` formatting every value of every cell with ``repr``."""
+    spec = grid.spec
+    zeta = getattr(grid, "counter", np.zeros((spec.width, spec.height)))
+    header = ["i", "j", "x_center", "y_center"] + mass_column_names(grid.frame) + ["zeta"]
+    out.write(",".join(header) + "\n")
+    xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height))
+    for j, y in enumerate(ys):
+        rows = np.column_stack((xs, np.full(spec.width, y), grid.masses[:, j], zeta[:, j]))
+        out.writelines(f"{i},{j},{','.join(map(repr, row))}\n"
+                       for i, row in enumerate(rows.tolist()))
+
+
+def write_ppm_oracle(pixels: np.ndarray, out) -> None:
+    """``write_ppm`` formatting every sample of every pixel with ``str``."""
+    rows, cols, _ = pixels.shape
+    out.write(f"P3\n{cols} {rows}\n255\n")
+    out.writelines(" ".join(map(str, row.ravel().tolist())) + "\n" for row in pixels)

@@ -169,6 +169,45 @@ def test_bad_grid_value_is_config_error(small_scenario, tmp_path, capsys, field,
     assert "configuration error" in err and f"{field} must be" in err
 
 
+@pytest.mark.parametrize("where", ["scenario", "params", "replay_params"])
+@pytest.mark.parametrize("settings, message", [
+    ({"decision_threshold": True}, "decision_threshold True is not a number"),
+    ({"decision_threshold": "0.5"}, "decision_threshold '0.5' is not a number"),
+    ({"fusion": {"ageing_rate": True}}, "fusion ageing_rate True is not a number"),
+    ({"fusion": {"counter_inc": "0.2"}}, "fusion counter_inc '0.2' is not a number"),
+    ({"fusion": {"ageing_by_context": {"road": True}}},
+     "fusion ageing_by_context road True is not a number"),
+    ({"fusion": {"ageing_by_context": [0.1]}},
+     "fusion ageing_by_context [0.1] is not an object"),
+    ({"sensor_model": {"free_weight": True}}, "sensor_model free_weight True is not a number"),
+    ({"map_confidence": {"building": False}}, "map_confidence building False is not a number"),
+    ({"map_confidence": [0.9]}, "map_confidence [0.9] is not an object"),
+], ids=["threshold_bool", "threshold_string", "ageing_bool", "counter_string",
+        "context_bool", "context_list", "free_weight_bool", "confidence_bool",
+        "confidence_list"])
+def test_non_number_setting_is_config_error(small_scenario, tmp_path, capsys, where,
+                                            settings, message):
+    out = str(tmp_path / "out")
+    if where == "scenario":
+        data = json.loads(small_scenario.read_text())
+        small_scenario.write_text(json.dumps({**data, **settings}))
+        rc = main(["run", str(small_scenario), "--out", out])
+    elif where == "params":
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(settings))
+        rc = main(["run", str(small_scenario), "--out", out, "--params", str(params)])
+    else:
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"grid": GRID, **settings}))
+        log = tmp_path / "scans.ndjson"
+        log.write_text(record_line(0.0) + "\n")
+        rc = main(["replay", str(log), str(tmp_path / "m.geojson"), "--out", out,
+                   "--params", str(params)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 @pytest.mark.parametrize("value", [2.5, True])
 def test_non_integer_beam_count_is_config_error(small_scenario, tmp_path, capsys, value):
     data = json.loads(small_scenario.read_text())

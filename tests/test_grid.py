@@ -4,11 +4,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evigrid.dst import FrameOfDiscernment, MassFunction
 from evigrid.grid import (EvidentialGrid, GridSpec, PerceptionGrid,
                           mass_column_names, write_grid_csv)
 from evigrid.frames import PERCEPTION_FRAME
+from oracles import write_grid_csv_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 4, 4)
 
@@ -150,3 +153,95 @@ class TestCsvExport:
                 values = [x, y] + [float(v) for v in grid.masses[i, j]] + [float(z)]
                 expect.append(",".join([repr(i), repr(j)] + [repr(v) for v in values]))
         assert buf.getvalue().splitlines()[1:] == expect
+
+
+def _csv(writer, grid) -> str:
+    buf = io.StringIO()
+    writer(grid, buf)
+    return buf.getvalue()
+
+
+def _grid_from_rows(spec, rows, with_counter=True):
+    """A grid whose cell k in raster order holds rows[k]: 32 masses and,
+    with a counter, the counter as a 33rd value."""
+    grid = (PerceptionGrid if with_counter else EvidentialGrid)(spec, PERCEPTION_FRAME)
+    rows = np.asarray(rows, dtype=float).reshape(spec.height, spec.width, -1)
+    grid.masses[...] = rows[..., :PERCEPTION_FRAME.size].transpose(1, 0, 2)
+    if with_counter:
+        grid.counter[...] = rows[..., PERCEPTION_FRAME.size].T
+    return grid
+
+
+class TestCsvMatchesOracle:
+    """``write_grid_csv`` formats each distinct row once; its bytes must be
+    those of formatting every cell with ``repr``."""
+
+    SPEC = GridSpec(-3.25, 7.5, 0.125, 7, 5)
+
+    def check(self, grid):
+        assert _csv(write_grid_csv, grid) == _csv(write_grid_csv_oracle, grid)
+
+    def random_rows(self, rng, n):
+        rows = np.empty((n, PERCEPTION_FRAME.size + 1))
+        rows[:, :-1] = rng.dirichlet(np.ones(PERCEPTION_FRAME.size), n)
+        rows[:, -1] = rng.random(n)
+        return rows
+
+    def test_many_repeated_rows(self):
+        rng = np.random.default_rng(11)
+        pool = self.random_rows(rng, 3)
+        grid = _grid_from_rows(self.SPEC, pool[rng.integers(0, 3, 35)])
+        self.check(grid)
+        lines = _csv(write_grid_csv, grid).splitlines()[1:]
+        assert len({line.split(",", 4)[-1] for line in lines}) == 3
+
+    @pytest.mark.parametrize("column", [0, 7, PERCEPTION_FRAME.size])
+    def test_signed_zero_and_one_ulp_apart(self, column):
+        # cells 0 and 1 differ only in the sign of a zero, cells 2 and 3 only
+        # by one ulp, in one mass or in the counter
+        spec = GridSpec(0.0, 0.0, 0.5, 4, 1)
+        base = self.random_rows(np.random.default_rng(12), 1)[0]
+        rows = np.tile(base, (4, 1))
+        rows[0, column] = 0.0
+        rows[1, column] = -0.0
+        rows[3, column] = np.nextafter(rows[2, column], 1.0)
+        grid = _grid_from_rows(spec, rows)
+        self.check(grid)
+        lines = [line.split(",") for line in _csv(write_grid_csv, grid).splitlines()[1:]]
+        assert (lines[0][4 + column], lines[1][4 + column]) == ("0.0", "-0.0")
+        assert lines[2][4 + column] != lines[3][4 + column]
+
+    def test_all_rows_distinct(self):
+        spec = GridSpec(100.0, -7.3, 0.3, 13, 11)
+        self.check(_grid_from_rows(spec, self.random_rows(np.random.default_rng(13), 143)))
+
+    def test_one_cell(self):
+        spec = GridSpec(0.0, 0.0, 1.0, 1, 1)
+        self.check(_grid_from_rows(spec, self.random_rows(np.random.default_rng(14), 1)))
+        self.check(PerceptionGrid(spec, PERCEPTION_FRAME))
+
+    def test_grid_without_counter(self):
+        rng = np.random.default_rng(15)
+        pool = self.random_rows(rng, 4)[:, :-1]
+        grid = _grid_from_rows(self.SPEC, pool[rng.integers(0, 4, 35)], with_counter=False)
+        assert not hasattr(grid, "counter")
+        self.check(grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_rows_drawn_from_a_small_pool(self, width, height, data):
+        # the pool's rows are one row with one value changed each, so rows
+        # repeat and differ in a single value (a signed zero, one ulp, ...)
+        values = st.sampled_from([0.0, -0.0, 1.0, 0.5, np.nextafter(0.5, 1.0), 0.1,
+                                  1 / 3, 5e-324, 1e-300])
+        size = PERCEPTION_FRAME.size + 1
+        base = data.draw(st.lists(values, min_size=size, max_size=size))
+        pool = [base]
+        for k, value in data.draw(st.lists(st.tuples(st.integers(0, size - 1), values),
+                                           max_size=4)):
+            pool.append(base[:k] + [value] + base[k + 1:])
+        picks = data.draw(st.lists(st.sampled_from(pool),
+                                   min_size=width * height, max_size=width * height))
+        spec = GridSpec(data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3)),
+                        data.draw(st.floats(1e-3, 10.0)), width, height)
+        self.check(_grid_from_rows(spec, picks))

@@ -9,7 +9,9 @@ from evigrid.dst import MassFunction
 from evigrid.frames import PERCEPTION_FRAME
 from evigrid.fusion import decide_grid, pignistic_grid
 from evigrid.grid import GridSpec, PerceptionGrid
-from evigrid.render import MovingTrace, decision_image, pignistic_image, write_ppm
+from evigrid.render import (DECISION_COLORS, MovingTrace, decision_image, pignistic_image,
+                            write_ppm)
+from oracles import write_ppm_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 3, 2)
 
@@ -38,6 +40,23 @@ def test_write_ppm_matches_per_pixel_format():
     write_ppm(img, buf)
     rows = [" ".join(str(int(v)) for v in img[r].ravel()) for r in range(4)]
     assert buf.getvalue() == "P3\n5 4\n255\n" + "".join(row + "\n" for row in rows)
+
+
+def _image_with(colours, picks) -> np.ndarray:
+    return np.asarray(colours, dtype=np.uint8)[picks]
+
+
+@pytest.mark.parametrize("pixels", [
+    _image_with([(7, 200, 31)], np.zeros((3, 4), dtype=int)),
+    _image_with(DECISION_COLORS, np.random.default_rng(5).integers(0, 6, (9, 8))),
+    np.random.default_rng(6).integers(0, 256, (17, 23, 3), dtype=np.uint8),
+    _image_with([(255, 0, 128)], np.zeros((1, 1), dtype=int)),
+], ids=["one_colour", "decision_colours", "random", "one_pixel"])
+def test_write_ppm_matches_oracle(pixels):
+    ours, oracle = io.StringIO(), io.StringIO()
+    write_ppm(pixels, ours)
+    write_ppm_oracle(pixels, oracle)
+    assert ours.getvalue() == oracle.getvalue()
 
 
 def test_decision_image_north_up():

@@ -197,6 +197,9 @@ class TestScenarioConfig:
         (("epochs",), True, "epochs must be an integer, got True"),
         (("epochs",), 2.5, "epochs must be an integer, got 2.5"),
         (("trajectory", 0, "x"), 10**400, "int too large to convert to float"),
+        (("objects", 1, "appear_t"), 0.5, "object 1: 'appear_t' applies to static objects only"),
+        (("objects", 1, "disappear_t"), 0.5,
+         "object 1: 'disappear_t' applies to static objects only"),
     ])
     def test_rejects_bad_field(self, tmp_path, path, value, message):
         data = self.base_dict()
@@ -215,6 +218,17 @@ class TestScenarioConfig:
         scenario.write_text(json.dumps(data))
         with pytest.raises(ScenarioError, match=re.escape(message)):
             ScenarioConfig.from_file(scenario)
+
+    def test_settings_take_json_numbers_and_null(self):
+        data = self.base_dict()
+        data.update(decision_threshold=1, sensor_model={"free_weight": 0},
+                    map_confidence={"road": 1}, fusion={"ageing_rate": 0,
+                                                        "ageing_by_context": None})
+        cfg = ScenarioConfig.from_dict(data)
+        assert cfg.decision_threshold == 1.0 and cfg.sensor_model.free_weight == 0.0
+        assert cfg.map_confidence.road == 1.0 and cfg.fusion.ageing_by_context is None
+        data["fusion"]["ageing_by_context"] = {"road": 1, "building": 0.5}
+        assert ScenarioConfig.from_dict(data).fusion.ageing_for("road") == 1.0
 
     def test_missing_key_wrapped(self, tmp_path):
         data = self.base_dict()
