@@ -12,19 +12,19 @@ Each epoch, per cell:
 6. transfer counter-confirmed mass from moving-containing sets to their
    moving-free subsets (a sustained occupancy is a stopped object).
 
-``step_with_conflicts`` runs this vectorised over the whole grid, one row
-of cells per subset.  It carries compact row blocks: only the subsets that
-can hold mass at each stage, named by an ascending tuple of bitmasks (the
-three refined sensor sets, the at most 3 x k sets of the prior, the focal
-sets of the stored grid plus the full frame, and their intersections).
-The other rows of the 32 are zero and are never stored, scanned or
-normalised; only the output grid holds all 32 planes.  ``step_cell`` is
-the per-cell reference the grid kernel is tested against.
+``step_with_conflicts`` runs this vectorised over the grid, once per
+distinct (stored state, sensor state, prior state) triple of the grids'
+palettes, one row of triples per subset.  It carries compact row blocks:
+only the subsets that can hold mass at each stage, named by an ascending
+tuple of bitmasks (the three refined sensor sets, the at most 3 x k sets
+of the prior, the focal sets of the stored grid plus the full frame, and
+their intersections).  The other rows of the 32 are zero and are never
+stored, scanned or normalised; only the output palette holds all 32 rows.
+``step_cell`` is the per-cell reference the grid kernel is tested against.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import frames
 from .dst import (MassFunction, TOTAL_CONFLICT_TOLERANCE, TotalConflictError,
                   combine_dempster, discount, pignistic, refine, specialize)
-from .grid import EvidentialGrid, PerceptionGrid
+from .grid import EvidentialGrid, PerceptionGrid, _distinct, _rows
 
 DECISION_LABELS = ("F", "I", "U", "S", "M", "UNKNOWN")
 UNKNOWN = "UNKNOWN"
@@ -219,13 +219,6 @@ def step_cell(m_prev: MassFunction, counter_prev: float,
 
 # --- vectorised grid kernel -------------------------------------------------
 
-def _rows(values: np.ndarray) -> np.ndarray:
-    """(width, height, ...) cell data as the (..., N) rows the kernel works
-    on, one column per cell in (j, i) raster order: for masses, one row per
-    subset.  A view of a grid's stored planes, a copy of other layouts."""
-    return values.T.reshape(values.shape[2:][::-1] + (-1,))
-
-
 def _sum_rows(rows, n: int) -> np.ndarray:
     """Cell-wise sum of (N,) rows, added in the order given.  Not
     ``sum(axis=0)``: that adds a single column pairwise, so a one-cell grid
@@ -274,9 +267,82 @@ def _ageing_vector(gg_m: np.ndarray, params: FusionParams) -> np.ndarray:
                      params.ageing_for("intermediate"))
 
 
-# The refined sensor rows: the sensor planes F, O and FO, in that order,
-# are the masses of F, IUSM and the full frame on the 5-class frame.
+# The refined sensor rows: the sensor planes F, O and FO (_SG_SETS), in
+# that order, are the masses of F, IUSM and the full frame on the 5-class
+# frame (_SENSOR_SETS).
 _SENSOR_SETS = (frames.PG_FREE, frames.OCCUPIED_SET, frames.PG_OMEGA)
+_SG_SETS = (frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA)
+
+
+def _distinct_cells(ids: list[np.ndarray], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One cell of each distinct tuple of palette ids, and the index of each
+    cell's tuple among the tuples in ascending order.  ``ids[g]`` holds
+    every cell's id into a palette of ``sizes[g]`` states."""
+    n = len(ids[0])
+    key, radix = np.zeros(n, dtype=np.int64), 1
+    for cell_ids, size in zip(ids, sizes):
+        if radix * size > np.iinfo(np.int64).max:
+            # renumber the tuples so far 0 .. < n, so the key cannot overflow
+            radix, key = n, _distinct(key, radix)[1]
+        key = key * size + cell_ids
+        radix *= size
+    inverse = _distinct(key, radix)[1]
+    # any cell of a tuple stands for it: they all read the same states
+    return _one_of_each(inverse), inverse
+
+
+# odd multipliers of the column hash (splitmix64's finalizer)
+_HASH_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _column_hash(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each column of (k, S) uint64 rows."""
+    h = np.zeros(bits.shape[1], dtype=np.uint64)
+    for row in bits:
+        h ^= row
+        h *= _HASH_MIX[0]
+        h ^= h >> np.uint64(31)
+        h *= _HASH_MIX[1]
+    return h
+
+
+def _merge_equal_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the columns of C-contiguous (k, S) `values`, equal exactly when
+    the columns' bits are (so ``-0.0`` and ``0.0`` stay apart), and one
+    column of each id.
+
+    Columns are grouped by a hash of their bits, and each column of a group
+    of two or more is checked against the group's column.  A column that
+    differs from it gets an id of its own, shared only with the columns
+    whose bytes equal its own.
+    """
+    bits = values.view(np.uint64)
+    ids = np.unique(_column_hash(bits), return_inverse=True)[1]
+    first = _one_of_each(ids)
+    shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
+    clash = shared[(bits[:, shared] != bits[:, first[ids[shared]]]).any(axis=0)]
+    if clash.size:
+        keys = np.ascontiguousarray(bits[:, clash].T)
+        keys = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
+        clash_ids = np.unique(keys, return_inverse=True)[1]
+        ids[clash] = len(first) + clash_ids
+        first = np.concatenate([first, clash[_one_of_each(clash_ids)]])
+    return ids, first
+
+
+def _one_of_each(ids: np.ndarray) -> np.ndarray:
+    """For each id 0 .. max(ids), the index of one element holding it."""
+    first = np.empty(ids.max() + 1, dtype=np.intp)
+    first[ids] = np.arange(len(ids))
+    return first
+
+
+def _columns(rows: np.ndarray, sets: tuple[int, ...], cols: np.ndarray) -> np.ndarray:
+    """Rows `sets` of `rows` at the columns `cols`, taken one row at a time."""
+    out = np.empty((len(sets), len(cols)))
+    for k, a in enumerate(sets):
+        np.take(rows[a], cols, out=out[k])
+    return out
 
 
 def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGrid,
@@ -285,6 +351,11 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
 
     Returns the new perception grid plus the grid-total conflict partition.
     Cells without sensor coverage still age; epochs are strictly sequential.
+
+    Each distinct (stored state, sensor state, prior state) is fused once,
+    one column per tuple; every operation is column-wise, and row sums add in
+    a fixed order (``_sum_rows``), so a column's bits do not depend on the
+    other columns.  The output palette holds each distinct fused state once.
     """
     if not (pg.spec == sg.spec == gg.spec):
         raise ValueError("perception, sensor and map grids must share a GridSpec")
@@ -294,30 +365,32 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
         raise ValueError("perception and map grids must be on the 5-class frame")
 
     spec = pg.spec
-    # the grid conflict totals sum in (j, i) raster order
-    sg_m, gg_m, pg_m = _rows(sg.masses), _rows(gg.masses), _rows(pg.masses)
-    counter_prev = _rows(pg.counter)
-    n = counter_prev.size
+    palettes = [grid.palette for grid in (pg, sg, gg)]
+    ids = [grid.ids.ravel() for grid in (pg, sg, gg)]
+    first, inverse = _distinct_cells(ids, [palette.spec.width for palette in palettes])
+    n = len(first)
+    # column k of the kernel's rows is the tuple of cell first[k]
+    pg_col, sg_col, gg_col = (cell_ids[first] for cell_ids in ids)
+    pg_m, sg_m, gg_m = (_rows(palette.masses) for palette in palettes)
+    counter_prev = _rows(palettes[0].counter)[pg_col]
 
     # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
     gg_sets = tuple(np.flatnonzero(gg_m.any(axis=1)).tolist())
     prior_sets = tuple(sorted({b & c for b in _SENSOR_SETS for c in gg_sets} - {0}))
-    prior = _conjunctive_rows(sg_m[frames.SG_FREE:], _SENSOR_SETS,
-                              [gg_m[c] for c in gg_sets], gg_sets, prior_sets)[0]
+    prior = _conjunctive_rows(_columns(sg_m, _SG_SETS, sg_col), _SENSOR_SETS,
+                              _columns(gg_m, gg_sets, gg_col), gg_sets, prior_sets)[0]
     norm = _sum_rows(prior, n)
     if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
-        cell = int(np.argmin(norm))
+        cell = int(np.argmin(norm[inverse]))
         raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
     prior /= norm
 
     # ageing: discount the stored masses, moving the rate alpha to the full
     # frame (the largest bitmask, so the last row)
-    alpha = _ageing_vector(gg_m, params)
-    keep = 1.0 - alpha
+    alpha = _ageing_vector(gg_m, params)[gg_col]
     prev_sets = tuple(sorted({*np.flatnonzero(pg_m.any(axis=1)).tolist(), frames.PG_OMEGA}))
-    prev = np.empty((len(prev_sets), n))
-    for k, a in enumerate(prev_sets):
-        np.multiply(pg_m[a], keep, out=prev[k])
+    prev = _columns(pg_m, prev_sets, pg_col)
+    prev *= 1.0 - alpha
     prev[-1] += alpha
 
     # the modified conjunctive rule: appearance conflict to M, the rest to
@@ -327,15 +400,18 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
     fused_sets = tuple(sorted(fused_sets | {a & ~frames.PG_MOVING for a in fused_sets
                                             if a in _MOVING_SUPERSETS}))
     row = {a: k for k, a in enumerate(fused_sets)}
-    fused, (appear, disappear, residual) = _conjunctive_rows(
+    # the fused rows and, as the last row, the counter
+    fused = np.empty((len(fused_sets) + 1, n))
+    fused[:-1], (appear, disappear, residual) = _conjunctive_rows(
         prev, prev_sets, prior, prior_sets, fused_sets)
     fused[row[frames.PG_MOVING]] += appear
     fused[row[frames.PG_OMEGA]] += disappear + residual
-    fused /= _sum_rows(fused, n)
+    fused[:-1] /= _sum_rows(fused[:-1], n)
 
     occupied = _sum_rows((fused[row[a]] for a in fused_sets if a in _OCCUPIED_SUBSETS), n)
     dynamic = appear + disappear
-    counter = np.where(
+    counter = fused[-1]
+    counter[:] = np.where(
         dynamic > params.conflict_threshold,
         np.maximum(0.0, counter_prev - params.counter_dec),
         np.where(occupied >= params.occupancy_threshold,
@@ -348,27 +424,36 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
             fused[row[a]] -= moved
             fused[row[a & ~frames.PG_MOVING]] += moved
 
-    planes = np.zeros((frames.PERCEPTION_FRAME.size, spec.height, spec.width))
-    planes.reshape(frames.PERCEPTION_FRAME.size, n)[list(fused_sets)] = fused
-    out = copy.copy(pg)  # the spec and frame of pg, new masses and counter
-    out.masses = planes.T
-    out.counter = counter.reshape(spec.height, spec.width).T
-    totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
-                          float(residual.sum()))
+    # one palette column per distinct fused state
+    merged, kept = _merge_equal_columns(fused)
+    rows = np.zeros((frames.PERCEPTION_FRAME.size, len(kept)))
+    for k, a in enumerate(fused_sets):
+        np.take(fused[k], kept, out=rows[a])
+    out = type(pg).from_palette(spec, pg.frame, rows,
+                                merged[inverse].reshape(spec.height, spec.width),
+                                np.take(counter, kept))
+    # the grid conflict totals sum over the cells in (j, i) raster order
+    totals = ConflictPair(float(appear[inverse].sum()), float(disappear[inverse].sum()),
+                          float(residual[inverse].sum()))
     return out, totals
-
-
-# (5, 32): row k shares each subset's mass equally among its members
-_BET_WEIGHTS = np.array([[1.0 / a.bit_count() if a >> k & 1 else 0.0
-                          for a in range(frames.PERCEPTION_FRAME.size)]
-                         for k in range(frames.PERCEPTION_FRAME.n)])
 
 
 def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
     """Per-cell pignistic probabilities of a grid on the 5-class frame,
-    shape (width, height, 5): a view of (5, height, width) planes."""
-    bet = _BET_WEIGHTS @ _rows(pg.masses)
-    return bet.reshape(-1, pg.spec.height, pg.spec.width).T
+    shape (width, height, 5): a view of (5, height, width) planes.
+
+    Computed once per palette state: each class adds the shares
+    ``m(a) / |a|`` of the focal sets containing it, in ascending order of
+    the sets, so a state's bits do not depend on the other states.
+    """
+    masses = _rows(pg.palette.masses)
+    bet = np.zeros((frames.PERCEPTION_FRAME.n, masses.shape[1]))
+    for a in np.flatnonzero(masses.any(axis=1)).tolist():
+        share = masses[a] / a.bit_count()
+        for k in range(frames.PERCEPTION_FRAME.n):
+            if a >> k & 1:
+                bet[k] += share
+    return np.take(bet, pg.ids, axis=1).T
 
 
 def decide_grid(pg: EvidentialGrid, unknown_threshold: float) -> np.ndarray:

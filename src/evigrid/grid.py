@@ -29,7 +29,8 @@ class GridSpec:
     def __post_init__(self):
         for name in ("origin_east", "origin_north", "cell_size"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("width", "height"):
             value = getattr(self, name)
@@ -72,15 +73,55 @@ class GridSpec:
         return tuple(map(float, self.cell_centers(i, j)))
 
 
+def _rows(values: np.ndarray) -> np.ndarray:
+    """(width, height, ...) cell data as the (..., N) rows the kernels work
+    on, one column per cell in (j, i) raster order: for masses, one row per
+    subset.  A view of a grid's stored planes, a copy of other layouts."""
+    return values.T.reshape(values.shape[2:][::-1] + (-1,))
+
+
+def _distinct(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the non-negative integers `key`, all below
+    `bound`, in ascending order, and the index of each key's value among
+    them: ``np.unique(key, return_inverse=True)``.  Through a table of
+    `bound` entries when that is not much longer than `key`."""
+    if bound > 4 * len(key):
+        return np.unique(key, return_inverse=True)
+    present = np.zeros(bound, dtype=bool)
+    present[key] = True
+    values = np.flatnonzero(present)
+    table = np.empty(bound, dtype=np.intp)
+    table[values] = np.arange(len(values))
+    return values, table[key]
+
+
+def _gathered(values: np.ndarray) -> np.ndarray:
+    """A gathered copy, read-only: writing to it would not reach the grid."""
+    values.flags.writeable = False
+    return values
+
+
 class EvidentialGrid:
     """A lattice whose cells carry normal mass functions on a shared frame.
 
-    Masses are stored as one C-contiguous (2**n, height, width) array: one
-    plane per subset, each in (j, i) raster order, so ``masses.T.reshape(
-    2**n, -1)`` gives the (subset, cell) rows the grid kernels work on
-    without a copy.  ``masses`` is the (width, height, 2**n) view of that
-    array, indexed ``masses[i, j]`` by cell.  Every cell starts vacuous.
+    A grid is a palette of cell states plus one palette index per cell:
+    ``palette`` is a 1 x S grid whose cell k holds state k, and ``ids`` the
+    (height, width) intp index of each cell's state.  Cells that share a
+    map context and have seen the same beams share one state, so the
+    kernels compute each state once.
+
+    A grid made by the constructor, or given ``masses``, is dense: its
+    writable ``masses``, indexed ``masses[i, j]`` by cell, is the (width,
+    height, 2**n) view of one C-contiguous (2**n, height, width) array, one
+    plane per subset, so ``_rows`` reads the (subset, cell) rows without a
+    copy.  Its palette is those rows and its ids are ``arange(N)``.  Every
+    cell starts vacuous.  A grid made by ``from_palette`` stores only the
+    palette and the ids; its ``masses`` is a read-only array gathered from
+    the palette, in the same layout.
     """
+
+    _palette: Optional["EvidentialGrid"] = None
+    _ids: Optional[np.ndarray] = None
 
     def __init__(self, spec: GridSpec, frame: FrameOfDiscernment):
         self.spec = spec
@@ -88,27 +129,111 @@ class EvidentialGrid:
         self.masses = np.zeros((frame.size, spec.height, spec.width)).T
         self.masses[:, :, frame.omega] = 1.0
 
+    @classmethod
+    def from_palette(cls, spec: GridSpec, frame: FrameOfDiscernment, rows: np.ndarray,
+                     ids: np.ndarray, counter: Optional[np.ndarray] = None):
+        """A grid of `spec` whose cell (i, j) holds column ``ids[j, i]`` of
+        the (2**n, S) mass rows `rows` (and, for a perception grid, entry
+        ``ids[j, i]`` of the (S,) `counter`)."""
+        grid = object.__new__(cls)
+        grid.spec, grid.frame = spec, frame
+        grid._palette, grid._ids = cls._states(frame, rows, counter), ids
+        return grid
+
+    @classmethod
+    def _states(cls, frame: FrameOfDiscernment, rows: np.ndarray,
+                counter: Optional[np.ndarray] = None) -> "EvidentialGrid":
+        """The dense 1 x S grid whose cell k holds column k of `rows` (and
+        entry k of `counter`), without a copy."""
+        palette = object.__new__(cls)
+        palette.spec = GridSpec(0.0, 0.0, 1.0, rows.shape[1], 1)
+        palette.frame = frame
+        palette.masses = rows.reshape(len(rows), 1, -1).T
+        if counter is not None:
+            palette.counter = counter.reshape(1, -1).T
+        return palette
+
+    @property
+    def palette(self) -> "EvidentialGrid":
+        """The 1 x S grid of distinct cell states."""
+        if self._palette is not None:
+            return self._palette
+        return self._states(self.frame, *self._dense_rows())
+
+    def _dense_rows(self) -> tuple:
+        """A dense grid's cells as the (..., N) rows ``_states`` takes."""
+        return (_rows(self._masses),)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The (height, width) palette index of each cell."""
+        if self._ids is not None:
+            return self._ids
+        return np.arange(self.spec.width * self.spec.height).reshape(
+            self.spec.height, self.spec.width)
+
+    @property
+    def masses(self) -> np.ndarray:
+        if self._palette is None:
+            return self._masses
+        return _gathered(np.take(_rows(self._palette.masses), self._ids, axis=1).T)
+
+    @masses.setter
+    def masses(self, values: np.ndarray) -> None:
+        self._densify()
+        self._masses = values
+
+    def _densify(self) -> None:
+        """Store a palette grid's cells as dense, writable arrays."""
+        if self._palette is not None:
+            self._masses = self.masses.copy(order="K")
+            self._palette = self._ids = None
+
     def cell(self, i: int, j: int) -> MassFunction:
-        return MassFunction(self.frame, self.masses[i, j])
+        if self._palette is not None:
+            return self._palette.cell(int(self._ids[j, i]), 0)
+        return MassFunction(self.frame, self._masses[i, j])
 
     def set_cell(self, i: int, j: int, m: MassFunction) -> None:
         if m.frame != self.frame:
             raise ValueError("mass function frame does not match grid frame")
         if m.unnormalized:
             raise ValueError("grid cells must hold normal mass functions")
-        self.masses[i, j] = m.masses
+        self._densify()
+        self._masses[i, j] = m.masses
 
 
 class PerceptionGrid(EvidentialGrid):
     """Evidential grid whose cells additionally carry an occupancy counter.
 
     The counter starts at 0 (occupancy not yet confirmed) so the moving-object
-    hypothesis is never suppressed at startup.
+    hypothesis is never suppressed at startup.  It is stored like the
+    masses: a dense (width, height) view of a (height, width) array, or one
+    entry per palette state.
     """
 
     def __init__(self, spec: GridSpec, frame: FrameOfDiscernment):
         super().__init__(spec, frame)
         self.counter = np.zeros((spec.height, spec.width)).T
+
+    def _dense_rows(self) -> tuple:
+        return super()._dense_rows() + (_rows(self._counter),)
+
+    @property
+    def counter(self) -> np.ndarray:
+        if self._palette is None:
+            return self._counter
+        return _gathered(_rows(self._palette.counter)[self._ids].T)
+
+    @counter.setter
+    def counter(self, values: np.ndarray) -> None:
+        self._densify()
+        self._counter = values
+
+    def _densify(self) -> None:
+        if self._palette is not None:
+            self._counter = self.counter.copy(order="K")
+        super()._densify()
 
 
 def mass_column_names(frame: FrameOfDiscernment) -> list[str]:
@@ -120,30 +245,31 @@ def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     """Dump a grid snapshot: one row per cell, one column per subset mass.
 
     The counter column is 0 for grids that do not carry one.  Every value is
-    written as its ``repr``.  Cells with the same history have the same row
-    of masses and counter, and are mostly neighbours, so the text of each
-    distinct row, keyed by its bytes (which keeps ``-0.0`` and ``0.0``
-    apart), is formatted once for a raster row and the one after it.
+    written as its ``repr``.  The text of each palette state's values is
+    formatted once, at the state's first raster row, and each cell's line
+    takes the text of its state.
     """
     spec = grid.spec
-    zeta = getattr(grid, "counter", np.zeros((spec.width, spec.height)))
+    palette = grid.palette
+    masses = _rows(palette.masses)
+    zeta = _rows(palette.counter) if hasattr(palette, "counter") else np.zeros(masses.shape[1])
+    # each state's text is dropped after the last raster row that uses it,
+    # so a palette of many states never holds all their texts at once
+    last = np.empty(len(zeta), dtype=np.intp)
+    for j, ids in enumerate(grid.ids):
+        last[ids] = j
     header = ["i", "j", "x_center", "y_center"] + mass_column_names(grid.frame) + ["zeta"]
     out.write(",".join(header) + "\n")
     xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height))
     columns = list(enumerate(map(repr, xs.tolist())))
-    values = np.empty((spec.width, grid.frame.size + 1))
-    keys = values.view(np.dtype((np.void, values[0].nbytes))).ravel()
-    texts: dict[bytes, str] = {}
-    # one raster row at a time: a whole-grid table of Python floats is large,
-    # and so is a table of every distinct row's text (59 MiB for 240x240 cells
-    # that all differ; 2.5 MB on a city replay, whose peak memory it raised)
-    for j, y in enumerate(map(repr, ys.tolist())):
-        values[:, :-1] = grid.masses[:, j]
-        values[:, -1] = zeta[:, j]
-        cells = keys.tolist()
-        previous, texts = texts, {}
-        for i, key in enumerate(cells):
-            if key not in texts:
-                texts[key] = previous.get(key) or ",".join(map(repr, values[i].tolist()))
-        out.write("".join([f"{i},{j},{x},{y},{texts[key]}\n"
-                           for (i, x), key in zip(columns, cells)]))
+    texts: dict[int, str] = {}
+    for j, (y, ids) in enumerate(zip(map(repr, ys.tolist()), grid.ids)):
+        ids = ids.tolist()
+        used = set(ids)
+        new = sorted(used.difference(texts))
+        states = np.vstack((masses[:, new], zeta[new])).T.tolist()
+        texts.update(zip(new, (",".join(map(repr, state)) for state in states)))
+        out.write("".join([f"{i},{j},{x},{y},{texts[k]}\n" for (i, x), k in zip(columns, ids)]))
+        for k in used:
+            if last[k] == j:
+                del texts[k]

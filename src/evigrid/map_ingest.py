@@ -136,7 +136,8 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
 
     Building cells support mapped infrastructure, road cells support whatever
     can occupy a road, everything else is intermediate space; the complement
-    of the confidence stays on the full frame.
+    of the confidence stays on the full frame.  The grid's palette holds one
+    state per context that some cell has.
     """
     # cell centres, shape (width, height, 2)
     xs, ys = spec.cell_centers(np.arange(spec.width)[:, None], np.arange(spec.height))
@@ -152,12 +153,18 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
         # the first overlapping cell with j outer, i inner
         j, i = np.argwhere(overlap.T)[0]
         raise MapOverlapError(f"map overlap at cell ({i}, {j})")
-    grid = EvidentialGrid(spec, frames.PERCEPTION_FRAME)
+    # one palette state per context present, named by the context's mask
+    ids = np.empty((spec.height, spec.width), dtype=np.intp)
+    states = []
     for mask, focal, confidence in (
             (in_building, frames.BUILDING_SET, conf.building),
             (in_road, frames.ROAD_SET, conf.road),
             (~(in_building | in_road), frames.INTERMEDIATE_SET, conf.intermediate)):
-        grid.masses[mask, focal] = confidence
-        grid.masses[mask, frames.PG_OMEGA] = 1.0 - confidence
-    return grid
-
+        if mask.any():
+            ids.T[mask] = len(states)
+            state = np.zeros(frames.PERCEPTION_FRAME.size)
+            state[focal] = confidence
+            state[frames.PG_OMEGA] = 1.0 - confidence
+            states.append(state)
+    return EvidentialGrid.from_palette(spec, frames.PERCEPTION_FRAME,
+                                       np.stack(states, axis=1), ids)

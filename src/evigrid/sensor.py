@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames
-from .grid import EvidentialGrid, GridSpec
+from .grid import EvidentialGrid, GridSpec, _distinct
 
 _TAU = 2.0 * math.pi
 
@@ -159,7 +159,8 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
 
     The counts do not depend on the order of the beams, so neither does the
     grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
-    beam: total conflict) the cell stays vacuous.
+    beam: total conflict) the cell stays vacuous.  The grid's palette holds
+    one state per distinct pair of counts.
     """
     bearings, ranges, hit = np.array(scan.beams, dtype=float).reshape(-1, 3).T
     # math.cos/math.sin, not np.cos/np.sin, which can differ in the last bit
@@ -174,13 +175,20 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     free = cell[cell != hit_cell[ray]]
     hits = hit_cell[hit_cell >= 0]
     n = spec.width * spec.height
-    a = (1.0 - params.free_weight) ** np.bincount(free, minlength=n)
-    b = (1.0 - params.occupied_weight) ** np.bincount(hits, minlength=n)
+    n_free = np.bincount(free, minlength=n)
+    n_hit = np.bincount(hits, minlength=n)
+    # the closed form once per distinct (n_f, n_o) pair: one palette state each
+    radix = int(n_hit.max()) + 1
+    pairs, ids = _distinct(n_free * radix + n_hit, (int(n_free.max()) + 1) * radix)
+    n_f, n_o = np.divmod(pairs, radix)
+    a = (1.0 - params.free_weight) ** n_f
+    b = (1.0 - params.occupied_weight) ** n_o
     norm = a + b - a * b
-    grid = EvidentialGrid(spec, frames.SENSOR_FRAME)
-    masses = grid.masses.T.reshape(frames.SENSOR_FRAME.size, n)
+    masses = np.zeros((frames.SENSOR_FRAME.size, len(pairs)))
     seen = norm > 0.0
+    masses[frames.SG_OMEGA, ~seen] = 1.0
     for focal, mass in ((frames.SG_FREE, (1.0 - a) * b), (frames.SG_OCCUPIED, (1.0 - b) * a),
                         (frames.SG_OMEGA, a * b)):
         np.divide(mass, norm, out=masses[focal], where=seen)
-    return grid
+    return EvidentialGrid.from_palette(spec, frames.SENSOR_FRAME, masses,
+                                       ids.reshape(spec.height, spec.width))

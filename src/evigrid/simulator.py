@@ -115,6 +115,13 @@ class SensorSpec:
             raise ScenarioError(f"beam_count must be an integer, got {self.beam_count!r}")
         if self.beam_count < 1:
             raise ScenarioError("beam_count must be >= 1")
+        for name in ("fov", "max_range", "rate", "range_jitter"):
+            value = _number(getattr(self, name), f"sensor {name}")
+            if not math.isfinite(value):
+                raise ScenarioError(f"sensor {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.fov <= 2.0 * math.pi:
+            raise ScenarioError(f"sensor fov must be in [0, 2 pi], got {self.fov}")
         if self.max_range <= 0 or self.rate <= 0:
             raise ScenarioError("max_range and rate must be positive")
         if self.range_jitter < 0:
@@ -326,9 +333,15 @@ class EpochResult:
     scan: LidarScan
     pg: PerceptionGrid
     conflicts: ConflictPair
-    bet: np.ndarray      # pignistic probabilities of pg, (width, height, 5)
     codes: np.ndarray    # decision codes of pg, indices into DECISION_LABELS
     stats: dict
+    palette_bet: np.ndarray  # pignistic probabilities of pg.palette, (S, 1, 5)
+
+    @property
+    def bet(self) -> np.ndarray:
+        """Pignistic probabilities of pg, (width, height, 5), gathered from
+        the palette's: a view of (5, height, width) planes."""
+        return np.take(self.palette_bet[:, 0].T, self.pg.ids, axis=1).T
 
 
 def epoch_stats(epoch: int, codes: np.ndarray, conflicts: ConflictPair) -> dict:
@@ -350,15 +363,22 @@ def epoch_stats(epoch: int, codes: np.ndarray, conflicts: ConflictPair) -> dict:
 def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
             settings: Settings) -> Iterator[EpochResult]:
     """Fuse each (t, pose, scan) with the map prior `gg`: one epoch per scan."""
-    pg = PerceptionGrid(settings.grid, frames.PERCEPTION_FRAME)
+    spec = settings.grid
+    # every cell starts in the one vacuous state
+    vacuous = np.zeros((frames.PERCEPTION_FRAME.size, 1))
+    vacuous[frames.PG_OMEGA] = 1.0
+    pg = PerceptionGrid.from_palette(spec, frames.PERCEPTION_FRAME, vacuous,
+                                     np.zeros((spec.height, spec.width), dtype=np.intp),
+                                     np.zeros(1))
     for epoch, (t, pose, scan) in enumerate(scans):
-        sg = build_sg(scan, pose, settings.grid, settings.sensor_model)
+        sg = build_sg(scan, pose, spec, settings.sensor_model)
         pg, conflicts = step_with_conflicts(pg, sg, gg, settings.fusion)
-        # looked up on the module, where perfbench/traced.py times it
-        bet = fusion.pignistic_grid(pg)
-        codes = decide_pignistic(bet, settings.decision_threshold)
-        yield EpochResult(epoch, t, pose, scan, pg, conflicts, bet, codes,
-                          epoch_stats(epoch, codes, conflicts))
+        # once per palette state; looked up on the module, where
+        # perfbench/traced.py times it
+        bet = fusion.pignistic_grid(pg.palette)
+        codes = decide_pignistic(bet, settings.decision_threshold)[:, 0][pg.ids].T
+        yield EpochResult(epoch, t, pose, scan, pg, conflicts, codes,
+                          epoch_stats(epoch, codes, conflicts), bet)
 
 
 def _simulated_scans(cfg: ScenarioConfig, vmap: VectorMap,

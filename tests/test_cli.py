@@ -219,6 +219,43 @@ def test_non_integer_beam_count_is_config_error(small_scenario, tmp_path, capsys
     assert "configuration error" in err and "beam_count must be an integer" in err
 
 
+@pytest.mark.parametrize("section, field, value, message", [
+    ("sensor", "max_range", math.inf, "sensor max_range must be finite, got inf"),
+    ("sensor", "fov", math.nan, "sensor fov must be finite, got nan"),
+    ("sensor", "rate", -math.inf, "sensor rate must be finite, got -inf"),
+    ("sensor", "range_jitter", math.inf, "sensor range_jitter must be finite, got inf"),
+    ("sensor", "max_range", True, "sensor max_range True is not a number"),
+    ("sensor", "fov", True, "sensor fov True is not a number"),
+    ("sensor", "rate", "10", "sensor rate '10' is not a number"),
+    ("sensor", "range_jitter", False, "sensor range_jitter False is not a number"),
+    ("sensor", "fov", 7.0, "sensor fov must be in [0, 2 pi], got 7.0"),
+    ("sensor", "fov", -0.5, "sensor fov must be in [0, 2 pi], got -0.5"),
+    ("grid", "origin_east", True, "origin_east must be a finite number, got True"),
+    ("grid", "origin_north", False, "origin_north must be a finite number, got False"),
+    ("grid", "cell_size", True, "cell_size must be a finite number, got True"),
+])
+def test_bad_sensor_or_grid_number_is_config_error(small_scenario, tmp_path, capsys, section,
+                                                   field, value, message):
+    data = json.loads(small_scenario.read_text())
+    data[section][field] = value
+    small_scenario.write_text(json.dumps(data))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+def test_bool_grid_number_in_params_is_config_error(small_scenario, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"grid": {**GRID, "cell_size": True}}))
+    log = tmp_path / "scans.ndjson"
+    log.write_text(record_line(0.0) + "\n")
+    rc = main(["replay", str(log), str(tmp_path / "m.geojson"), "--out", str(tmp_path / "out"),
+               "--params", str(params)])
+    assert rc == 1
+    assert "cell_size must be a finite number, got True" in capsys.readouterr().err
+
+
 def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):
     write_map(tmp_path / "m.geojson", [("building", BUILDING), ("road", BUILDING)])
     rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out_run")])
@@ -377,3 +414,16 @@ def test_weights_of_one_run_to_completion(scenario_dir, tmp_path):
     assert rc == 0
     lines = (tmp_path / "out" / "stats.ndjson").read_text().splitlines()
     assert len(lines) == 50
+
+
+def test_certain_building_against_certain_free_names_raster_cell(scenario_dir, tmp_path,
+                                                                 capsys):
+    # beams of weight 1 cross a building cell whose prior is a certain
+    # building: Dempster's rule with the prior is undefined there
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"sensor_model": {"free_weight": 1.0, "occupied_weight": 1.0},
+                                  "map_confidence": {"building": 1.0}}))
+    rc = main(["run", str(scenario_dir / "street_canyon.json"), "--params", str(params),
+               "--out", str(tmp_path / "out"), "--render", "decision", "--every", "10"])
+    assert rc == 2
+    assert "total conflict with map prior at cell index 662" in capsys.readouterr().err

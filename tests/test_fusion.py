@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evigrid import frames
-from evigrid.dst import MassFunction, TotalConflictError, combine_conjunctive
+from evigrid.dst import MassFunction, TotalConflictError, combine_conjunctive, pignistic
 from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             apply_accumulator_specialization, combine_prior,
                             decide, decide_grid, fuse_pg, pignistic_grid,
@@ -407,6 +407,23 @@ class TestDecideGrid:
         for i in range(spec.width):
             for j in range(spec.height):
                 assert DECISION_LABELS[codes[i, j]] == decide(pg.cell(i, j), 0.4)
+
+    def test_pignistic_grid_is_the_per_cell_transform(self):
+        # within the rounding of 16 shares of the scalar transform (whose
+        # MassFunction renormalizes), and a cell's bits do not depend on
+        # the other cells
+        rng = np.random.default_rng(22)
+        spec, one = GridSpec(0, 0, 0.5, 6, 5), GridSpec(0, 0, 0.5, 1, 1)
+        pg = PerceptionGrid(spec, PG)
+        pg.masses = random_grid(rng, spec, PG, 6).masses
+        bet = pignistic_grid(pg)
+        for i in range(spec.width):
+            for j in range(spec.height):
+                scalar = pignistic(pg.cell(i, j))
+                assert np.abs(bet[i, j] - scalar).max() <= 16 * np.finfo(float).eps
+                alone = PerceptionGrid(one, PG)
+                alone.masses[0, 0] = pg.masses[i, j]
+                assert pignistic_grid(alone)[0, 0].tobytes() == bet[i, j].tobytes()
 
 
 class TestStoredLayout:

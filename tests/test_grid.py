@@ -27,7 +27,8 @@ class TestGridSpec:
         ("origin_east", float("inf")), ("origin_north", float("-inf")),
         ("origin_north", float("nan")), ("cell_size", float("nan")),
         ("cell_size", float("inf")), ("origin_east", "0"),
-        ("width", 10.5), ("height", 4.0), ("width", True), ("height", "4")])
+        ("width", 10.5), ("height", 4.0), ("width", True), ("height", "4"),
+        ("origin_east", True), ("origin_north", False), ("cell_size", True)])
     def test_rejects_non_finite_and_non_integer(self, field, value):
         args = {"origin_east": 0.0, "origin_north": 0.0, "cell_size": 0.5,
                 "width": 4, "height": 4, field: value}
@@ -225,6 +226,22 @@ class TestCsvMatchesOracle:
         pool = self.random_rows(rng, 4)[:, :-1]
         grid = _grid_from_rows(self.SPEC, pool[rng.integers(0, 4, 35)], with_counter=False)
         assert not hasattr(grid, "counter")
+        self.check(grid)
+
+    @pytest.mark.parametrize("with_counter", [True, False])
+    def test_palette_grid(self, with_counter):
+        # a palette with a repeated state, a state no cell uses, and states
+        # that differ only in the sign of a zero or by one ulp
+        rng = np.random.default_rng(16)
+        states = self.random_rows(rng, 3)
+        states = np.vstack([states, states[0], states[0], states[2], states[1]])
+        states[3, 5] = 0.0
+        states[4, 5] = -0.0
+        states[5, -1] = np.nextafter(states[5, -1], 2.0)
+        ids = rng.integers(0, 6, (self.SPEC.height, self.SPEC.width))
+        cls = PerceptionGrid if with_counter else EvidentialGrid
+        grid = cls.from_palette(self.SPEC, PERCEPTION_FRAME, states[:, :-1].T.copy(), ids,
+                                states[:, -1].copy() if with_counter else None)
         self.check(grid)
 
     @settings(max_examples=60, deadline=None)

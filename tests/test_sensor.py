@@ -323,3 +323,32 @@ class TestBuildSg:
         assert not np.isnan(grid.masses).any()
         assert grid.cell(2, 0).is_vacuous()
         assert grid.cell(0, 0)["F"] == 1.0
+
+
+@pytest.mark.parametrize("params", [PARAMS, SensorGridParams(1.0, 1.0),
+                                    SensorGridParams(0.0, 0.3)])
+def test_palette_state_per_pair_of_counts(params):
+    """``build_sg`` evaluates the closed form once per distinct pair of
+    counts: its cells hold the bits of the closed form evaluated on every
+    cell's counts, and its palette one state per pair."""
+    spec = GridSpec(-1.0, 0.5, 0.25, 23, 17)
+    rng = np.random.default_rng(29)
+    bearings = np.linspace(-math.pi, math.pi, 200, endpoint=False).tolist()
+    ranges = rng.uniform(0.05, 6.0, len(bearings)).tolist()
+    scan = LidarScan(tuple(Beam(b, r, True) if r < 5.0 else Beam(b, 6.0, False)
+                           for b, r in zip(bearings, ranges)), 6.0)
+    pose = Pose(1.3, 2.6, 0.4)
+    grid = build_sg(scan, pose, spec, params)
+    n_free, n_hit = sensor_counts_oracle(scan, pose, spec)
+    a = (1.0 - params.free_weight) ** n_free
+    b = (1.0 - params.occupied_weight) ** n_hit
+    norm = a + b - a * b
+    want = np.zeros(grid.masses.shape)
+    want[..., frames.SG_OMEGA] = 1.0
+    seen = norm > 0.0
+    for focal, mass in ((frames.SG_FREE, (1.0 - a) * b), (frames.SG_OCCUPIED, (1.0 - b) * a),
+                        (frames.SG_OMEGA, a * b)):
+        want[seen, focal] = mass[seen] / norm[seen]
+    assert grid.masses.tobytes() == want.tobytes()
+    assert grid.palette.spec.width == len(set(zip(n_free.ravel().tolist(),
+                                                  n_hit.ravel().tolist())))
