@@ -277,7 +277,8 @@ _SG_SETS = (frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA)
 def _distinct_cells(ids: list[np.ndarray], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """One cell of each distinct tuple of palette ids, and the index of each
     cell's tuple among the tuples in ascending order.  ``ids[g]`` holds
-    every cell's id into a palette of ``sizes[g]`` states."""
+    every cell's id into a palette of ``sizes[g]`` states; the number of
+    cells times any size must stay within int64."""
     n = len(ids[0])
     key, radix = np.zeros(n, dtype=np.int64), 1
     for cell_ids, size in zip(ids, sizes):

@@ -84,7 +84,9 @@ def _distinct(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the non-negative integers `key`, all below
     `bound`, in ascending order, and the index of each key's value among
     them: ``np.unique(key, return_inverse=True)``.  Through a table of
-    `bound` entries when that is not much longer than `key`."""
+    `bound` entries when that is not much longer than `key`: up to 4
+    entries per key the table is 3-7 times faster than the sort (14,400 and
+    57,600 keys, numpy 2.4), and it costs 9 bytes per entry."""
     if bound > 4 * len(key):
         return np.unique(key, return_inverse=True)
     present = np.zeros(bound, dtype=bool)

@@ -167,6 +167,22 @@ def test_merge_keeps_signed_zeros_and_ulps_apart():
     assert (ids[first] == np.arange(4)).all()
 
 
+@pytest.mark.parametrize("sizes", [[7, 5, 3], [2**40, 2**40, 2**40], [3, 2**56, 2**40],
+                                   [2**40, 2, 2**40]])
+def test_distinct_cells_are_the_unique_id_tuples(sizes):
+    """Keys whose product of palette sizes passes int64 are renumbered on
+    the way; the tuples keep their ascending order either way."""
+    rng = np.random.default_rng(5)
+    pool = np.stack([rng.integers(max(0, size - 4), size, 6) for size in sizes], axis=1)
+    pool[1, 0] = pool[0, 0]
+    tuples = pool[rng.integers(0, len(pool), 40)]
+    ids = [np.ascontiguousarray(column) for column in tuples.T]
+    first, inverse = fusion._distinct_cells(ids, sizes)
+    values, want = np.unique(tuples, axis=0, return_inverse=True)
+    assert inverse.tolist() == want.ravel().tolist()
+    assert tuples[first].tolist() == values.tolist()
+
+
 def test_total_conflict_names_the_first_raster_cell():
     """The conflicting cells 3 and 10 read sensor states 1 and 0, so cell
     10's tuple sorts first; the error still names raster cell 3."""
