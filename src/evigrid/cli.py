@@ -1,7 +1,8 @@
 """Command-line entry point: run scenarios or replay scan logs.
 
 Exit codes: 0 success, 1 configuration error (unreadable or invalid scenario,
-map or params file, unreadable scan log), 2 runtime error (failures while
+map or params file, unreadable scan log, an --every below 1 or a --dump-grid
+that is not a list of epochs from 0), 2 runtime error (failures while
 stepping epochs, including a malformed scan-log line).
 Diagnostic verbosity is controlled by the EVIGRID_LOG environment variable
 (DEBUG, INFO, WARNING, ...).
@@ -33,8 +34,18 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_epochs(value: str) -> set[int]:
-    return {int(part) for part in value.split(",") if part}
+def _dump_epochs(args) -> set[int]:
+    """The epochs of --dump-grid, once it and --every are checked: a bad
+    value is a configuration error, raised before any input is read."""
+    if args.every < 1:
+        raise ValueError(f"--every must be at least 1, got {args.every}")
+    try:
+        epochs = {int(part) for part in args.dump_grid.split(",") if part}
+    except ValueError:
+        raise ValueError(f"--dump-grid must list epoch numbers, got {args.dump_grid!r}") from None
+    if min(epochs, default=0) < 0:
+        raise ValueError(f"--dump-grid epochs must be at least 0, got {args.dump_grid!r}")
+    return epochs
 
 
 def _emit(results: Iterable[EpochResult], out_dir: Path, render: str, every: int,
@@ -117,13 +128,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     with ExitStack() as inputs:
         try:
+            dump_epochs = _dump_epochs(args)
             results = args.func(args, inputs)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"evigrid: configuration error: {exc}", file=sys.stderr)
             return 1
         try:
-            _emit(results, Path(args.out), args.render, args.every,
-                  _parse_epochs(args.dump_grid), Path(args.record) if args.record else None)
+            _emit(results, Path(args.out), args.render, args.every, dump_epochs,
+                  Path(args.record) if args.record else None)
         except Exception as exc:
             log.debug("runtime error", exc_info=True)
             print(f"evigrid: runtime error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Each epoch, per cell:
 
 1. refine the sensor cell onto the 5-class frame;
-2. inject the map prior with Dempster's rule;
+2. inject the map prior with Dempster's rule, or keep the sensor mass
+   alone where the two conflict totally;
 3. discount the stored perception cell (information ageing);
 4. fuse both with a modified conjunctive rule that routes the
    free-then-occupied conflict to the moving class and the
@@ -16,9 +17,9 @@ Each epoch, per cell:
 distinct (stored state, sensor state, prior state) triple of the grids'
 palettes, one row of triples per subset.  It carries compact row blocks:
 only the subsets that can hold mass at each stage, named by an ascending
-tuple of bitmasks (the three refined sensor sets, the at most 3 x k sets
-of the prior, the focal sets of the stored grid plus the full frame, and
-their intersections).  The other rows of the 32 are zero and are never
+tuple of bitmasks (the three refined sensor sets; those and the at most
+3 x k sets of the prior; the focal sets of the stored grid plus the full
+frame, and their intersections).  The other rows of the 32 are zero and are never
 stored, scanned or normalised; only the output palette holds all 32 rows.
 ``step_cell`` is the per-cell reference the grid kernel is tested against.
 """
@@ -33,7 +34,7 @@ import numpy as np
 from . import frames
 from .dst import (MassFunction, TOTAL_CONFLICT_TOLERANCE, TotalConflictError,
                   combine_dempster, discount, pignistic, refine, specialize)
-from .grid import EvidentialGrid, PerceptionGrid, _distinct, _rows
+from .grid import EvidentialGrid, PerceptionGrid, _distinct
 
 DECISION_LABELS = ("F", "I", "U", "S", "M", "UNKNOWN")
 UNKNOWN = "UNKNOWN"
@@ -133,8 +134,16 @@ def refine_sg(m_sg: MassFunction) -> MassFunction:
 
 
 def combine_prior(m_sensor: MassFunction, m_map: MassFunction) -> MassFunction:
-    """Inject the map prior into refined sensor evidence (Dempster's rule)."""
-    return combine_dempster(m_sensor, m_map)
+    """Inject the map prior into refined sensor evidence (Dempster's rule).
+
+    Where the two conflict totally the rule is undefined, and the sensor
+    evidence stands without the prior: the sensor observes the present, and
+    the map is the source that can be stale.
+    """
+    try:
+        return combine_dempster(m_sensor, m_map)
+    except TotalConflictError:
+        return m_sensor
 
 
 def fuse_pg(m_prev: MassFunction, m_sensor: MassFunction) -> tuple[MassFunction, ConflictPair]:
@@ -366,24 +375,30 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
         raise ValueError("perception and map grids must be on the 5-class frame")
 
     spec = pg.spec
-    palettes = [grid.palette for grid in (pg, sg, gg)]
-    ids = [grid.ids.ravel() for grid in (pg, sg, gg)]
-    first, inverse = _distinct_cells(ids, [palette.spec.width for palette in palettes])
+    grids = (pg, sg, gg)
+    ids = [grid.ids.ravel() for grid in grids]
+    first, inverse = _distinct_cells(ids, [grid.states.shape[1] for grid in grids])
     n = len(first)
     # column k of the kernel's rows is the tuple of cell first[k]
     pg_col, sg_col, gg_col = (cell_ids[first] for cell_ids in ids)
-    pg_m, sg_m, gg_m = (_rows(palette.masses) for palette in palettes)
-    counter_prev = _rows(palettes[0].counter)[pg_col]
+    pg_m, sg_m, gg_m = (grid.states for grid in grids)
+    counter_prev = pg.state_counter[pg_col]
 
-    # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
+    # Dempster's rule with the map prior: drop the conflict, renormalize by
+    # 1 - K; where 1 - K is within the tolerance of 0 the rule is undefined,
+    # and the cell takes the refined sensor mass without the prior
     gg_sets = tuple(np.flatnonzero(gg_m.any(axis=1)).tolist())
-    prior_sets = tuple(sorted({b & c for b in _SENSOR_SETS for c in gg_sets} - {0}))
-    prior = _conjunctive_rows(_columns(sg_m, _SG_SETS, sg_col), _SENSOR_SETS,
-                              _columns(gg_m, gg_sets, gg_col), gg_sets, prior_sets)[0]
+    prior_sets = {b & c for b in _SENSOR_SETS for c in gg_sets} - {0}
+    prior_sets = tuple(sorted(prior_sets | set(_SENSOR_SETS)))
+    sensor = _columns(sg_m, _SG_SETS, sg_col)
+    prior = _conjunctive_rows(sensor, _SENSOR_SETS, _columns(gg_m, gg_sets, gg_col),
+                              gg_sets, prior_sets)[0]
     norm = _sum_rows(prior, n)
-    if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
-        cell = int(np.argmin(norm[inverse]))
-        raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
+    conflict = norm <= TOTAL_CONFLICT_TOLERANCE
+    prior[:, conflict] = 0.0
+    for a, mass in zip(_SENSOR_SETS, sensor):
+        prior[prior_sets.index(a), conflict] = mass[conflict]
+    norm[conflict] = 1.0
     prior /= norm
 
     # ageing: discount the stored masses, moving the rate alpha to the full
@@ -430,9 +445,8 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
     rows = np.zeros((frames.PERCEPTION_FRAME.size, len(kept)))
     for k, a in enumerate(fused_sets):
         np.take(fused[k], kept, out=rows[a])
-    out = type(pg).from_palette(spec, pg.frame, rows,
-                                merged[inverse].reshape(spec.height, spec.width),
-                                np.take(counter, kept))
+    out = type(pg)(spec, pg.frame, rows, merged[inverse].reshape(spec.height, spec.width),
+                   np.take(counter, kept))
     # the grid conflict totals sum over the cells in (j, i) raster order
     totals = ConflictPair(float(appear[inverse].sum()), float(disappear[inverse].sum()),
                           float(residual[inverse].sum()))
@@ -447,7 +461,7 @@ def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
     ``m(a) / |a|`` of the focal sets containing it, in ascending order of
     the sets, so a state's bits do not depend on the other states.
     """
-    masses = _rows(pg.palette.masses)
+    masses = pg.states
     bet = np.zeros((frames.PERCEPTION_FRAME.n, masses.shape[1]))
     for a in np.flatnonzero(masses.any(axis=1)).tolist():
         share = masses[a] / a.bit_count()

@@ -8,6 +8,7 @@ through them.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -73,13 +74,6 @@ class GridSpec:
         return tuple(map(float, self.cell_centers(i, j)))
 
 
-def _rows(values: np.ndarray) -> np.ndarray:
-    """(width, height, ...) cell data as the (..., N) rows the kernels work
-    on, one column per cell in (j, i) raster order: for masses, one row per
-    subset.  A view of a grid's stored planes, a copy of other layouts."""
-    return values.T.reshape(values.shape[2:][::-1] + (-1,))
-
-
 def _distinct(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the non-negative integers `key`, all below
     `bound`, in ascending order, and the index of each key's value among
@@ -107,102 +101,46 @@ class EvidentialGrid:
     """A lattice whose cells carry normal mass functions on a shared frame.
 
     A grid is a palette of cell states plus one palette index per cell:
-    ``palette`` is a 1 x S grid whose cell k holds state k, and ``ids`` the
-    (height, width) intp index of each cell's state.  Cells that share a
-    map context and have seen the same beams share one state, so the
-    kernels compute each state once.
+    ``states`` holds the (2**n, S) masses of the S states, one column per
+    state, and ``ids`` the (height, width) intp index of each cell's state.
+    Cells that share a map context and have seen the same beams share one
+    state, so the kernels compute each state once.  Without `states`, every
+    cell holds the one vacuous state.
 
-    A grid made by the constructor, or given ``masses``, is dense: its
-    writable ``masses``, indexed ``masses[i, j]`` by cell, is the (width,
-    height, 2**n) view of one C-contiguous (2**n, height, width) array, one
-    plane per subset, so ``_rows`` reads the (subset, cell) rows without a
-    copy.  Its palette is those rows and its ids are ``arange(N)``.  Every
-    cell starts vacuous.  A grid made by ``from_palette`` stores only the
-    palette and the ids; its ``masses`` is a read-only array gathered from
-    the palette, in the same layout.
+    ``masses``, indexed ``masses[i, j]`` by cell, is a read-only (width,
+    height, 2**n) array gathered from the states: the view of one
+    C-contiguous (2**n, height, width) array, one plane per subset.
     """
 
-    _palette: Optional["EvidentialGrid"] = None
-    _ids: Optional[np.ndarray] = None
-
-    def __init__(self, spec: GridSpec, frame: FrameOfDiscernment):
+    def __init__(self, spec: GridSpec, frame: FrameOfDiscernment,
+                 states: Optional[np.ndarray] = None, ids: Optional[np.ndarray] = None):
+        if states is None:
+            states = np.zeros((frame.size, 1))
+            states[frame.omega] = 1.0
+        if ids is None:
+            ids = np.zeros((spec.height, spec.width), dtype=np.intp)
+        if states.shape[0] != frame.size or ids.shape != (spec.height, spec.width):
+            raise ValueError(f"expected {frame.size} mass rows and ids of shape "
+                             f"{(spec.height, spec.width)}, got {states.shape} and {ids.shape}")
         self.spec = spec
         self.frame = frame
-        self.masses = np.zeros((frame.size, spec.height, spec.width)).T
-        self.masses[:, :, frame.omega] = 1.0
-
-    @classmethod
-    def from_palette(cls, spec: GridSpec, frame: FrameOfDiscernment, rows: np.ndarray,
-                     ids: np.ndarray, counter: Optional[np.ndarray] = None):
-        """A grid of `spec` whose cell (i, j) holds column ``ids[j, i]`` of
-        the (2**n, S) mass rows `rows` (and, for a perception grid, entry
-        ``ids[j, i]`` of the (S,) `counter`)."""
-        grid = object.__new__(cls)
-        grid.spec, grid.frame = spec, frame
-        grid._palette, grid._ids = cls._states(frame, rows, counter), ids
-        return grid
-
-    @classmethod
-    def _states(cls, frame: FrameOfDiscernment, rows: np.ndarray,
-                counter: Optional[np.ndarray] = None) -> "EvidentialGrid":
-        """The dense 1 x S grid whose cell k holds column k of `rows` (and
-        entry k of `counter`), without a copy."""
-        palette = object.__new__(cls)
-        palette.spec = GridSpec(0.0, 0.0, 1.0, rows.shape[1], 1)
-        palette.frame = frame
-        palette.masses = rows.reshape(len(rows), 1, -1).T
-        if counter is not None:
-            palette.counter = counter.reshape(1, -1).T
-        return palette
+        self.states = states
+        self.ids = ids
 
     @property
     def palette(self) -> "EvidentialGrid":
-        """The 1 x S grid of distinct cell states."""
-        if self._palette is not None:
-            return self._palette
-        return self._states(self.frame, *self._dense_rows())
-
-    def _dense_rows(self) -> tuple:
-        """A dense grid's cells as the (..., N) rows ``_states`` takes."""
-        return (_rows(self._masses),)
-
-    @property
-    def ids(self) -> np.ndarray:
-        """The (height, width) palette index of each cell."""
-        if self._ids is not None:
-            return self._ids
-        return np.arange(self.spec.width * self.spec.height).reshape(
-            self.spec.height, self.spec.width)
+        """The 1 x S grid whose cell k holds state k, sharing the states."""
+        palette = copy.copy(self)
+        palette.spec = GridSpec(0.0, 0.0, 1.0, self.states.shape[1], 1)
+        palette.ids = np.arange(self.states.shape[1]).reshape(1, -1)
+        return palette
 
     @property
     def masses(self) -> np.ndarray:
-        if self._palette is None:
-            return self._masses
-        return _gathered(np.take(_rows(self._palette.masses), self._ids, axis=1).T)
-
-    @masses.setter
-    def masses(self, values: np.ndarray) -> None:
-        self._densify()
-        self._masses = values
-
-    def _densify(self) -> None:
-        """Store a palette grid's cells as dense, writable arrays."""
-        if self._palette is not None:
-            self._masses = self.masses.copy(order="K")
-            self._palette = self._ids = None
+        return _gathered(np.take(self.states, self.ids, axis=1).T)
 
     def cell(self, i: int, j: int) -> MassFunction:
-        if self._palette is not None:
-            return self._palette.cell(int(self._ids[j, i]), 0)
-        return MassFunction(self.frame, self._masses[i, j])
-
-    def set_cell(self, i: int, j: int, m: MassFunction) -> None:
-        if m.frame != self.frame:
-            raise ValueError("mass function frame does not match grid frame")
-        if m.unnormalized:
-            raise ValueError("grid cells must hold normal mass functions")
-        self._densify()
-        self._masses[i, j] = m.masses
+        return MassFunction(self.frame, self.states[:, self.ids[j, i]])
 
 
 class PerceptionGrid(EvidentialGrid):
@@ -210,32 +148,24 @@ class PerceptionGrid(EvidentialGrid):
 
     The counter starts at 0 (occupancy not yet confirmed) so the moving-object
     hypothesis is never suppressed at startup.  It is stored like the
-    masses: a dense (width, height) view of a (height, width) array, or one
-    entry per palette state.
+    masses: ``state_counter`` holds one (S,) entry per state, and
+    ``counter`` is the read-only (width, height) array gathered from it.
     """
 
-    def __init__(self, spec: GridSpec, frame: FrameOfDiscernment):
-        super().__init__(spec, frame)
-        self.counter = np.zeros((spec.height, spec.width)).T
-
-    def _dense_rows(self) -> tuple:
-        return super()._dense_rows() + (_rows(self._counter),)
+    def __init__(self, spec: GridSpec, frame: FrameOfDiscernment,
+                 states: Optional[np.ndarray] = None, ids: Optional[np.ndarray] = None,
+                 state_counter: Optional[np.ndarray] = None):
+        super().__init__(spec, frame, states, ids)
+        if state_counter is None:
+            state_counter = np.zeros(self.states.shape[1])
+        if state_counter.shape != self.states.shape[1:]:
+            raise ValueError(f"expected {self.states.shape[1]} counters, "
+                             f"got shape {state_counter.shape}")
+        self.state_counter = state_counter
 
     @property
     def counter(self) -> np.ndarray:
-        if self._palette is None:
-            return self._counter
-        return _gathered(_rows(self._palette.counter)[self._ids].T)
-
-    @counter.setter
-    def counter(self, values: np.ndarray) -> None:
-        self._densify()
-        self._counter = values
-
-    def _densify(self) -> None:
-        if self._palette is not None:
-            self._counter = self.counter.copy(order="K")
-        super()._densify()
+        return _gathered(self.state_counter[self.ids].T)
 
 
 def mass_column_names(frame: FrameOfDiscernment) -> list[str]:
@@ -252,9 +182,8 @@ def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     takes the text of its state.
     """
     spec = grid.spec
-    palette = grid.palette
-    masses = _rows(palette.masses)
-    zeta = _rows(palette.counter) if hasattr(palette, "counter") else np.zeros(masses.shape[1])
+    masses = grid.states
+    zeta = getattr(grid, "state_counter", np.zeros(masses.shape[1]))
     # each state's text is dropped after the last raster row that uses it,
     # so a palette of many states never holds all their texts at once
     last = np.empty(len(zeta), dtype=np.intp)

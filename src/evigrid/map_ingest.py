@@ -166,5 +166,4 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
             state[focal] = confidence
             state[frames.PG_OMEGA] = 1.0 - confidence
             states.append(state)
-    return EvidentialGrid.from_palette(spec, frames.PERCEPTION_FRAME,
-                                       np.stack(states, axis=1), ids)
+    return EvidentialGrid(spec, frames.PERCEPTION_FRAME, np.stack(states, axis=1), ids)

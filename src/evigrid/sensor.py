@@ -190,5 +190,4 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     for focal, mass in ((frames.SG_FREE, (1.0 - a) * b), (frames.SG_OCCUPIED, (1.0 - b) * a),
                         (frames.SG_OMEGA, a * b)):
         np.divide(mass, norm, out=masses[focal], where=seen)
-    return EvidentialGrid.from_palette(spec, frames.SENSOR_FRAME, masses,
-                                       ids.reshape(spec.height, spec.width))
+    return EvidentialGrid(spec, frames.SENSOR_FRAME, masses, ids.reshape(spec.height, spec.width))

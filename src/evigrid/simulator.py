@@ -365,11 +365,7 @@ def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
     """Fuse each (t, pose, scan) with the map prior `gg`: one epoch per scan."""
     spec = settings.grid
     # every cell starts in the one vacuous state
-    vacuous = np.zeros((frames.PERCEPTION_FRAME.size, 1))
-    vacuous[frames.PG_OMEGA] = 1.0
-    pg = PerceptionGrid.from_palette(spec, frames.PERCEPTION_FRAME, vacuous,
-                                     np.zeros((spec.height, spec.width), dtype=np.intp),
-                                     np.zeros(1))
+    pg = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
     for epoch, (t, pose, scan) in enumerate(scans):
         sg = build_sg(scan, pose, spec, settings.sensor_model)
         pg, conflicts = step_with_conflicts(pg, sg, gg, settings.fusion)

@@ -10,6 +10,8 @@ with the scalar even-odd test.  The scan oracle casts one beam at a time.
 The dense fusion oracle runs one epoch on all 2**n subset rows of every
 grid, zero rows included, with the fusion module's per-pair helpers.
 The writer oracles format every cell and every pixel on its own.
+Tests build their input grids with ``dense_grid``: one palette state per
+cell.
 """
 
 import math
@@ -18,14 +20,32 @@ from fractions import Fraction
 import numpy as np
 
 from evigrid import frames
-from evigrid.dst import (FrameOfDiscernment, MassFunction, TOTAL_CONFLICT_TOLERANCE,
-                         TotalConflictError)
+from evigrid.dst import FrameOfDiscernment, MassFunction, TOTAL_CONFLICT_TOLERANCE
 from evigrid.fusion import (_MOVING_SUPERSETS, _OCCUPIED_SUBSETS, ConflictPair,
-                            FusionParams, _ageing_vector, _conflict_kind, _rows)
+                            FusionParams, _ageing_vector, _conflict_kind)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid, mass_column_names
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
 from evigrid.sensor import Beam, LidarScan
 from evigrid.simulator import _RAY_EPS
+
+
+def dense_grid(cls, spec: GridSpec, frame: FrameOfDiscernment, masses,
+               counter=None) -> EvidentialGrid:
+    """The grid of class `cls` whose cell (i, j) holds the 2**n masses
+    ``masses[i, j]`` (and, for a perception grid, ``counter[i, j]``, else
+    0): state k is cell k in (j, i) raster order, and ``ids = arange(N)``."""
+    n = spec.width * spec.height
+    states = np.ascontiguousarray(np.asarray(masses, dtype=float).T).reshape(frame.size, n)
+    ids = np.arange(n).reshape(spec.height, spec.width)
+    if counter is None:
+        return cls(spec, frame, states, ids)
+    return cls(spec, frame, states, ids, np.asarray(counter, dtype=float).T.ravel())
+
+
+def _cell_rows(grid: EvidentialGrid, values: np.ndarray) -> np.ndarray:
+    """Per-state `values` (the states or the state counters) gathered into
+    one column per cell, in (j, i) raster order."""
+    return np.take(values, grid.ids.ravel(), axis=-1)
 
 
 def conjunctive_oracle(m1: MassFunction, m2: MassFunction) -> np.ndarray:
@@ -203,7 +223,7 @@ def point_in_polygon_oracle(point, polygon: np.ndarray) -> bool:
 
 def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np.ndarray:
     """The prior-grid masses, classified cell by cell with the scalar test."""
-    masses = EvidentialGrid(spec, frames.PERCEPTION_FRAME).masses
+    masses = np.zeros((spec.width, spec.height, frames.PERCEPTION_FRAME.size))
     omega = frames.PG_OMEGA
     for j in range(spec.height):
         for i in range(spec.width):
@@ -213,7 +233,6 @@ def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np
             if in_building and in_road:
                 raise MapOverlapError(f"map overlap at cell ({i}, {j})")
             cell = masses[i, j]
-            cell[omega] = 0.0
             if in_building:
                 cell[frames.BUILDING_SET] = conf.building
                 cell[omega] = 1.0 - conf.building
@@ -313,23 +332,25 @@ def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
 
     spec = pg.spec
     # the grid conflict totals sum in (j, i) raster order
-    sg_m, gg_m, counter_prev = _rows(sg.masses), _rows(gg.masses), _rows(pg.counter)
+    sg_m, gg_m = _cell_rows(sg, sg.states), _cell_rows(gg, gg.states)
+    counter_prev = _cell_rows(pg, pg.state_counter)
 
     refined = np.zeros((frames.PERCEPTION_FRAME.size, sg_m.shape[1]))
     refined[frames.PG_FREE] = sg_m[frames.SG_FREE]
     refined[frames.OCCUPIED_SET] = sg_m[frames.SG_OCCUPIED]
     refined[frames.PG_OMEGA] = sg_m[frames.SG_OMEGA]
 
-    # Dempster's rule with the map prior: drop the conflict, renormalize by 1 - K
+    # Dempster's rule with the map prior: drop the conflict, renormalize by
+    # 1 - K; under total conflict, the refined sensor mass without the prior
     prior = _conjunctive_rows_dense(refined, gg_m)[0]
     norm = _sum_in_row_order(prior)
-    if np.any(norm <= TOTAL_CONFLICT_TOLERANCE):
-        cell = int(np.argmin(norm))
-        raise TotalConflictError(f"total conflict with map prior at cell index {cell}")
+    conflict = norm <= TOTAL_CONFLICT_TOLERANCE
+    prior[:, conflict] = refined[:, conflict]
+    norm[conflict] = 1.0
     prior /= norm
 
     alpha = _ageing_vector(gg_m, params)
-    prev = _rows(pg.masses) * (1.0 - alpha)
+    prev = _cell_rows(pg, pg.states) * (1.0 - alpha)
     prev[frames.PG_OMEGA] += alpha
 
     # the modified conjunctive rule: appearance conflict to M, the rest to
@@ -353,9 +374,8 @@ def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
         fused[a] -= moved
         fused[a & ~frames.PG_MOVING] += moved
 
-    out = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
-    out.masses = fused.reshape(-1, spec.height, spec.width).T
-    out.counter = counter.reshape(spec.height, spec.width).T
+    out = PerceptionGrid(spec, frames.PERCEPTION_FRAME, fused,
+                         np.arange(fused.shape[1]).reshape(spec.height, spec.width), counter)
     totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
                           float(residual.sum()))
     return out, totals

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evigrid.cli import main
@@ -416,14 +417,39 @@ def test_weights_of_one_run_to_completion(scenario_dir, tmp_path):
     assert len(lines) == 50
 
 
-def test_certain_building_against_certain_free_names_raster_cell(scenario_dir, tmp_path,
-                                                                 capsys):
-    # beams of weight 1 cross a building cell whose prior is a certain
-    # building: Dempster's rule with the prior is undefined there
+def test_certain_building_against_certain_free_runs_to_completion(scenario_dir, tmp_path):
+    # beams of weight 1 cross building cells whose prior is a certain
+    # building: Dempster's rule with the prior is undefined there, and such
+    # a cell takes the sensor mass without the prior (raster cell 662 from
+    # the first epoch)
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"sensor_model": {"free_weight": 1.0, "occupied_weight": 1.0},
                                   "map_confidence": {"building": 1.0}}))
+    out = tmp_path / "out"
     rc = main(["run", str(scenario_dir / "street_canyon.json"), "--params", str(params),
-               "--out", str(tmp_path / "out"), "--render", "decision", "--every", "10"])
-    assert rc == 2
-    assert "total conflict with map prior at cell index 662" in capsys.readouterr().err
+               "--out", str(out), "--render", "decision", "--every", "10",
+               "--dump-grid", "0,5,39"])
+    assert rc == 0
+    assert len((out / "stats.ndjson").read_text().splitlines()) == 40
+    for epoch in (0, 5, 39):
+        dump = np.loadtxt(out / f"grid_{epoch:05d}.csv", delimiter=",", skiprows=1)
+        masses, counter = dump[:, 4:-1], dump[:, -1]
+        assert masses.min() >= 0.0 and (masses[:, 0] == 0.0).all()
+        assert np.abs(masses.sum(axis=1) - 1.0).max() <= 1e-12
+        assert counter.min() >= 0.0 and counter.max() <= 1.0
+        if epoch == 0:
+            assert masses[662].tolist() == np.eye(32)[1].tolist()  # certain free
+
+
+@pytest.mark.parametrize("option", [["--every", "0"], ["--every", "-1"],
+                                    ["--dump-grid", "x"], ["--dump-grid", "2,-1"],
+                                    ["--dump-grid", "1.5"]])
+def test_bad_output_options_are_configuration_errors(small_scenario, tmp_path, capsys, option):
+    """Found before any input is read: a run writes nothing, and a replay
+    of a missing log names the option, not the log."""
+    out = tmp_path / "out"
+    assert main(["run", str(small_scenario), "--out", str(out), *option]) == 1
+    assert not out.exists()
+    assert replay(tmp_path, tmp_path / "missing.ndjson", out, *option) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"configuration error: {option[0]} ") == 2, err

@@ -24,7 +24,7 @@ from evigrid.fusion import (FusionParams, combine_prior, refine_sg, step_cell,
                             step_with_conflicts)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
-from oracles import context_of_cell, step_with_conflicts_dense_oracle
+from oracles import context_of_cell, dense_grid, step_with_conflicts_dense_oracle
 
 FRAMES = {n: FrameOfDiscernment(tuple("abcd"[:n])) for n in (2, 3, 4)}
 
@@ -166,19 +166,21 @@ def fusion_inputs(draw):
     """Random perception, sensor and prior grids on a small spec.  Each
     prior cell keeps some ignorance (a rate of at least 0.01), as a map
     confidence below 1 does, so the prior step never meets total conflict."""
+    pg_frame, sg_frame = frames.PERCEPTION_FRAME, frames.SENSOR_FRAME
     spec = GridSpec(0.0, 0.0, 0.5, draw(st.integers(1, 4)), draw(st.integers(1, 3)))
-    cells = [(i, j) for i in range(spec.width) for j in range(spec.height)]
-    pg = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
-    sg = EvidentialGrid(spec, frames.SENSOR_FRAME)
-    gg = EvidentialGrid(spec, frames.PERCEPTION_FRAME)
-    for i, j in cells:
-        pg.set_cell(i, j, draw(mass_functions(frame=frames.PERCEPTION_FRAME)))
-        pg.counter[i, j] = draw(unit)
-        sg.set_cell(i, j, draw(mass_functions(frame=frames.SENSOR_FRAME)))
-        prior = draw(mass_functions(frame=frames.PERCEPTION_FRAME))
-        gg.set_cell(i, j, discount(prior, draw(st.floats(min_value=0.01, max_value=1.0))))
+    shape = (spec.width, spec.height)
+    pg_m, counter = np.empty(shape + (pg_frame.size,)), np.empty(shape)
+    sg_m, gg_m = np.empty(shape + (sg_frame.size,)), np.empty(shape + (pg_frame.size,))
+    for cell in np.ndindex(shape):
+        pg_m[cell] = draw(mass_functions(frame=pg_frame)).masses
+        counter[cell] = draw(unit)
+        sg_m[cell] = draw(mass_functions(frame=sg_frame)).masses
+        prior = draw(mass_functions(frame=pg_frame))
+        gg_m[cell] = discount(prior, draw(st.floats(min_value=0.01, max_value=1.0))).masses
     params = FusionParams(*(draw(unit) for _ in range(5)))
-    return pg, sg, gg, params
+    return (dense_grid(PerceptionGrid, spec, pg_frame, pg_m, counter),
+            dense_grid(EvidentialGrid, spec, sg_frame, sg_m),
+            dense_grid(EvidentialGrid, spec, pg_frame, gg_m), params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,12 +216,15 @@ def test_conflict_partition_adds_up_to_k(inputs):
                - grid_k) <= 1e-12
 
 
-def keep_focal_sets(grid: EvidentialGrid, keep: set[int]) -> None:
-    """Move the mass of every subset outside `keep` to the full frame."""
+def keep_focal_sets(grid: EvidentialGrid, keep: set[int]) -> EvidentialGrid:
+    """`grid` with the mass of every subset outside `keep` moved to the full
+    frame."""
     omega = grid.frame.omega
     dropped = [a for a in range(1, omega) if a not in keep]
-    grid.masses[..., omega] += grid.masses[..., dropped].sum(axis=-1)
-    grid.masses[..., dropped] = 0.0
+    masses = grid.masses.copy()
+    masses[..., omega] += masses[..., dropped].sum(axis=-1)
+    masses[..., dropped] = 0.0
+    return dense_grid(type(grid), grid.spec, grid.frame, masses, getattr(grid, "counter", None))
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,8 +235,7 @@ def test_step_with_conflicts_equals_dense_oracle(inputs, pg_keep, gg_keep):
     pg, sg, gg, params = inputs
     for restrict in (False, True):
         if restrict:
-            keep_focal_sets(pg, pg_keep)
-            keep_focal_sets(gg, gg_keep)
+            pg, gg = keep_focal_sets(pg, pg_keep), keep_focal_sets(gg, gg_keep)
         out, totals = step_with_conflicts(pg, sg, gg, params)
         dense, dense_totals = step_with_conflicts_dense_oracle(pg, sg, gg, params)
         assert out.masses.tobytes() == dense.masses.tobytes()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from evigrid import frames
-from evigrid.dst import MassFunction, TotalConflictError, combine_conjunctive, pignistic
+from evigrid.dst import (MassFunction, TotalConflictError, combine_conjunctive,
+                         combine_dempster, pignistic)
 from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             apply_accumulator_specialization, combine_prior,
                             decide, decide_grid, fuse_pg, pignistic_grid,
@@ -14,7 +15,7 @@ from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
 from evigrid.simulator import ScenarioConfig, run_scenario
-from oracles import context_of_cell, step_with_conflicts_dense_oracle
+from oracles import context_of_cell, dense_grid, step_with_conflicts_dense_oracle
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -241,17 +242,27 @@ class TestDecide:
         assert decide(m, 0.5) == UNKNOWN
 
 
-def random_grid(rng, spec, frame, max_focal):
-    grid = EvidentialGrid(spec, frame)
+def random_masses(rng, spec, frame, max_focal):
+    """(width, height, 2**n) masses, each cell on `max_focal` random subsets."""
+    masses = np.zeros((spec.width, spec.height, frame.size))
     for i in range(spec.width):
         for j in range(spec.height):
             n = min(max_focal, frame.size - 1)
             subsets = rng.choice(np.arange(1, frame.size), size=n, replace=False)
             weights = rng.random(n)
-            arr = np.zeros(frame.size)
-            arr[subsets] = weights / weights.sum()
-            grid.masses[i, j] = arr
-    return grid
+            masses[i, j, subsets] = weights / weights.sum()
+    return masses
+
+
+def random_grid(rng, spec, frame, max_focal):
+    return dense_grid(EvidentialGrid, spec, frame, random_masses(rng, spec, frame, max_focal))
+
+
+def random_pg(rng, spec, with_counter=False):
+    """A perception grid of random masses and, `with_counter`, counters."""
+    masses = random_masses(rng, spec, PG, 6)
+    counter = rng.random((spec.width, spec.height)) if with_counter else None
+    return dense_grid(PerceptionGrid, spec, PG, masses, counter)
 
 
 class TestStep:
@@ -280,9 +291,7 @@ class TestStep:
         params = FusionParams(ageing_by_context={"building": 0.01, "road": 0.1})
         sg = random_grid(rng, self.SPEC, SG, 2)
         gg = random_grid(rng, self.SPEC, PG, 3)
-        pg = PerceptionGrid(self.SPEC, PG)
-        pg.masses = random_grid(rng, self.SPEC, PG, 6).masses
-        pg.counter = rng.random((self.SPEC.width, self.SPEC.height))
+        pg = random_pg(rng, self.SPEC, with_counter=True)
         out, totals = step_with_conflicts(pg, sg, gg, params)
         total_check = 0.0
         for i in range(self.SPEC.width):
@@ -308,14 +317,23 @@ class TestStep:
                                          MassFunction.vacuous(PG), FusionParams())
                 assert np.allclose(out.masses[i, j], expect.masses, atol=1e-12)
 
-    def test_total_conflict_with_prior_raises(self):
+    def test_total_conflict_with_prior_keeps_the_sensor_mass(self):
         # a certain free cell against a certain building: Dempster's rule is
-        # undefined there
+        # undefined there, so the cell fuses the sensor mass without the prior
         pg, sg, gg = self.fresh()
-        sg.set_cell(2, 1, sg_mass({"F": 1.0}))
-        gg.set_cell(2, 1, pg_mass({"I": 1.0}))
-        with pytest.raises(TotalConflictError, match="cell index 7"):
-            step_with_conflicts(pg, sg, gg, FusionParams())
+        sg_m, gg_m = sg.masses.copy(), gg.masses.copy()
+        sg_m[2, 1] = sg_mass({"F": 1.0}).masses
+        gg_m[2, 1] = pg_mass({"I": 1.0}).masses
+        sg = dense_grid(EvidentialGrid, self.SPEC, SG, sg_m)
+        gg = dense_grid(EvidentialGrid, self.SPEC, PG, gg_m)
+        with pytest.raises(TotalConflictError):
+            combine_dempster(refine_sg(sg.cell(2, 1)), gg.cell(2, 1))
+        out, totals = step_with_conflicts(pg, sg, gg, FusionParams())
+        m, z, conflicts = step_cell(pg.cell(2, 1), 0.0, sg.cell(2, 1),
+                                    MassFunction.vacuous(PG), FusionParams())
+        assert np.allclose(out.masses[2, 1], m.masses, atol=1e-12)
+        assert out.counter[2, 1] == z and totals == conflicts
+        assert (out.masses[:, :, PG.omega] == 1.0).sum() == self.SPEC.width * self.SPEC.height - 1
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
@@ -363,10 +381,8 @@ class TestStep:
         params = FusionParams()
         m_sg = sg_mass({"O": 0.8, "FO": 0.2})
         m_gg = pg_mass({"FSM": 0.8, "FIUSM": 0.2})
-        sg = EvidentialGrid(spec, SG)
-        sg.set_cell(0, 0, m_sg)
-        gg = EvidentialGrid(spec, PG)
-        gg.set_cell(0, 0, m_gg)
+        sg = dense_grid(EvidentialGrid, spec, SG, m_sg.masses[None, None])
+        gg = dense_grid(EvidentialGrid, spec, PG, m_gg.masses[None, None])
         pg = PerceptionGrid(spec, PG)
         m, z = MassFunction.vacuous(PG), 0.0
         for _ in range(3):
@@ -400,8 +416,7 @@ class TestDecideGrid:
     def test_matches_per_cell_decide(self):
         rng = np.random.default_rng(21)
         spec = GridSpec(0, 0, 0.5, 6, 5)
-        pg = PerceptionGrid(spec, PG)
-        pg.masses = random_grid(rng, spec, PG, 6).masses
+        pg = random_pg(rng, spec)
         codes = decide_grid(pg, 0.4)
         from evigrid.fusion import DECISION_LABELS
         for i in range(spec.width):
@@ -414,21 +429,20 @@ class TestDecideGrid:
         # the other cells
         rng = np.random.default_rng(22)
         spec, one = GridSpec(0, 0, 0.5, 6, 5), GridSpec(0, 0, 0.5, 1, 1)
-        pg = PerceptionGrid(spec, PG)
-        pg.masses = random_grid(rng, spec, PG, 6).masses
+        pg = random_pg(rng, spec)
         bet = pignistic_grid(pg)
         for i in range(spec.width):
             for j in range(spec.height):
                 scalar = pignistic(pg.cell(i, j))
                 assert np.abs(bet[i, j] - scalar).max() <= 16 * np.finfo(float).eps
-                alone = PerceptionGrid(one, PG)
-                alone.masses[0, 0] = pg.masses[i, j]
+                alone = dense_grid(PerceptionGrid, one, PG, pg.masses[i:i + 1, j:j + 1])
                 assert pignistic_grid(alone)[0, 0].tobytes() == bet[i, j].tobytes()
 
 
 class TestStoredLayout:
-    """Masses are stored as (2**n, height, width) planes, so ``masses.T`` is
-    C-contiguous and the kernels read (subset, cell) rows without a copy."""
+    """Masses are gathered as (2**n, height, width) planes, so ``masses.T``
+    is C-contiguous, and are read-only: writing to them would not reach the
+    grid's states."""
 
     SPEC = GridSpec(0.0, 0.0, 0.5, 5, 4)
 
@@ -436,44 +450,18 @@ class TestStoredLayout:
     def assert_planes(grid):
         assert grid.masses.shape == (grid.spec.width, grid.spec.height, grid.frame.size)
         assert grid.masses.T.flags.c_contiguous
-
-    def inputs(self):
-        rng = np.random.default_rng(11)
-        sg = random_grid(rng, self.SPEC, SG, 2)
-        gg = random_grid(rng, self.SPEC, PG, 3)
-        pg = PerceptionGrid(self.SPEC, PG)
-        pg.masses = random_grid(rng, self.SPEC, PG, 6).masses
-        pg.counter = rng.random((self.SPEC.height, self.SPEC.width)).T
-        return pg, sg, gg
+        assert not grid.masses.flags.writeable
+        if isinstance(grid, PerceptionGrid):
+            assert grid.counter.T.flags.c_contiguous and not grid.counter.flags.writeable
 
     def test_grids_store_planes(self):
         self.assert_planes(EvidentialGrid(self.SPEC, SG))
-        pg = PerceptionGrid(self.SPEC, PG)
-        self.assert_planes(pg)
-        assert pg.counter.T.flags.c_contiguous
+        self.assert_planes(PerceptionGrid(self.SPEC, PG))
         scan = LidarScan((Beam(0.3, 1.2, True), Beam(-0.4, 3.0, False)), 3.0)
-        self.assert_planes(build_sg(scan, Pose(0.6, 0.7, 0.0), self.SPEC, SensorGridParams()))
+        sg = build_sg(scan, Pose(0.6, 0.7, 0.0), self.SPEC, SensorGridParams())
+        self.assert_planes(sg)
         vmap = VectorMap(buildings=[np.array([(0.1, 0.1), (1.1, 0.1), (1.1, 1.1), (0.1, 1.1)])])
-        self.assert_planes(rasterize_gg(vmap, MapConfidence(), self.SPEC))
-        out = step_with_conflicts(*self.inputs(), FusionParams())[0]
-        self.assert_planes(out)
-        assert out.counter.T.flags.c_contiguous
-
-    def test_plain_cell_major_arrays_give_identical_results(self):
-        # tests and callers may assign plain C-contiguous (width, height, 32)
-        # arrays; the kernels copy those into rows and compute the same bits
-        params = FusionParams(ageing_by_context={"building": 0.01, "road": 0.1})
-        pg, sg, gg = self.inputs()
-        plain = PerceptionGrid(self.SPEC, PG)
-        plain.masses = np.ascontiguousarray(pg.masses)
-        plain.counter = np.ascontiguousarray(pg.counter)
-        assert plain.masses.flags.c_contiguous and not plain.masses.T.flags.c_contiguous
-        plain_sg, plain_gg = EvidentialGrid(self.SPEC, SG), EvidentialGrid(self.SPEC, PG)
-        plain_sg.masses = np.ascontiguousarray(sg.masses)
-        plain_gg.masses = np.ascontiguousarray(gg.masses)
-        out, totals = step_with_conflicts(pg, sg, gg, params)
-        out_plain, totals_plain = step_with_conflicts(plain, plain_sg, plain_gg, params)
-        assert np.array_equal(out.masses, out_plain.masses)
-        assert np.array_equal(out.counter, out_plain.counter)
-        assert totals == totals_plain
-        assert np.array_equal(pignistic_grid(pg), pignistic_grid(plain))
+        gg = rasterize_gg(vmap, MapConfidence(), self.SPEC)
+        self.assert_planes(gg)
+        pg = random_pg(np.random.default_rng(11), self.SPEC, with_counter=True)
+        self.assert_planes(step_with_conflicts(pg, sg, gg, FusionParams())[0])

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evigrid.dst import FrameOfDiscernment, MassFunction
 from evigrid.grid import (EvidentialGrid, GridSpec, PerceptionGrid,
                           mass_column_names, write_grid_csv)
 from evigrid.frames import PERCEPTION_FRAME
-from oracles import write_grid_csv_oracle
+from oracles import dense_grid, write_grid_csv_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 4, 4)
 
@@ -84,28 +83,43 @@ class TestGridSpec:
                 assert (xs[i, 0], ys[j]) == spec.cell_center(i, j)
 
 
+def vacuous_masses(spec):
+    """(width, height, 32) masses of vacuous cells, to be edited."""
+    masses = np.zeros((spec.width, spec.height, PERCEPTION_FRAME.size))
+    masses[..., PERCEPTION_FRAME.omega] = 1.0
+    return masses
+
+
 class TestEvidentialGrid:
     def test_starts_vacuous(self):
+        # one vacuous state, which every cell holds
         grid = EvidentialGrid(SPEC, PERCEPTION_FRAME)
+        assert grid.states.tolist() == np.eye(PERCEPTION_FRAME.size)[:, [-1]].tolist()
+        assert grid.ids.shape == (SPEC.height, SPEC.width) and (grid.ids == 0).all()
         for i in range(SPEC.width):
             for j in range(SPEC.height):
                 assert grid.cell(i, j).is_vacuous()
 
     def test_perception_counter_starts_zero(self):
         pg = PerceptionGrid(SPEC, PERCEPTION_FRAME)
+        assert pg.state_counter.tolist() == [0.0]
         assert (pg.counter == 0.0).all()
 
-    def test_set_cell_checks_frame(self):
-        grid = EvidentialGrid(SPEC, PERCEPTION_FRAME)
-        wrong = MassFunction(FrameOfDiscernment(("x",)), {"x": 1.0})
-        with pytest.raises(ValueError):
-            grid.set_cell(0, 0, wrong)
+    def test_checks_shapes(self):
+        states = np.eye(PERCEPTION_FRAME.size)[:, [-1]]
+        ids = np.zeros((SPEC.height, SPEC.width), dtype=np.intp)
+        for args in ((states[1:], ids), (states, ids[1:])):
+            with pytest.raises(ValueError, match="expected 32 mass rows"):
+                EvidentialGrid(SPEC, PERCEPTION_FRAME, *args)
+        with pytest.raises(ValueError, match="expected 1 counters"):
+            PerceptionGrid(SPEC, PERCEPTION_FRAME, states, ids, np.zeros(2))
 
 
 class TestCsvExport:
     def test_header_and_shape(self):
-        pg = PerceptionGrid(SPEC, PERCEPTION_FRAME)
-        pg.counter[1, 2] = 0.5
+        counter = np.zeros((SPEC.width, SPEC.height))
+        counter[1, 2] = 0.5
+        pg = dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, vacuous_masses(SPEC), counter)
         buf = io.StringIO()
         write_grid_csv(pg, buf)
         lines = buf.getvalue().splitlines()
@@ -122,11 +136,11 @@ class TestCsvExport:
         assert names[-1] == "m_FIUSM"
 
     def test_values_roundtrip(self):
-        pg = PerceptionGrid(SPEC, PERCEPTION_FRAME)
-        pg.masses[1, 2] = 0.0
-        pg.masses[1, 2, PERCEPTION_FRAME.mask("F")] = 0.25
-        pg.masses[1, 2, PERCEPTION_FRAME.omega] = 0.75
-        pg.counter[1, 2] = 0.5
+        masses, counter = vacuous_masses(SPEC), np.zeros((SPEC.width, SPEC.height))
+        masses[1, 2, PERCEPTION_FRAME.mask("F")] = 0.25
+        masses[1, 2, PERCEPTION_FRAME.omega] = 0.75
+        counter[1, 2] = 0.5
+        pg = dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, masses, counter)
         buf = io.StringIO()
         write_grid_csv(pg, buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
@@ -138,12 +152,12 @@ class TestCsvExport:
     def test_matches_per_cell_format(self, with_counter):
         spec = GridSpec(100.0, -7.3, 0.3, 5, 3)
         rng = np.random.default_rng(3)
-        grid = (PerceptionGrid if with_counter else EvidentialGrid)(spec, PERCEPTION_FRAME)
-        grid.masses[...] = rng.dirichlet(np.ones(PERCEPTION_FRAME.size), (5, 3))
-        grid.masses[0, 0] = 0.0
-        grid.masses[0, 0, PERCEPTION_FRAME.omega] = 1.0
+        masses = rng.dirichlet(np.ones(PERCEPTION_FRAME.size), (5, 3))
+        masses[0, 0] = vacuous_masses(spec)[0, 0]
         if with_counter:
-            grid.counter[...] = rng.random((5, 3))
+            grid = dense_grid(PerceptionGrid, spec, PERCEPTION_FRAME, masses, rng.random((5, 3)))
+        else:
+            grid = dense_grid(EvidentialGrid, spec, PERCEPTION_FRAME, masses)
         buf = io.StringIO()
         write_grid_csv(grid, buf)
         expect = []
@@ -165,12 +179,10 @@ def _csv(writer, grid) -> str:
 def _grid_from_rows(spec, rows, with_counter=True):
     """A grid whose cell k in raster order holds rows[k]: 32 masses and,
     with a counter, the counter as a 33rd value."""
-    grid = (PerceptionGrid if with_counter else EvidentialGrid)(spec, PERCEPTION_FRAME)
-    rows = np.asarray(rows, dtype=float).reshape(spec.height, spec.width, -1)
-    grid.masses[...] = rows[..., :PERCEPTION_FRAME.size].transpose(1, 0, 2)
+    cells = np.asarray(rows, dtype=float).reshape(spec.height, spec.width, -1).transpose(1, 0, 2)
     if with_counter:
-        grid.counter[...] = rows[..., PERCEPTION_FRAME.size].T
-    return grid
+        return dense_grid(PerceptionGrid, spec, PERCEPTION_FRAME, cells[..., :-1], cells[..., -1])
+    return dense_grid(EvidentialGrid, spec, PERCEPTION_FRAME, cells)
 
 
 class TestCsvMatchesOracle:
@@ -239,9 +251,9 @@ class TestCsvMatchesOracle:
         states[4, 5] = -0.0
         states[5, -1] = np.nextafter(states[5, -1], 2.0)
         ids = rng.integers(0, 6, (self.SPEC.height, self.SPEC.width))
-        cls = PerceptionGrid if with_counter else EvidentialGrid
-        grid = cls.from_palette(self.SPEC, PERCEPTION_FRAME, states[:, :-1].T.copy(), ids,
-                                states[:, -1].copy() if with_counter else None)
+        masses = states[:, :-1].T.copy()
+        grid = (PerceptionGrid(self.SPEC, PERCEPTION_FRAME, masses, ids, states[:, -1].copy())
+                if with_counter else EvidentialGrid(self.SPEC, PERCEPTION_FRAME, masses, ids))
         self.check(grid)
 
     @settings(max_examples=60, deadline=None)

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evigrid import frames, fusion
-from evigrid.dst import TotalConflictError
-from evigrid.fusion import (FusionParams, decide_pignistic, pignistic_grid,
+from evigrid.dst import MassFunction
+from evigrid.fusion import (FusionParams, decide_pignistic, pignistic_grid, step_cell,
                             step_with_conflicts)
-from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid, _rows
+from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.map_ingest import load_map, rasterize_gg
 from evigrid.sensor import build_sg
 from evigrid.simulator import ScenarioConfig, TimedPose, run_scenario
-from oracles import step_with_conflicts_dense_oracle
+from oracles import dense_grid, step_with_conflicts_dense_oracle
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -31,17 +31,15 @@ SG = frames.SENSOR_FRAME
 
 def dense(grid):
     """A dense copy of `grid`: the same cells, one palette column each."""
-    out = type(grid)(grid.spec, grid.frame)
-    out.masses[...] = grid.masses
-    if isinstance(grid, PerceptionGrid):
-        out.counter[...] = grid.counter
-    return out
+    return dense_grid(type(grid), grid.spec, grid.frame, grid.masses,
+                      getattr(grid, "counter", None))
 
 
 def cell_states(grid) -> np.ndarray:
     """Each cell's masses and, for a perception grid, its counter: (N, 33)."""
-    rows = [_rows(grid.masses)] + ([_rows(grid.counter)[None]]
-                                   if isinstance(grid, PerceptionGrid) else [])
+    n = grid.spec.width * grid.spec.height
+    rows = [grid.masses.T.reshape(-1, n)] + ([grid.counter.T.reshape(1, n)]
+                                             if isinstance(grid, PerceptionGrid) else [])
     return np.vstack(rows).T
 
 
@@ -108,12 +106,11 @@ def palette_grid(draw, cls, spec, frame, ignorance=False):
                                  min_size=spec.width * spec.height,
                                  max_size=spec.width * spec.height)),
                    dtype=np.intp).reshape(spec.height, spec.width)
-    counter = None
-    if cls is PerceptionGrid:
-        values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.2, nudged(0.2, "up"), 1.0]) | unit,
-                               min_size=rows.shape[1], max_size=rows.shape[1]))
-        counter = np.array(values)
-    return cls.from_palette(spec, frame, rows, ids, counter)
+    if cls is EvidentialGrid:
+        return cls(spec, frame, rows, ids)
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.2, nudged(0.2, "up"), 1.0]) | unit,
+                           min_size=rows.shape[1], max_size=rows.shape[1]))
+    return cls(spec, frame, rows, ids, np.array(values))
 
 
 @st.composite
@@ -183,9 +180,10 @@ def test_distinct_cells_are_the_unique_id_tuples(sizes):
     assert tuples[first].tolist() == values.tolist()
 
 
-def test_total_conflict_names_the_first_raster_cell():
-    """The conflicting cells 3 and 10 read sensor states 1 and 0, so cell
-    10's tuple sorts first; the error still names raster cell 3."""
+def test_total_conflict_with_prior_keeps_the_sensor_mass():
+    """Cells 3 and 10 see certain free space where the prior is a certain
+    building: Dempster's rule is undefined there, and the cells fuse their
+    refined sensor mass as if the prior were vacuous."""
     spec = GridSpec(0.0, 0.0, 0.5, 4, 3)
     free = np.zeros(SG.size)
     free[frames.SG_FREE] = 1.0
@@ -193,32 +191,31 @@ def test_total_conflict_names_the_first_raster_cell():
     vacuous_sg[frames.SG_OMEGA] = 1.0
     sg_ids = np.full(12, 2)
     sg_ids[[3, 10]] = [1, 0]
-    sg = EvidentialGrid.from_palette(spec, SG, np.stack([free, free, vacuous_sg], axis=1),
-                                     sg_ids.reshape(3, 4))
+    sg = EvidentialGrid(spec, SG, np.stack([free, free, vacuous_sg], axis=1),
+                        sg_ids.reshape(3, 4))
     building = np.zeros(PG.size)
     building[frames.BUILDING_SET] = 1.0
-    gg = EvidentialGrid.from_palette(spec, PG, building[:, None],
-                                     np.zeros((3, 4), dtype=np.intp))
-    pg = PerceptionGrid.from_palette(spec, PG, np.eye(PG.size)[:, [PG.omega]],
-                                     np.zeros((3, 4), dtype=np.intp), np.zeros(1))
-    with pytest.raises(TotalConflictError, match="cell index 3$"):
-        step_with_conflicts(pg, sg, gg, FusionParams())
-    with pytest.raises(TotalConflictError, match="cell index 3$"):
-        step_with_conflicts_dense_oracle(pg, sg, gg, FusionParams())
+    gg = EvidentialGrid(spec, PG, building[:, None], np.zeros((3, 4), dtype=np.intp))
+    pg = PerceptionGrid(spec, PG)
+    params = FusionParams()
+    out, totals = step_with_conflicts(pg, sg, gg, params)
+    assert_same_bits(out, totals, *step_with_conflicts_dense_oracle(pg, sg, gg, params))
+    m_sg, vacuous = MassFunction(SG, free), MassFunction.vacuous(PG)
+    want, want_z, _ = step_cell(vacuous, 0.0, m_sg, vacuous, params)
+    got, got_z, _ = step_cell(vacuous, 0.0, m_sg, MassFunction(PG, building), params)
+    assert got.masses.tolist() == want.masses.tolist() and got_z == want_z
+    for i, j in [(3, 0), (2, 2)]:
+        assert np.allclose(out.masses[i, j], want.masses, atol=1e-12)
+        assert out.counter[i, j] == want_z
 
 
 def test_gathered_cells_are_read_only():
     spec = GridSpec(0.0, 0.0, 0.5, 3, 2)
-    pg = PerceptionGrid.from_palette(spec, PG, np.eye(PG.size)[:, [PG.omega]],
-                                     np.zeros((2, 3), dtype=np.intp), np.zeros(1))
-    with pytest.raises(ValueError, match="read-only"):
-        pg.masses[0, 0, PG.omega] = 0.5
+    pg = PerceptionGrid(spec, PG)
+    for values in (pg.masses, pg.counter, pg.palette.masses):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.5
     assert pg.cell(2, 1).is_vacuous()
-    # set_cell stores the cells densely, then writes one
-    pg.set_cell(2, 1, pg.cell(0, 0))
-    pg.counter[2, 1] = 0.5
-    assert pg.ids.ravel().tolist() == list(range(6))
-    assert pg.counter.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5]]
 
 
 # --- whole runs --------------------------------------------------------------

@@ -11,16 +11,17 @@ from evigrid.fusion import decide_grid, pignistic_grid
 from evigrid.grid import GridSpec, PerceptionGrid
 from evigrid.render import (DECISION_COLORS, MovingTrace, decision_image, pignistic_image,
                             write_ppm)
-from oracles import write_ppm_oracle
+from oracles import dense_grid, write_ppm_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 3, 2)
 
 
 def grid_with(cells):
-    pg = PerceptionGrid(SPEC, PERCEPTION_FRAME)
-    for (i, j), mapping in cells.items():
-        pg.set_cell(i, j, MassFunction(PERCEPTION_FRAME, mapping))
-    return pg
+    masses = np.zeros((SPEC.width, SPEC.height, PERCEPTION_FRAME.size))
+    masses[..., PERCEPTION_FRAME.omega] = 1.0
+    for cell, mapping in cells.items():
+        masses[cell] = MassFunction(PERCEPTION_FRAME, mapping).masses
+    return dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, masses)
 
 
 def test_write_ppm_format():
