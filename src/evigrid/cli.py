@@ -1,9 +1,10 @@
 """Command-line entry point: run scenarios or replay scan logs.
 
-Exit codes: 0 success, 1 configuration error (unreadable or invalid scenario,
-map or params file, unreadable scan log, an --every below 1 or a --dump-grid
-that is not a list of epochs from 0), 2 runtime error (failures while
-stepping epochs, including a malformed scan-log line).
+Exit codes: 0 success, 1 configuration error (a usage error on the command
+line, an unreadable or invalid scenario, map or params file, an unreadable
+scan log, an --every below 1 or a --dump-grid that is not a list of epochs
+from 0), 2 runtime error (failures while stepping epochs, including a
+malformed scan-log line).
 Diagnostic verbosity is controlled by the EVIGRID_LOG environment variable
 (DEBUG, INFO, WARNING, ...).
 """
@@ -91,8 +92,16 @@ def cmd_replay(args, inputs: ExitStack) -> Iterator[EpochResult]:
     return replay_scans(inputs.enter_context(open(args.log)), gg, settings)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors as configuration errors: exit 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evigrid",
         description="Map-aided evidential occupancy-grid perception")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,19 +1,22 @@
 """Lidar scan to sensor-grid conversion.
 
-All beams of a scan are walked through the grid together, in lockstep, by
-one exact cell-stepping traversal (Amanatides & Woo, 1987): cells strictly
-before the hit point collect free-space evidence, the cell containing the
-hit point collects occupied evidence, cells beyond stay vacuous.  A scan
-is reduced to per-cell counts of free and hit beams, and each cell's mass
-is Dempster's rule of those beams in closed form, so an occupied verdict is
-never overwritten by a free verdict from another beam and the grid does
-not depend on the order of the beams.
+All beams of a scan are traversed together, each cell for cell as the exact
+scalar cell-stepping traversal (Amanatides & Woo, 1987) would, in
+whole-array passes with no loop over the steps: a beam's boundary crossing
+times on each axis are one row of a cumulative sum, and each crossing's cell
+follows from how many crossings on the other axis come before it.  Cells
+strictly before the hit point collect free-space evidence, the cell
+containing the hit point collects occupied evidence, cells beyond stay
+vacuous.  A scan is reduced to per-cell counts of free and hit beams, and
+each cell's mass is Dempster's rule of those beams in closed form, so an
+occupied verdict is never overwritten by a free verdict from another beam
+and the grid does not depend on the order of the beams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -54,14 +57,36 @@ class Beam(NamedTuple):
 
 @dataclass(frozen=True)
 class LidarScan:
+    """One scan's beams, and the same beams as one read-only (3, beams) float
+    array of bearing, range and hit columns, `columns`, which `build_sg`
+    reads."""
+
     beams: tuple[Beam, ...]
     max_range: float
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # with a finite max_range the range checks below reject non-finite ranges
         if not 0.0 < self.max_range < math.inf:
             raise ValueError(f"max_range must be finite and > 0, got {self.max_range}")
-        object.__setattr__(self, "beams", tuple(Beam(*b) for b in self.beams))
+        beams = tuple(self.beams)
+        if not set(map(type, beams)) <= {Beam}:
+            beams = tuple(Beam(*b) for b in beams)
+        object.__setattr__(self, "beams", beams)
+        columns = self._checked_columns()
+        columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
+
+    def _checked_columns(self) -> np.ndarray:
+        """The columns, each checked at once when the numbers are floats and
+        the flags booleans; beam by beam otherwise, or to name a bad beam."""
+        bearings, ranges, hits = tuple(zip(*self.beams)) or ((), (), ())
+        if set(map(type, bearings + ranges)) <= {float} and set(map(type, hits)) <= {bool}:
+            columns = np.array((bearings, ranges, hits), dtype=float)
+            bearing, rng, hit = columns
+            if np.isfinite(bearing).all() and np.where(
+                    hit != 0.0, (0.0 < rng) & (rng <= self.max_range), rng == self.max_range).all():
+                return columns
         for k, beam in enumerate(self.beams):
             if not math.isfinite(beam.bearing):
                 raise ValueError(f"beam {k}: bearing {beam.bearing} is not finite")
@@ -70,6 +95,7 @@ class LidarScan:
                     raise ValueError(f"beam {k}: hit range {beam.range} outside (0, max_range]")
             elif beam.range != self.max_range:
                 raise ValueError(f"beam {k}: non-hit beams must carry range = max_range")
+        return np.array(self.beams, dtype=float).reshape(-1, 3).T
 
 
 @dataclass(frozen=True)
@@ -86,15 +112,70 @@ class SensorGridParams:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _crossing_times(k: np.ndarray, sign: np.ndarray, t0: np.ndarray, dt: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each ray's boundary crossing times on one axis of n cells, one row per
+    ray, up to the crossing that leaves the grid, and that crossing's index.
+
+    Row r holds NaN, then ``t0[r]``, ``t0[r] + dt[r]``, ... added in order,
+    as the scalar ``t += dt`` does, then NaN: crossing c is at column c + 1.
+    A ray that starts in cell k[r] and moves by ``sign[r]`` leaves the grid
+    at crossing ``n - 1 - k[r]`` upwards or ``k[r]`` downwards; a ray with
+    ``sign`` 0 has an inf ``t0`` and never crosses.
+    """
+    last = np.where(sign > 0, n - 1 - k, k) * (sign != 0)
+    times = np.empty((len(k), int(last.max(initial=-1)) + 3))
+    times[:, 0] = times[:, -1] = np.nan
+    times[:, 1] = t0
+    times[:, 2:-1] = dt[:, None]
+    np.cumsum(times[:, 1:-1], axis=1, out=times[:, 1:-1])
+    return times, last
+
+
+def _count_at_or_before(times: np.ndarray, row_start: np.ndarray, t: np.ndarray,
+                        t0: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many crossing times in the row of `_crossing_times` that starts
+    at flat index ``row_start[e]`` are at most ``t[e]``, and whether the last
+    of them equals ``t[e]``.
+
+    The estimate from the row's ``t0`` and ``dt`` is corrected against the
+    summed times until no count moves; in practice a few counts move once.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        guess = np.floor((t - t0) / dt) + 1.0
+    # at is the flat index of the last crossing counted, or of the NaN
+    # before the row's first; fmax and fmin also drop the NaN guess of an
+    # axis that the ray never crosses
+    at = np.fmin(np.fmax(guess, 0.0), times.shape[1] - 2).astype(np.intp)
+    at += row_start
+    flat = times.ravel()
+    fix, a, u = np.arange(len(t)), at, t
+    value = last = flat[at]
+    while True:
+        # the NaN at both ends of a row stops a count there
+        move = (flat[a + 1] <= u).view(np.int8) - (last > u).view(np.int8)
+        moved = np.flatnonzero(move)
+        if not moved.size:
+            return at - row_start, value == t
+        fix = fix[moved]
+        at[fix] += move[moved]
+        a, u = at[fix], t[fix]
+        last = value[fix] = flat[a]
+
+
 def traverse_ray(spec: GridSpec, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
                  length: np.ndarray) -> np.ndarray:
-    """In-bounds cells entered by each ray segment, all rays stepped together.
+    """In-bounds cells entered by each ray segment, all rays together in
+    whole-array passes, with no loop over a ray's steps.
 
     Ray k runs from (x0, y0) along (dx[k], dy[k]) and enters a cell when it
     reaches it strictly before length[k]; exact corner hits step diagonally,
     so no zero-dwell cell is reported.  Returns one row (k, j * width + i)
-    per entered cell, each ray's rows in order along it.  Each ray does the
-    operations of the scalar Amanatides & Woo traversal in the same order.
+    per entered cell, grouped by ray in ascending k, each ray's rows in order
+    along it.  The cells are those of the scalar Amanatides & Woo traversal,
+    ray by ray: the same slab clipping and first cell, and crossing times
+    that are its running sums ``t += dt`` bit for bit (one ``np.cumsum`` per
+    axis), merged in time order without a sort.
     """
     ox, oy, cs = spec.origin_east, spec.origin_north, spec.cell_size
     width, height = spec.width, spec.height
@@ -109,38 +190,58 @@ def traverse_ray(spec: GridSpec, x0: float, y0: float, dx: np.ndarray, dy: np.nd
             t_hi = np.where(moving, np.minimum(t_hi, np.maximum(t1, t2)),
                             t_hi if lo <= p <= hi else -np.inf)
         ray = np.flatnonzero(t_lo < t_hi)
-        times, steps = [], []
+        axes = []
         for p, d, o, n in ((x0, dx[ray], ox, width), (y0, dy[ray], oy, height)):
             f = (p + t_lo[ray] * d - o) / cs
             k = np.floor(f)
             # entering exactly on a boundary while moving towards lower
             # indices means leaving the floor() cell, not entering it
-            k = np.clip(k - ((d < 0) & (f == k)), 0, n - 1)
+            k = np.clip(k - ((d < 0) & (f == k)), 0, n - 1).astype(np.intp)
             # the ray parameter of the next boundary crossed, and the boundary spacing
-            times += [np.where(d != 0.0, (o + (k + (d > 0)) * cs - p) / d, np.inf), cs / abs(d)]
-            steps += [k, np.sign(d)]
-    # the stepping state, one column per live ray
-    times = np.stack(times + [t_hi[ray]])
-    steps = np.stack(steps).astype(np.intp)
-    rays, cells = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for _ in range(width + height + 2):
-        if not ray.size:
-            break
-        tx, dtx, ty, dty, t_end = times
-        i, si, j, sj = steps
-        rays.append(ray)
-        cells.append(j * width + i)
-        t_next = np.minimum(tx, ty)
-        for t, dt, k, sign in ((tx, dtx, i, si), (ty, dty, j, sj)):
-            step = t <= t_next
-            np.add(t, dt, out=t, where=step)
-            np.add(k, sign, out=k, where=step)
-        alive = (t_next < t_end) & (i >= 0) & (i < width) & (j >= 0) & (j < height)
-        if not alive.all():
-            ray, times, steps = ray[alive], times[:, alive], steps[:, alive]
-    out = np.empty((sum(map(len, rays)), 2), dtype=np.intp)
-    np.concatenate(rays, out=out[:, 0])
-    np.concatenate(cells, out=out[:, 1])
+            t0 = np.where(d != 0.0, (o + (k + (d > 0)) * cs - p) / d, np.inf)
+            dt = cs / abs(d)
+            sign = np.sign(d).astype(np.intp)
+            axes.append((k, sign, t0, dt, *_crossing_times(k, sign, t0, dt, n)))
+    (i0, si, t0x, dtx, times_x, last_x), (j0, sj, t0y, dty, times_y, last_y) = axes
+    rows = np.arange(len(ray))
+    # a ray stops at its end or where it first leaves the grid; it enters
+    # its first cell, then one cell at each distinct crossing time before
+    # the stop, so at most width + height - 1 cells
+    stop = np.minimum(t_hi[ray], np.minimum(times_x[rows, last_x + 1], times_y[rows, last_y + 1]))
+    # the crossings strictly before it: those at or before it, less one at it
+    nx, ny = (np.subtract(*_count_at_or_before(times, rows * times.shape[1], stop, t0, dt))
+              for times, t0, dt in ((times_x, t0x, dtx), (times_y, t0y, dty)))
+    # the x crossings before the stop, and how many y crossings come at or
+    # before each; a y crossing at the time of an x crossing (an exact
+    # corner) is the same, diagonal step
+    start_x = np.cumsum(nx) - nx
+    m = np.arange(nx.sum())
+    tx = times_x.ravel()[m + np.repeat(rows * times_x.shape[1] + 1 - start_x, nx)]
+    cy, tie = _count_at_or_before(times_y, np.repeat(rows * times_y.shape[1], nx), tx,
+                                  np.repeat(t0y, nx), np.repeat(dty, nx))
+    # one slot per ray for its first cell and one per distinct crossing
+    # time, in time order: an x crossing comes after its ray's first cell,
+    # the earlier x crossings and the earlier y crossings, less the ties
+    # among those
+    ties = np.zeros(len(tie) + 1, dtype=np.intp)
+    np.cumsum(tie, out=ties[1:])
+    crossings = 1 + nx + ny
+    first = np.cumsum(crossings) - crossings
+    slot_x = m + cy - ties[1:]
+    slot_x += np.repeat(first + 1 - start_x, nx)
+    first -= ties[start_x]
+    per_ray = np.diff(first, append=crossings.sum() - ties[-1])
+    # each slot's cell is the previous slot's plus its step: si on x,
+    # sj * width on y, both at a tie; a ray's first slot takes the step from
+    # the last cell of the ray before it, so one cumsum gives every cell
+    delta = np.repeat(sj * width, per_ray)
+    delta[slot_x] = np.repeat(si, nx) + np.repeat(sj * width, nx) * tie
+    cell0 = j0 * width + i0
+    delta[first] = cell0
+    delta[first[1:]] -= (cell0 + si * nx + sj * width * ny)[:-1]
+    out = np.empty((len(delta), 2), dtype=np.intp, order="F")
+    out[:, 0] = np.repeat(ray, per_ray)
+    np.cumsum(delta, out=out[:, 1])
     return out
 
 
@@ -162,11 +263,11 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     beam: total conflict) the cell stays vacuous.  The grid's palette holds
     one state per distinct pair of counts.
     """
-    bearings, ranges, hit = np.array(scan.beams, dtype=float).reshape(-1, 3).T
+    bearings, ranges, hit = scan.columns
     # math.cos/math.sin, not np.cos/np.sin, which can differ in the last bit
     angles = (pose.heading + bearings).tolist()
-    dx = np.array([math.cos(angle) for angle in angles])
-    dy = np.array([math.sin(angle) for angle in angles])
+    dx = np.fromiter(map(math.cos, angles), float, len(angles))
+    dy = np.fromiter(map(math.sin, angles), float, len(angles))
     # cells as flat raster indices j * width + i, the cell order of the
     # grid's stored planes; -1 for a beam without a hit cell in the grid
     hit_cell = np.where(hit.astype(bool), spec.world_to_index(pose.x + ranges * dx,

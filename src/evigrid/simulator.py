@@ -421,6 +421,18 @@ def _hit_flag(value) -> bool:
     return value
 
 
+def _beams(rows) -> tuple[Beam, ...]:
+    """A log record's beams, each ``[bearing, range, hit]`` with JSON numbers
+    and a JSON boolean.  Each column is checked at once; the per-beam checks
+    run only where a column holds another type, and name the bad value."""
+    if type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
+        bearings, ranges, hits = tuple(zip(*rows)) or ((), (), ())
+        if set(map(type, bearings + ranges)) <= {float} and set(map(type, hits)) <= {bool}:
+            return tuple(map(Beam._make, rows))
+    return tuple(Beam(_number(b, "bearing"), _number(r, "range"), _hit_flag(h))
+                 for b, r, h in rows)
+
+
 def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan]]:
     """Parse and check a scan log one line at a time.
 
@@ -436,9 +448,7 @@ def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan
             t = _number(rec["t"], "t")
             p = rec["pose"]
             pose = Pose(*(_number(p[key], f"pose {key}") for key in ("x", "y", "heading")))
-            beams = tuple(Beam(_number(b, "bearing"), _number(r, "range"), _hit_flag(h))
-                          for b, r, h in rec["beams"])
-            scan = LidarScan(beams, _number(rec["max_range"], "max_range"))
+            scan = LidarScan(_beams(rec["beams"]), _number(rec["max_range"], "max_range"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
         if not t > last_t:

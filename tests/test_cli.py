@@ -453,3 +453,38 @@ def test_bad_output_options_are_configuration_errors(small_scenario, tmp_path, c
     assert replay(tmp_path, tmp_path / "missing.ndjson", out, *option) == 1
     err = capsys.readouterr().err
     assert err.count(f"configuration error: {option[0]} ") == 2, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "SCENARIO", "--out", "OUT", "--every", "abc"],
+     "argument --every: invalid int value: 'abc'"),
+    (["run", "SCENARIO", "--out", "OUT", "--render", "colour"], "invalid choice: 'colour'"),
+    (["run", "SCENARIO", "--out", "OUT", "--seed", "1.5"], "invalid int value: '1.5'"),
+    (["run", "SCENARIO"], "the following arguments are required: --out"),
+    (["replay", "log.ndjson", "map.geojson", "--out", "OUT"],
+     "the following arguments are required: --params"),
+    (["run", "SCENARIO", "--out", "OUT", "--colour"], "unrecognized arguments: --colour"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command")])
+def test_usage_errors_are_configuration_errors(small_scenario, tmp_path, capsys, argv, message):
+    """A command line that argparse rejects exits 1, as a configuration
+    error, with argparse's usage line and message; nothing is written."""
+    out = tmp_path / "out"
+    argv = [{"SCENARIO": str(small_scenario), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: evigrid") and "error: " in err and message in err, err
+    assert not out.exists()
+
+
+def test_usage_error_and_help_exit_codes_of_the_process(small_scenario, tmp_path):
+    """The process exits 1 on a usage error and 0 for --help."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    for argv, code in ((["run", str(small_scenario), "--out", str(tmp_path), "--every", "abc"], 1),
+                       (["bogus"], 1), (["--help"], 0), (["replay", "--help"], 0)):
+        proc = subprocess.run([sys.executable, "-m", "evigrid.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "usage: evigrid" in (proc.stdout if code == 0 else proc.stderr)

@@ -1,15 +1,19 @@
 """Lidar-to-sensor-grid conversion and grid traversal."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evigrid import frames
 from evigrid.dst import MassFunction, combine_dempster
 from evigrid.grid import GridSpec
 from evigrid.sensor import (Beam, LidarScan, Pose, SensorGridParams, build_sg,
                             normalize_heading, traverse_ray)
+from evigrid.simulator import SensorSpec, simulate_scan
 from oracles import sensor_counts_oracle, sensor_merge_oracle, traverse_ray_oracle
 
 PARAMS = SensorGridParams(free_weight=0.7, occupied_weight=0.8)
@@ -55,6 +59,39 @@ class TestLidarScan:
     def test_rejects_non_finite(self, beam, max_range):
         with pytest.raises(ValueError):
             LidarScan((beam,), max_range=max_range)
+
+
+    @pytest.mark.parametrize("k", [0, 540, 1080])
+    @pytest.mark.parametrize("bad, message", [
+        (Beam(math.nan, 5.0, True), "bearing nan is not finite"),
+        (Beam(math.inf, 6.0, False), "bearing inf is not finite"),
+        (Beam(0.0, 7.0, True), "hit range 7.0 outside (0, max_range]"),
+        (Beam(0.0, 0.0, True), "hit range 0.0 outside (0, max_range]"),
+        (Beam(0.0, math.nan, True), "hit range nan outside (0, max_range]"),
+        (Beam(0.0, 5.0, False), "non-hit beams must carry range = max_range"),
+        (Beam(0.0, 5, 0), "non-hit beams must carry range = max_range"),
+        ((0.0, math.inf, False), "non-hit beams must carry range = max_range")])
+    def test_names_the_first_bad_beam_of_many(self, k, bad, message):
+        """The columns are checked at once; a bad beam is named by the
+        per-beam checks, the first one when there are two."""
+        beams = [Beam(0.001 * i, 5.0, True) if i % 3 else Beam(0.001 * i, 6.0, False)
+                 for i in range(1081)]
+        beams[k] = bad
+        if k < 1080:
+            beams[1080] = Beam(math.nan, 5.0, True)
+        with pytest.raises(ValueError, match=f"^beam {k}: {re.escape(message)}$"):
+            LidarScan(tuple(beams), 6.0)
+
+    def test_columns_hold_the_beams(self):
+        beams = (Beam(0.5, 5.0, True), (1, 6, False), Beam(-0.25, 6.0, False))
+        scan = LidarScan(beams, 6)
+        assert [type(beam) for beam in scan.beams] == [Beam] * 3
+        assert scan.columns.tolist() == [[0.5, 1.0, -0.25], [5.0, 6.0, 6.0], [1.0, 0.0, 0.0]]
+        again = LidarScan(scan.beams[::2], 6.0)
+        assert again.columns.tolist() == [[0.5, -0.25], [5.0, 6.0], [1.0, 0.0]]
+        assert LidarScan((), 6.0).columns.shape == (3, 0)
+        assert not scan.columns.flags.writeable and not again.columns.flags.writeable
+        assert again == LidarScan(list(scan.beams[::2]), 6.0)
 
 
 def ray_cells(spec, cells, ray=0):
@@ -214,6 +251,105 @@ class TestBatchedTraversal:
         pose = Pose(spec.origin_east - 1.0, spec.origin_north - 1.0, 0.0)
         grid = build_sg(LidarScan(beams, 20.0), pose, spec, PARAMS)
         assert (grid.masses[:, :, omega] == 1.0).all()
+
+
+# cos and sin of the same 45-degree angle, one ulp apart
+COS_45, SIN_45 = math.cos(math.pi / 4), math.sin(math.pi / 4)
+SUBNORMALS = (5e-324, 1.1125369292536007e-308, 1e-310)
+
+
+@st.composite
+def directions(draw):
+    """Random angles, the axes with zeros of both signs, 45-degree rays whose
+    cos and sin differ in the last bit, and subnormal components."""
+    kind = draw(st.sampled_from(["angle", "axis", "diagonal", "subnormal"]))
+    if kind == "angle":
+        angle = draw(st.floats(-math.pi, math.pi))
+        return math.cos(angle), math.sin(angle)
+    if kind == "axis":
+        return draw(st.sampled_from(AXIS_AND_CORNER_DIRECTIONS[:8]))
+    big, small = (COS_45, SIN_45) if kind == "diagonal" else (1.0, draw(st.sampled_from(SUBNORMALS)))
+    sx, sy = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+    return (sx * big, sy * small) if draw(st.booleans()) else (sx * small, sy * big)
+
+
+@st.composite
+def ray_fans(draw):
+    """A grid from 1x1 and up to 8 rays from one origin on a lattice point,
+    on a cell centre or outside the grid; lengths at random or ending on a
+    cell boundary, as near as the floats allow."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cs = draw(st.sampled_from([0.125, 0.1, 0.3, 1.0, 7.0]))
+    ox, oy = draw(st.sampled_from([0.0, -3.25, 0.1, 100.03])), draw(st.sampled_from([0.0, 7.5, -0.7]))
+    spec = GridSpec(ox, oy, cs, width, height)
+    where = draw(st.sampled_from(["lattice", "centre", "outside"]))
+    i, j = draw(st.integers(0, width)), draw(st.integers(0, height))
+    if where == "lattice":
+        x0, y0 = ox + i * cs, oy + j * cs
+    elif where == "centre":
+        x0, y0 = spec.cell_center(min(i, width - 1), min(j, height - 1))
+    else:
+        fx = draw(st.sampled_from([-2.5, -1.0, -0.25, width + 0.5, width + 3.0]))
+        x0, y0 = ox + fx * cs, oy + draw(st.floats(-3.0, height + 3.0)) * cs
+    rays = []
+    for dx, dy in draw(st.lists(directions(), min_size=1, max_size=8)):
+        k = draw(st.integers(0, width + height))
+        if draw(st.booleans()):
+            length = draw(st.floats(1e-3, 2.0 * (width + height) * cs))
+        elif dx != 0.0 and (ox + k * cs - x0) / dx > 0.0:
+            length = (ox + k * cs - x0) / dx
+        else:
+            length = (k + draw(st.sampled_from([0.0, 0.5]))) * cs or cs
+        rays.append((dx, dy, length))
+    dx, dy, length = map(np.array, zip(*rays))
+    return spec, x0, y0, dx, dy, length
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_fans())
+def test_traversal_matches_oracle_property(fan):
+    """Ray by ray and in order, the cells of the scalar traversal; the rows
+    are grouped by ray in ascending order, and no ray enters more than
+    width + height - 1 cells."""
+    spec, x0, y0, dx, dy, length = fan
+    cells = traverse_ray(spec, x0, y0, dx, dy, length)
+    assert (np.diff(cells[:, 0]) >= 0).all()
+    assert_matches_oracle(spec, x0, y0, dx, dy, length)
+    assert np.bincount(cells[:, 0], minlength=len(dx)).max() <= spec.width + spec.height - 1
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 7), (9, 1), (5, 5), (37, 11)])
+def test_a_ray_enters_at_most_width_plus_height_minus_one_cells(width, height):
+    """A segment crosses each of the width - 1 inner vertical and height - 1
+    inner horizontal grid lines at most once, and every cell it enters after
+    its first needs such a crossing, a corner crossing two lines at once:
+    at most width + height - 1 cells.  A ray from near one corner to near the
+    opposite one, through no lattice point, enters exactly that many."""
+    spec = GridSpec(0.0, 0.0, 1.0, width, height)
+    x0, y0 = 0.1234567, 0.0
+    dx, dy = width - 2 * x0, float(height)
+    norm = math.hypot(dx, dy)
+    cells = traverse_ray(spec, x0, y0, np.array([dx / norm]), np.array([dy / norm]),
+                         np.array([2.0 * norm]))
+    assert len(cells) == width + height - 1
+    assert ray_cells(spec, cells) == traverse_ray_oracle(spec, x0, y0, dx / norm, dy / norm,
+                                                         2.0 * norm)
+
+
+@pytest.mark.parametrize("beam_count, fov", [(1, 0.0), (1, 2 * math.pi), (5, 0.0),
+                                             (91, 2 * math.pi)])
+def test_sensor_grid_matches_counts_at_extreme_fans(beam_count, fov):
+    """One beam, a zero field of view (every beam on one bearing) and a full
+    turn, whose first and last beams share a direction up to the sign of a
+    tiny sine, against the beam-by-beam counts."""
+    spec = GridSpec(-1.0, 0.5, 0.25, 23, 17)
+    box = [(-0.5, 1.0), (4.0, 1.0), (4.0, 4.5), (-0.5, 4.5)]
+    segments = np.array([[*a, *b] for a, b in zip(box, box[1:] + box[:1])])
+    sensor = SensorSpec(beam_count=beam_count, fov=fov, max_range=3.0)
+    for pose in (Pose(1.3, 2.6, 0.4), Pose(-1.0, 0.5, math.pi), Pose(0.75, 1.25, -math.pi / 2)):
+        scan = simulate_scan(segments, pose, sensor)
+        assert len(scan.beams) == beam_count
+        assert_counts(build_sg(scan, pose, spec, PARAMS), *sensor_counts_oracle(scan, pose, spec))
 
 
 def assert_counts(grid, n_free, n_hit):

@@ -359,6 +359,34 @@ class TestReadScanLog:
         with pytest.raises(ValueError, match=f"line 2: .*{message}"):
             list(read_scan_log(["", self.line(**fields)]))
 
+    @pytest.mark.parametrize("k", [0, 700])
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, 5.0, "true"], "hit flag 'true' is not true or false"),
+        ([0.5, True, True], "range True is not a number"),
+        (["0.5", 5.0, True], "bearing '0.5' is not a number"),
+        ([0.5, 5.0], "not enough values to unpack"),
+        ([0.5, 5.0, True, 1], "too many values to unpack"),
+        (0.5, "cannot unpack non-iterable float object"),
+        ({"b": 0.5, "r": 5.0, "h": True}, "bearing 'b' is not a number"),
+        ([0.5, 7.0, True], "beam K: hit range 7.0 outside"),
+        ([0.5, 5.0, False], "beam K: non-hit beams must carry range = max_range")])
+    def test_names_the_bad_beam_among_many(self, k, bad, message):
+        """Each column is checked at once; the per-beam checks name the value."""
+        beams = [[0.001 * i, 5.0, True] if i % 2 else [0.001 * i, 6.0, False]
+                 for i in range(1081)]
+        beams[k] = bad
+        with pytest.raises(ValueError, match=f"line 2: .*{re.escape(message.replace('K', str(k)))}"):
+            list(read_scan_log(["", self.line(beams=beams)]))
+
+    def test_json_integers_among_many_beams(self):
+        beams = [[0.001 * i, 5.0, True] for i in range(1081)]
+        (_, _, scan), = read_scan_log([self.line(beams=beams)])
+        beams[3] = [0, 5, True]
+        (_, _, again), = read_scan_log([self.line(beams=beams)])
+        assert again.beams[3] == (0.0, 5.0, True) and type(again.beams[3].range) is float
+        assert again.beams[4:] == scan.beams[4:]
+        assert again.columns[:, 4:].tolist() == scan.columns[:, 4:].tolist()
+
     def test_accepts_json_integers(self):
         line = self.line(t=1, pose={"x": 2, "y": -3, "heading": 0}, beams=[[0, 6, True]],
                          max_range=6)
