@@ -173,34 +173,69 @@ def mass_column_names(frame: FrameOfDiscernment) -> list[str]:
             for mask in range(frame.size)]
 
 
+# cells per block of raster rows: bounds the states whose texts are made at once
+_BLOCK_CELLS = 2048
+
+
+def _state_texts(values: np.ndarray) -> list[str]:
+    """The ``repr`` texts of each row of (S, k) `values` joined by commas,
+    plus a newline.
+
+    Each distinct 64-bit pattern is formatted once: keyed by bits, so
+    ``-0.0`` and ``0.0`` stay apart.  The texts are gathered as NUL-padded
+    words with their separators, and the NULs dropped.
+    """
+    bits = values.view(np.uint64)
+    # a sort and a mask: np.unique took 20 times as long on 150k patterns
+    # (numpy 2.4)
+    ordered = np.sort(bits, axis=None)
+    patterns = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    index = np.searchsorted(patterns, bits)
+    words = list(map(float.__repr__, patterns.view(np.float64).tolist()))
+    cells = np.array([word + "," for word in words], dtype=bytes)[index]
+    cells[:, -1] = np.array([word + "\n" for word in words], dtype=bytes)[index[:, -1]]
+    return cells.tobytes().translate(None, b"\0").decode("ascii").splitlines(keepends=True)
+
+
 def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     """Dump a grid snapshot: one row per cell, one column per subset mass.
 
     The counter column is 0 for grids that do not carry one.  Every value is
-    written as its ``repr``.  The text of each palette state's values is
-    formatted once, at the state's first raster row, and each cell's line
-    takes the text of its state.
+    written as its ``repr``.  Each palette state's text is made once, with
+    the block of rows that first uses it, and each raster row is one join of
+    per-column, per-row and per-state pieces.
     """
     spec = grid.spec
-    masses = grid.states
-    zeta = getattr(grid, "state_counter", np.zeros(masses.shape[1]))
-    # each state's text is dropped after the last raster row that uses it,
+    height, width = spec.height, spec.width
+    zeta = getattr(grid, "state_counter", np.zeros(grid.states.shape[1]))
+    # a state's text is dropped after the block of rows that last uses it,
     # so a palette of many states never holds all their texts at once
-    last = np.empty(len(zeta), dtype=np.intp)
-    for j, ids in enumerate(grid.ids):
-        last[ids] = j
+    first = np.full(len(zeta), height)
+    last = np.full(len(zeta), -1)
+    for j in range(height):
+        last[grid.ids[j]] = j
+    for j in reversed(range(height)):
+        first[grid.ids[j]] = j
     header = ["i", "j", "x_center", "y_center"] + mass_column_names(grid.frame) + ["zeta"]
     out.write(",".join(header) + "\n")
-    xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height))
-    columns = list(enumerate(map(repr, xs.tolist())))
+    xs, ys = spec.cell_centers(np.arange(width), np.arange(height))
+    ys = ys.tolist()
+    # cell i's line is pieces[5i:5i+5]: "i," "j," "x," "y," and its state's text
+    pieces = [""] * (5 * width)
+    pieces[0::5] = [f"{i}," for i in range(width)]
+    pieces[2::5] = [f"{x!r}," for x in xs.tolist()]
     texts: dict[int, str] = {}
-    for j, (y, ids) in enumerate(zip(map(repr, ys.tolist()), grid.ids)):
-        ids = ids.tolist()
-        used = set(ids)
-        new = sorted(used.difference(texts))
-        states = np.vstack((masses[:, new], zeta[new])).T.tolist()
-        texts.update(zip(new, (",".join(map(repr, state)) for state in states)))
-        out.write("".join([f"{i},{j},{x},{y},{texts[k]}\n" for (i, x), k in zip(columns, ids)]))
-        for k in used:
-            if last[k] == j:
-                del texts[k]
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, height, step):
+        stop = min(start + step, height)
+        new = np.flatnonzero((start <= first) & (first < stop))
+        if len(new):
+            states = np.vstack((grid.states[:, new], zeta[new])).T
+            texts.update(zip(new.tolist(), _state_texts(states)))
+        for j in range(start, stop):
+            pieces[1::5] = [f"{j},"] * width
+            pieces[3::5] = [f"{ys[j]!r},"] * width
+            pieces[4::5] = map(texts.__getitem__, grid.ids[j].tolist())
+            out.write("".join(pieces))
+        for k in np.flatnonzero((start <= last) & (last < stop)).tolist():
+            del texts[k]

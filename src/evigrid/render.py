@@ -29,26 +29,33 @@ DECISION_COLORS = np.array([
 CLASS_COLORS = DECISION_COLORS[:5].astype(float)
 
 
+def _sample_words(end: str) -> np.ndarray:
+    """Each sample value's decimal text and then `end`, NUL-padded to four
+    bytes, as one uint32 word per value 0-255."""
+    return np.frombuffer(b"".join(f"{v}{end}".encode().ljust(4, b"\0") for v in range(256)),
+                         dtype=np.uint32)
+
+
+_WORDS = _sample_words(" ")
+_LAST_WORDS = _sample_words("\n")   # the last sample of a row
+# samples per write: a block of whole rows, or one row when a row is longer
+_BLOCK_SAMPLES = 1 << 15
+
+
 def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
     """Write an (rows, cols, 3) uint8 array as ASCII PPM (P3).
 
-    Each distinct colour's "r g b" text is formatted once per image.
+    Each block of rows is one gather of word-table entries and one write:
+    the padding NULs are dropped from the words' bytes.
     """
     rows, cols, _ = pixels.shape
     out.write(f"P3\n{cols} {rows}\n255\n")
-    # 24-bit colours built in place and read one row at a time: a uint32
-    # copy of all three channels and a whole-image np.unique (0.7 MiB per
-    # 120x120 image) raised the peak memory of the benchmark runs
-    packed = pixels[..., 0].astype(np.uint32)
-    for channel in (1, 2):
-        packed <<= 8
-        packed |= pixels[..., channel]
-    texts: dict[int, str] = {}
-    for row in packed:
-        colours = row.tolist()
-        for c in set(colours).difference(texts):
-            texts[c] = f"{c >> 16} {c >> 8 & 255} {c & 255}"
-        out.write(" ".join(map(texts.__getitem__, colours)) + "\n")
+    step = max(1, _BLOCK_SAMPLES // (3 * cols))
+    for start in range(0, rows, step):
+        block = pixels[start:start + step]
+        words = np.take(_WORDS, block)
+        words[:, -1, -1] = np.take(_LAST_WORDS, block[:, -1, -1])
+        out.write(words.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _to_image(cellwise: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ and the grid does not depend on the order of the beams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,47 +56,55 @@ class Beam(NamedTuple):
     hit: bool
 
 
-@dataclass(frozen=True)
 class LidarScan:
-    """One scan's beams, and the same beams as one read-only (3, beams) float
-    array of bearing, range and hit columns, `columns`, which `build_sg`
-    reads."""
+    """One scan's beams as one read-only (3, beams) float array of bearing,
+    range and hit columns, `columns` (a hit is 1.0, a miss 0.0), which
+    `build_sg` reads, and the sensor's `max_range`.
 
-    beams: tuple[Beam, ...]
-    max_range: float
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    The beams are given as (bearing, range, hit) triples, or as their
+    columns in one array, as `read_scan_log` and `simulate_scan` give them.
+    `beams`, one `Beam` per beam, is made from the columns when first read.
+    """
 
-    def __post_init__(self):
+    def __init__(self, beams, max_range: float):
         # with a finite max_range the range checks below reject non-finite ranges
-        if not 0.0 < self.max_range < math.inf:
-            raise ValueError(f"max_range must be finite and > 0, got {self.max_range}")
-        beams = tuple(self.beams)
-        if not set(map(type, beams)) <= {Beam}:
-            beams = tuple(Beam(*b) for b in beams)
-        object.__setattr__(self, "beams", beams)
-        columns = self._checked_columns()
+        if not 0.0 < max_range < math.inf:
+            raise ValueError(f"max_range must be finite and > 0, got {max_range}")
+        if isinstance(beams, np.ndarray):
+            columns = np.array(beams, dtype=float)
+            if columns.ndim != 2 or len(columns) != 3:
+                raise ValueError(f"beam columns must have shape (3, beams), got {columns.shape}")
+        else:
+            triples = np.array(tuple(beams), dtype=float)
+            columns = np.array(triples.reshape(len(triples), 3).T)
+        columns[2] = columns[2] != 0.0
+        bearing, rng, hit = columns
+        ok = np.isfinite(bearing) & np.where(hit == 1.0, (0.0 < rng) & (rng <= max_range),
+                                             rng == max_range)
+        if not ok.all():
+            k = int(ok.argmin())
+            bearing, rng, hit = columns[:, k].tolist()
+            if not math.isfinite(bearing):
+                raise ValueError(f"beam {k}: bearing {bearing} is not finite")
+            if hit:
+                raise ValueError(f"beam {k}: hit range {rng} outside (0, max_range]")
+            raise ValueError(f"beam {k}: non-hit beams must carry range = max_range")
         columns.flags.writeable = False
-        object.__setattr__(self, "columns", columns)
+        self.columns = columns
+        self.max_range = max_range
 
-    def _checked_columns(self) -> np.ndarray:
-        """The columns, each checked at once when the numbers are floats and
-        the flags booleans; beam by beam otherwise, or to name a bad beam."""
-        bearings, ranges, hits = tuple(zip(*self.beams)) or ((), (), ())
-        if set(map(type, bearings + ranges)) <= {float} and set(map(type, hits)) <= {bool}:
-            columns = np.array((bearings, ranges, hits), dtype=float)
-            bearing, rng, hit = columns
-            if np.isfinite(bearing).all() and np.where(
-                    hit != 0.0, (0.0 < rng) & (rng <= self.max_range), rng == self.max_range).all():
-                return columns
-        for k, beam in enumerate(self.beams):
-            if not math.isfinite(beam.bearing):
-                raise ValueError(f"beam {k}: bearing {beam.bearing} is not finite")
-            if beam.hit:
-                if not 0.0 < beam.range <= self.max_range:
-                    raise ValueError(f"beam {k}: hit range {beam.range} outside (0, max_range]")
-            elif beam.range != self.max_range:
-                raise ValueError(f"beam {k}: non-hit beams must carry range = max_range")
-        return np.array(self.beams, dtype=float).reshape(-1, 3).T
+    @cached_property
+    def beams(self) -> tuple[Beam, ...]:
+        bearing, rng, hit = self.columns.tolist()
+        return tuple(map(Beam, bearing, rng, map(bool, hit)))
+
+    def __eq__(self, other):
+        if not isinstance(other, LidarScan):
+            return NotImplemented
+        return self.max_range == other.max_range and np.array_equal(self.columns, other.columns)
+
+    def __repr__(self):
+        return f"LidarScan(beams={self.beams!r}, max_range={self.max_range!r})"
 
 
 @dataclass(frozen=True)

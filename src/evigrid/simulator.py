@@ -24,7 +24,7 @@ from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignist
                      step_with_conflicts)
 from .grid import EvidentialGrid, GridSpec, PerceptionGrid
 from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
-from .sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg, normalize_heading
+from .sensor import LidarScan, Pose, SensorGridParams, build_sg, normalize_heading
 
 # Ignore intersections closer than this along the ray: the emitter itself
 # must not count as an obstacle when it sits exactly on a segment.
@@ -313,16 +313,15 @@ def simulate_scan(segments: np.ndarray, pose: Pose, sensor: SensorSpec,
             u = (w[:, 0] * dy - w[:, 1] * dx) / denom
         valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
         ranges = np.where(valid, t_ray, math.inf).min(axis=1)
-    beams = []
-    for bearing, rng_t in zip(bearings.tolist(), ranges.tolist()):
-        if rng is not None and sensor.range_jitter > 0.0 and math.isfinite(rng_t):
-            rng_t += rng.uniform(-sensor.range_jitter, sensor.range_jitter)
-            rng_t = max(rng_t, _RAY_EPS)
-        if rng_t <= sensor.max_range:
-            beams.append(Beam(bearing, rng_t, True))
-        else:
-            beams.append(Beam(bearing, sensor.max_range, False))
-    return LidarScan(tuple(beams), sensor.max_range)
+    if rng is not None and sensor.range_jitter > 0.0:
+        # one draw per beam with a finite range, in beam order
+        finite = np.flatnonzero(np.isfinite(ranges))
+        jitter = sensor.range_jitter
+        draws = [rng.uniform(-jitter, jitter) for _ in range(len(finite))]
+        ranges[finite] = np.maximum(ranges[finite] + draws, _RAY_EPS)
+    hit = ranges <= sensor.max_range
+    return LidarScan(np.array((bearings, np.where(hit, ranges, sensor.max_range), hit)),
+                     sensor.max_range)
 
 
 @dataclass
@@ -398,10 +397,11 @@ def run_scenario(cfg: ScenarioConfig,
 
 def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
     """One scan-log line (NDJSON), without its newline."""
+    bearing, rng, hit = scan.columns.tolist()
     return json.dumps({
         "t": t,
         "pose": {"x": pose.x, "y": pose.y, "heading": pose.heading},
-        "beams": [[b.bearing, b.range, b.hit] for b in scan.beams],
+        "beams": list(map(list, zip(bearing, rng, map(bool, hit)))),
         "max_range": scan.max_range,
     })
 
@@ -421,16 +421,17 @@ def _hit_flag(value) -> bool:
     return value
 
 
-def _beams(rows) -> tuple[Beam, ...]:
+def _beams(rows) -> np.ndarray:
     """A log record's beams, each ``[bearing, range, hit]`` with JSON numbers
-    and a JSON boolean.  Each column is checked at once; the per-beam checks
-    run only where a column holds another type, and name the bad value."""
+    and a JSON boolean, as (3, beams) float columns.  Each column is checked
+    at once; the per-beam checks run only where a column holds another type,
+    and name the bad value."""
     if type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
         bearings, ranges, hits = tuple(zip(*rows)) or ((), (), ())
-        if set(map(type, bearings + ranges)) <= {float} and set(map(type, hits)) <= {bool}:
-            return tuple(map(Beam._make, rows))
-    return tuple(Beam(_number(b, "bearing"), _number(r, "range"), _hit_flag(h))
-                 for b, r, h in rows)
+        if set(map(type, bearings + ranges)) <= {float, int} and set(map(type, hits)) <= {bool}:
+            return np.array((bearings, ranges, hits), dtype=float)
+    return np.array([(_number(b, "bearing"), _number(r, "range"), _hit_flag(h))
+                     for b, r, h in rows], dtype=float).reshape(-1, 3).T
 
 
 def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan]]:

@@ -9,11 +9,13 @@ one cell at a time.  The map oracles classify one cell centre at a time
 with the scalar even-odd test.  The scan oracle casts one beam at a time.
 The dense fusion oracle runs one epoch on all 2**n subset rows of every
 grid, zero rows included, with the fusion module's per-pair helpers.
-The writer oracles format every cell and every pixel on its own.
+The writer oracles format every cell, every pixel and every beam on its
+own.
 Tests build their input grids with ``dense_grid``: one palette state per
 cell.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -399,3 +401,14 @@ def write_ppm_oracle(pixels: np.ndarray, out) -> None:
     rows, cols, _ = pixels.shape
     out.write(f"P3\n{cols} {rows}\n255\n")
     out.writelines(" ".join(map(str, row.ravel().tolist())) + "\n" for row in pixels)
+
+
+def format_scan_oracle(t: float, pose, scan: LidarScan) -> str:
+    """``format_scan`` writing one ``[bearing, range, hit]`` list per
+    ``Beam`` of ``scan.beams``."""
+    return json.dumps({
+        "t": t,
+        "pose": {"x": pose.x, "y": pose.y, "heading": pose.heading},
+        "beams": [[b.bearing, b.range, b.hit] for b in scan.beams],
+        "max_range": scan.max_range,
+    })

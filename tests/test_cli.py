@@ -364,8 +364,9 @@ def test_replay_missing_params(small_scenario, tmp_path, capsys):
 
 
 def test_benchmark_trace_hooks(small_scenario, tmp_path):
-    """The benchmark's traced runs find every name they wrap, and the
-    pignistic transform runs once per scan."""
+    """The benchmark's traced runs find every name they wrap, the
+    pignistic transform runs once per scan, and the scan and pixel counts
+    match what the commands did."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     log = tmp_path / "scans.ndjson"
     commands = {
@@ -394,6 +395,15 @@ def test_benchmark_trace_hooks(small_scenario, tmp_path):
                     "fusion.pignistic_grid_calls", "fusion.focal_sets_in_use",
                     "grid.csv_rows"):
             assert key in trace["counts"], (name, key)
+        # replay builds each scan through the module-global simulator.LidarScan,
+        # the name the trace wraps
+        if name == "replay":
+            assert trace["calls"]["sensor.LidarScan"] == trace["scans"]
+        written = 0
+        for image in (tmp_path / name).glob("*.ppm"):
+            cols, rows = map(int, image.read_text().split("\n", 2)[1].split())
+            written += cols * rows
+        assert written and trace["counts"]["render.pixels_written"] == written, name
 
 
 def test_shipped_scenario_runs(scenario_dir, tmp_path):

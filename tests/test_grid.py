@@ -1,12 +1,14 @@
 """Grid geometry, cell bookkeeping and snapshot export."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evigrid import grid as grid_module
 from evigrid.grid import (EvidentialGrid, GridSpec, PerceptionGrid,
                           mass_column_names, write_grid_csv)
 from evigrid.frames import PERCEPTION_FRAME
@@ -274,3 +276,50 @@ class TestCsvMatchesOracle:
         spec = GridSpec(data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3)),
                         data.draw(st.floats(1e-3, 10.0)), width, height)
         self.check(_grid_from_rows(spec, picks))
+
+    def test_states_across_blocks_of_rows(self):
+        # 3,000 states over the 4,200 cells of three blocks of rows (29, 29
+        # and 2 rows of 70 cells), most states used in more than one block,
+        # with values from a small pool, so patterns recur across the blocks
+        assert grid_module._BLOCK_CELLS == 2048
+        spec = GridSpec(-1.5, 2.25, 0.2, 70, 60)
+        pool = np.array([0.0, -0.0, 5e-324, 1e-05, 1e+16, 0.25, 1 / 3, 0.1])
+        rng = np.random.default_rng(17)
+        states = rng.choice(pool, (PERCEPTION_FRAME.size + 1, 3000))
+        ids = rng.integers(0, 3000, (spec.height, spec.width))
+        grid = PerceptionGrid(spec, PERCEPTION_FRAME, states[:-1].copy(), ids, states[-1].copy())
+        self.check(grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 15), st.booleans(), st.data())
+    def test_palette_grids_in_any_block_of_rows(self, width, height, block, with_counter,
+                                                 data):
+        """Palette grids, written in blocks of a few cells' rows: repeated
+        states, a ``0.0`` next to a ``-0.0``, subnormals, reprs in exponent
+        form, and a state used only in the first and the last raster row."""
+        values = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                  1e-05, 1e+16, 0.5, 1 / 3, 0.1, 1.0])
+        state = st.lists(values, min_size=PERCEPTION_FRAME.size + 1,
+                         max_size=PERCEPTION_FRAME.size + 1)
+        states = data.draw(st.lists(state, min_size=1, max_size=5))
+        # the last state again under another id, and the first state with
+        # one value a zero and with that zero negative
+        k = data.draw(st.integers(0, PERCEPTION_FRAME.size))
+        plain, signed = list(states[0]), list(states[0])
+        plain[k], signed[k] = 0.0, -0.0
+        states += [states[-1], plain, signed]
+        ids = np.array(data.draw(st.lists(st.integers(0, len(states) - 1),
+                                          min_size=width * height, max_size=width * height)),
+                       dtype=np.intp).reshape(height, width)
+        if width > 1:
+            ids[0, :2] = len(states) - 2, len(states) - 1
+        if height > 1:
+            states.append(data.draw(state))
+            ids[0, -1] = ids[-1, 0] = len(states) - 1
+        spec = GridSpec(0.5, -2.0, 0.25, width, height)
+        columns = np.array(states).T
+        masses = np.ascontiguousarray(columns[:-1])
+        grid = (PerceptionGrid(spec, PERCEPTION_FRAME, masses, ids, columns[-1].copy())
+                if with_counter else EvidentialGrid(spec, PERCEPTION_FRAME, masses, ids))
+        with mock.patch.object(grid_module, "_BLOCK_CELLS", block):
+            self.check(grid)

@@ -1,10 +1,15 @@
 """The PPM writer and grid-to-image orientation."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from evigrid import render
 from evigrid.dst import MassFunction
 from evigrid.frames import PERCEPTION_FRAME
 from evigrid.fusion import decide_grid, pignistic_grid
@@ -43,6 +48,13 @@ def test_write_ppm_matches_per_pixel_format():
     assert buf.getvalue() == "P3\n5 4\n255\n" + "".join(row + "\n" for row in rows)
 
 
+def _check_ppm(pixels):
+    ours, oracle = io.StringIO(), io.StringIO()
+    write_ppm(pixels, ours)
+    write_ppm_oracle(pixels, oracle)
+    assert ours.getvalue() == oracle.getvalue()
+
+
 def _image_with(colours, picks) -> np.ndarray:
     return np.asarray(colours, dtype=np.uint8)[picks]
 
@@ -54,10 +66,40 @@ def _image_with(colours, picks) -> np.ndarray:
     _image_with([(255, 0, 128)], np.zeros((1, 1), dtype=int)),
 ], ids=["one_colour", "decision_colours", "random", "one_pixel"])
 def test_write_ppm_matches_oracle(pixels):
-    ours, oracle = io.StringIO(), io.StringIO()
-    write_ppm(pixels, ours)
-    write_ppm_oracle(pixels, oracle)
-    assert ours.getvalue() == oracle.getvalue()
+    _check_ppm(pixels)
+
+
+def test_write_ppm_every_sample_value_inside_and_at_row_end():
+    # row v holds only the value v, so every value 0-255 is written both
+    # before a space and before the newline
+    _check_ppm(np.broadcast_to(np.arange(256, dtype=np.uint8)[:, None, None], (256, 4, 3)))
+    _check_ppm(np.arange(256 * 3, dtype=np.uint8).reshape(1, 256, 3))
+
+
+@pytest.mark.parametrize("shape", [(100, 120, 3), (11000, 1, 3), (2, 11000, 3), (91, 120, 3)],
+                         ids=["rows_not_a_multiple", "one_column", "row_wider_than_a_block",
+                              "one_whole_block"])
+def test_write_ppm_across_row_blocks(shape):
+    """Images that cross the writer's own block of 32,768 samples (91 rows
+    of 120 pixels), also written from a flipped view, as rendered."""
+    assert render._BLOCK_SAMPLES == 1 << 15
+    pixels = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+    _check_ppm(pixels)
+    _check_ppm(pixels.swapaxes(0, 1)[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_write_ppm_matches_oracle_for_any_block(block, data):
+    """With blocks of a few samples, small images have row counts that are
+    no multiple of the rows per block, single columns and rows wider than
+    a block; images are also written from flipped views, as rendered."""
+    rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 15))
+    pixels = data.draw(arrays(np.uint8, (rows, cols, 3)))
+    if data.draw(st.booleans()):
+        pixels = pixels.swapaxes(0, 1)[::-1]
+    with mock.patch.object(render, "_BLOCK_SAMPLES", block):
+        _check_ppm(pixels)
 
 
 def test_decision_image_north_up():

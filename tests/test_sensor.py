@@ -93,6 +93,20 @@ class TestLidarScan:
         assert not scan.columns.flags.writeable and not again.columns.flags.writeable
         assert again == LidarScan(list(scan.beams[::2]), 6.0)
 
+    def test_columns_in_one_array(self):
+        columns = np.array([[0.5, 1.0], [5.0, 6.0], [1.0, 0.0]])
+        scan = LidarScan(columns, 6.0)
+        assert scan == LidarScan((Beam(0.5, 5.0, True), Beam(1.0, 6.0, False)), 6.0)
+        assert "beams" not in vars(scan)    # made only when read
+        assert scan.beams == (Beam(0.5, 5.0, True), Beam(1.0, 6.0, False))
+        assert [type(v) for v in scan.beams[0]] == [float, float, bool]
+        columns[1, 0] = 7.0
+        assert scan.columns[1, 0] == 5.0    # the scan holds its own copy
+        with pytest.raises(ValueError, match=r"^beam 0: hit range 7\.0 outside"):
+            LidarScan(columns, 6.0)
+        with pytest.raises(ValueError, match=r"shape \(3, beams\)"):
+            LidarScan(columns[:2], 6.0)
+
 
 def ray_cells(spec, cells, ray=0):
     """The (i, j) cells of one ray of a batched traversal, in order."""

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from evigrid.map_ingest import VectorMap, load_map
-from evigrid.sensor import Pose
+from evigrid.sensor import Beam, LidarScan, Pose
 from evigrid.simulator import (ObjectTrack, ScenarioConfig, ScenarioError,
                                SensorSpec, TimedPose, format_scan,
                                interpolate_pose, polygon_segments,
                                read_scan_log, run_scenario, simulate_scan,
                                world_segments)
-from oracles import simulate_scan_oracle
+from oracles import format_scan_oracle, simulate_scan_oracle
 
 WALL = np.array([[10.0, -5.0, 10.0, 5.0]])  # vertical segment at x = 10
 
@@ -328,7 +328,8 @@ class TestShippedScenarios:
             pose = interpolate_pose(cfg.trajectory, t)
             scan = simulate_scan(segs, pose, sensor, rng)
             expect = simulate_scan_oracle(segs, pose, sensor, rng_oracle)
-            assert format_scan(t, pose, scan) == format_scan(t, pose, expect), epoch
+            assert scan == expect, epoch
+            assert format_scan(t, pose, scan) == format_scan_oracle(t, pose, expect), epoch
 
 
 class TestReadScanLog:
@@ -394,3 +395,61 @@ class TestReadScanLog:
         values = (t, pose.x, pose.y, scan.beams[0].bearing, scan.beams[0].range, scan.max_range)
         assert values == (1.0, 2.0, -3.0, 0.0, 6.0, 6.0)
         assert all(isinstance(v, float) for v in values)
+
+
+def _hand_made_scans():
+    """Scans of 0, 1 and 1081 beams, with a ``-0.0`` bearing, a range of
+    exactly 5.0 and hits next to misses."""
+    many = [Beam(0.001 * k - 0.54, 5.0 if k % 3 else 30.0, k % 3 != 0) for k in range(1081)]
+    many[540] = Beam(-0.0, 5.0, True)
+    return {"one_hit": LidarScan((Beam(0.25, 5.0, True),), 30.0),
+            "one_miss": LidarScan((Beam(-0.0, 30.0, False),), 30.0),
+            "many": LidarScan(tuple(many), 30.0),
+            "none": LidarScan((), 30.0)}
+
+
+class TestScanLogRoundTrip:
+    """``format_scan`` writes from the columns, byte for byte the line of
+    the per-beam oracle, and ``read_scan_log`` reads the same scan back."""
+
+    POSE = Pose(-12.5, 3.0, 0.3)
+
+    def round_trip(self, t, scan, pose=POSE):
+        line = format_scan(t, pose, scan)
+        assert line == format_scan_oracle(t, pose, scan)
+        (t_back, pose_back, back), = read_scan_log([line])
+        assert (t_back, pose_back, back) == (t, pose, scan)
+        assert all(type(b.bearing) is float and type(b.range) is float and type(b.hit) is bool
+                   for b in back.beams)
+        assert back.beams == scan.beams
+        return line, back
+
+    @pytest.mark.parametrize("name", ["one_hit", "one_miss", "many", "none"])
+    def test_hand_made(self, name):
+        scan = _hand_made_scans()[name]
+        line, back = self.round_trip(0.1, scan)
+        if name == "many":
+            assert "[-0.0, 5.0, true]" in line
+            assert math.copysign(1.0, back.beams[540].bearing) == -1.0
+            assert back.columns.tolist() == scan.columns.tolist()
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_simulated(self, scenario_dir, jitter):
+        cfg = ScenarioConfig.from_file(scenario_dir / "street_canyon.json")
+        sensor = dataclasses.replace(cfg.sensor, beam_count=1081, range_jitter=jitter)
+        vmap = load_map(cfg.map_path)
+        rng = random.Random(9)
+        for epoch in range(0, cfg.epochs, 7):
+            t = epoch / sensor.rate
+            pose = interpolate_pose(cfg.trajectory, t)
+            scan = simulate_scan(world_segments(vmap, cfg.objects, t), pose, sensor, rng)
+            assert scan.columns[2].any() and not scan.columns[2].all()
+            self.round_trip(t, scan, pose)
+
+    def test_integer_beams_written_as_floats(self):
+        # the columns hold floats, so integer input is written as its float
+        scan = LidarScan(((0, 5, True), (1, 6, 0)), 6)
+        assert format_scan(2, self.POSE, scan) == format_scan_oracle(2, self.POSE, scan)
+        assert '"beams": [[0.0, 5.0, true], [1.0, 6.0, false]]' in format_scan(2, self.POSE, scan)
+        (_, _, back), = read_scan_log([format_scan(2, self.POSE, scan)])
+        assert back == scan
