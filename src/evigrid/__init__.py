@@ -17,7 +17,7 @@ from .fusion import (ConflictPair, FusionParams, apply_accumulator_specializatio
 from .grid import EvidentialGrid, GridSpec, PerceptionGrid
 from .map_ingest import (MapConfidence, VectorMap, load_map, point_in_polygon,
                          rasterize_gg)
-from .sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
+from .sensor import LidarScan, Pose, SensorGridParams, build_sg
 from .simulator import (ObjectTrack, ScenarioConfig, SensorSpec, run_scenario,
                         simulate_scan)
 
@@ -33,6 +33,6 @@ __all__ = [
     "refine_sg", "step_cell", "step_with_conflicts", "update_accumulator",
     "EvidentialGrid", "GridSpec", "PerceptionGrid",
     "MapConfidence", "VectorMap", "load_map", "point_in_polygon", "rasterize_gg",
-    "Beam", "LidarScan", "Pose", "SensorGridParams", "build_sg",
+    "LidarScan", "Pose", "SensorGridParams", "build_sg",
     "ObjectTrack", "ScenarioConfig", "SensorSpec", "run_scenario", "simulate_scan",
 ]

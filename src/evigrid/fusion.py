@@ -454,12 +454,12 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
 
 
 def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
-    """Per-cell pignistic probabilities of a grid on the 5-class frame,
-    shape (width, height, 5): a view of (5, height, width) planes.
+    """Pignistic probabilities of a grid's states on the 5-class frame, a
+    (5, S) table: column k for state k of ``pg.states``.
 
-    Computed once per palette state: each class adds the shares
-    ``m(a) / |a|`` of the focal sets containing it, in ascending order of
-    the sets, so a state's bits do not depend on the other states.
+    Each class adds the shares ``m(a) / |a|`` of the focal sets containing
+    it, in ascending order of the sets, so a state's bits do not depend on
+    the other states.
     """
     masses = pg.states
     bet = np.zeros((frames.PERCEPTION_FRAME.n, masses.shape[1]))
@@ -468,16 +468,17 @@ def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
         for k in range(frames.PERCEPTION_FRAME.n):
             if a >> k & 1:
                 bet[k] += share
-    return np.take(bet, pg.ids, axis=1).T
+    return bet
 
 
+# kept for perfbench/traced.py, which times it by name
 def decide_grid(pg: EvidentialGrid, unknown_threshold: float) -> np.ndarray:
     """Per-cell decision codes, indices into DECISION_LABELS."""
-    return decide_pignistic(pignistic_grid(pg), unknown_threshold)
+    return decide_pignistic(pignistic_grid(pg), unknown_threshold)[pg.ids].T
 
 
 def decide_pignistic(bet: np.ndarray, unknown_threshold: float) -> np.ndarray:
-    """Decision codes from the output of ``pignistic_grid``."""
-    codes = bet.argmax(axis=2).astype(np.int8)
-    codes[bet.max(axis=2) < unknown_threshold] = len(DECISION_LABELS) - 1
+    """Decision codes, (S,), of the columns of a (5, S) ``pignistic_grid`` table."""
+    codes = bet.argmax(axis=0).astype(np.int8)
+    codes[bet.max(axis=0) < unknown_threshold] = len(DECISION_LABELS) - 1
     return codes

@@ -8,7 +8,6 @@ through them.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .dst import FrameOfDiscernment, MassFunction
+from .dst import FrameOfDiscernment
 
 
 @dataclass(frozen=True)
@@ -58,20 +57,10 @@ class GridSpec:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.where(inside, j * self.width + i, -1).astype(np.intp)
 
-    def world_to_cell(self, x: float, y: float) -> Optional[tuple[int, int]]:
-        """Cell (i, j) containing a world point, or None outside the grid."""
-        index = int(self.world_to_index(x, y))
-        return (index % self.width, index // self.width) if index >= 0 else None
-
     def cell_centers(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """Centres of cells (i, j), element-wise over index arrays."""
         return (self.origin_east + (np.asarray(i) + 0.5) * self.cell_size,
                 self.origin_north + (np.asarray(j) + 0.5) * self.cell_size)
-
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        if not (0 <= i < self.width and 0 <= j < self.height):
-            raise IndexError(f"cell ({i}, {j}) out of bounds for {self.width}x{self.height} grid")
-        return tuple(map(float, self.cell_centers(i, j)))
 
 
 def _distinct(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,19 +117,8 @@ class EvidentialGrid:
         self.ids = ids
 
     @property
-    def palette(self) -> "EvidentialGrid":
-        """The 1 x S grid whose cell k holds state k, sharing the states."""
-        palette = copy.copy(self)
-        palette.spec = GridSpec(0.0, 0.0, 1.0, self.states.shape[1], 1)
-        palette.ids = np.arange(self.states.shape[1]).reshape(1, -1)
-        return palette
-
-    @property
     def masses(self) -> np.ndarray:
         return _gathered(np.take(self.states, self.ids, axis=1).T)
-
-    def cell(self, i: int, j: int) -> MassFunction:
-        return MassFunction(self.frame, self.states[:, self.ids[j, i]])
 
 
 class PerceptionGrid(EvidentialGrid):

@@ -64,12 +64,12 @@ def _to_image(cellwise: np.ndarray) -> np.ndarray:
 
 
 def decision_image(codes: np.ndarray) -> np.ndarray:
-    """Image of per-cell decision codes (``fusion.decide_pignistic``)."""
+    """Image of (width, height) decision codes, as ``EpochResult.codes``."""
     return _to_image(DECISION_COLORS[codes])
 
 
 def pignistic_image(bet: np.ndarray) -> np.ndarray:
-    """Image of per-cell pignistic probabilities (``fusion.pignistic_grid``)."""
+    """Image of (width, height, 5) per-cell pignistic probabilities, as ``EpochResult.bet``."""
     rgb = np.clip(np.rint(bet @ CLASS_COLORS), 0, 255).astype(np.uint8)
     return _to_image(rgb)
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,33 +48,23 @@ class Pose:
         object.__setattr__(self, "heading", normalize_heading(self.heading))
 
 
-class Beam(NamedTuple):
-    bearing: float   # radians, sensor frame
-    range: float     # metres
-    hit: bool
-
-
 class LidarScan:
     """One scan's beams as one read-only (3, beams) float array of bearing,
     range and hit columns, `columns` (a hit is 1.0, a miss 0.0), which
     `build_sg` reads, and the sensor's `max_range`.
 
-    The beams are given as (bearing, range, hit) triples, or as their
-    columns in one array, as `read_scan_log` and `simulate_scan` give them.
-    `beams`, one `Beam` per beam, is made from the columns when first read.
+    It is made from a (3, beams) numpy array of those columns, as
+    `read_scan_log` and `simulate_scan` give them, and keeps a copy.
     """
 
-    def __init__(self, beams, max_range: float):
+    def __init__(self, columns: np.ndarray, max_range: float):
         # with a finite max_range the range checks below reject non-finite ranges
         if not 0.0 < max_range < math.inf:
             raise ValueError(f"max_range must be finite and > 0, got {max_range}")
-        if isinstance(beams, np.ndarray):
-            columns = np.array(beams, dtype=float)
-            if columns.ndim != 2 or len(columns) != 3:
-                raise ValueError(f"beam columns must have shape (3, beams), got {columns.shape}")
-        else:
-            triples = np.array(tuple(beams), dtype=float)
-            columns = np.array(triples.reshape(len(triples), 3).T)
+        if not isinstance(columns, np.ndarray) or columns.ndim != 2 or len(columns) != 3:
+            raise ValueError("beam columns must be an array of shape (3, beams), got "
+                             f"{getattr(columns, 'shape', type(columns).__name__)}")
+        columns = np.array(columns, dtype=float)
         columns[2] = columns[2] != 0.0
         bearing, rng, hit = columns
         ok = np.isfinite(bearing) & np.where(hit == 1.0, (0.0 < rng) & (rng <= max_range),
@@ -93,18 +81,13 @@ class LidarScan:
         self.columns = columns
         self.max_range = max_range
 
-    @cached_property
-    def beams(self) -> tuple[Beam, ...]:
-        bearing, rng, hit = self.columns.tolist()
-        return tuple(map(Beam, bearing, rng, map(bool, hit)))
-
     def __eq__(self, other):
         if not isinstance(other, LidarScan):
             return NotImplemented
         return self.max_range == other.max_range and np.array_equal(self.columns, other.columns)
 
     def __repr__(self):
-        return f"LidarScan(beams={self.beams!r}, max_range={self.max_range!r})"
+        return f"LidarScan({self.columns!r}, max_range={self.max_range!r})"
 
 
 @dataclass(frozen=True)

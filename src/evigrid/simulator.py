@@ -116,10 +116,7 @@ class SensorSpec:
         if self.beam_count < 1:
             raise ScenarioError("beam_count must be >= 1")
         for name in ("fov", "max_range", "rate", "range_jitter"):
-            value = _number(getattr(self, name), f"sensor {name}")
-            if not math.isfinite(value):
-                raise ScenarioError(f"sensor {name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(getattr(self, name), f"sensor {name}"))
         if not 0.0 <= self.fov <= 2.0 * math.pi:
             raise ScenarioError(f"sensor fov must be in [0, 2 pi], got {self.fov}")
         if self.max_range <= 0 or self.rate <= 0:
@@ -149,7 +146,8 @@ def _parse_settings(data: dict) -> dict:
 
     Absent keys are left out, so that defaults or a base's values hold.
     The numbers of the other sections and the decision threshold must be
-    JSON numbers; ``GridSpec`` checks the grid's.
+    finite JSON numbers, the threshold in [0, 1]; ``GridSpec`` checks the
+    grid's.
     """
     parsed = {"grid": GridSpec(**data["grid"])} if "grid" in data else {}
     kinds = {"sensor_model": SensorGridParams, "map_confidence": MapConfidence,
@@ -159,7 +157,10 @@ def _parse_settings(data: dict) -> dict:
             parsed[key] = kind(**{name: _setting(value, f"{key} {name}")
                                   for name, value in _object(data[key], key).items()})
     if "decision_threshold" in data:
-        parsed["decision_threshold"] = _number(data["decision_threshold"], "decision_threshold")
+        threshold = _number(data["decision_threshold"], "decision_threshold")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"decision_threshold must be in [0, 1], got {threshold}")
+        parsed["decision_threshold"] = threshold
     return parsed
 
 
@@ -334,13 +335,12 @@ class EpochResult:
     conflicts: ConflictPair
     codes: np.ndarray    # decision codes of pg, indices into DECISION_LABELS
     stats: dict
-    palette_bet: np.ndarray  # pignistic probabilities of pg.palette, (S, 1, 5)
+    state_bet: np.ndarray  # pignistic probabilities of pg.states, (5, S)
 
     @property
     def bet(self) -> np.ndarray:
-        """Pignistic probabilities of pg, (width, height, 5), gathered from
-        the palette's: a view of (5, height, width) planes."""
-        return np.take(self.palette_bet[:, 0].T, self.pg.ids, axis=1).T
+        """state_bet per cell, (width, height, 5): a view of (5, height, width) planes."""
+        return np.take(self.state_bet, self.pg.ids, axis=1).T
 
 
 def epoch_stats(epoch: int, codes: np.ndarray, conflicts: ConflictPair) -> dict:
@@ -370,8 +370,8 @@ def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
         pg, conflicts = step_with_conflicts(pg, sg, gg, settings.fusion)
         # once per palette state; looked up on the module, where
         # perfbench/traced.py times it
-        bet = fusion.pignistic_grid(pg.palette)
-        codes = decide_pignistic(bet, settings.decision_threshold)[:, 0][pg.ids].T
+        bet = fusion.pignistic_grid(pg)
+        codes = decide_pignistic(bet, settings.decision_threshold)[pg.ids].T
         yield EpochResult(epoch, t, pose, scan, pg, conflicts, codes,
                           epoch_stats(epoch, codes, conflicts), bet)
 
@@ -407,11 +407,14 @@ def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
 
 
 def _number(value, name: str) -> float:
-    """A number from a scenario file or a log record: a JSON number, not a
-    boolean or a string."""
+    """A number from a scenario file or a log record: a finite JSON number,
+    not a boolean or a string, nor the NaN or Infinity that ``json`` takes."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} {value!r} is not a number")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _hit_flag(value) -> bool:

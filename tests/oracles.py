@@ -12,7 +12,8 @@ grid, zero rows included, with the fusion module's per-pair helpers.
 The writer oracles format every cell, every pixel and every beam on its
 own.
 Tests build their input grids with ``dense_grid``: one palette state per
-cell.
+cell, and their scans from literal beams with ``scan_of``; ``cell_mass``
+reads one cell as a ``MassFunction``.
 """
 
 import json
@@ -27,7 +28,7 @@ from evigrid.fusion import (_MOVING_SUPERSETS, _OCCUPIED_SUBSETS, ConflictPair,
                             FusionParams, _ageing_vector, _conflict_kind)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid, mass_column_names
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
-from evigrid.sensor import Beam, LidarScan
+from evigrid.sensor import LidarScan
 from evigrid.simulator import _RAY_EPS
 
 
@@ -42,6 +43,16 @@ def dense_grid(cls, spec: GridSpec, frame: FrameOfDiscernment, masses,
     if counter is None:
         return cls(spec, frame, states, ids)
     return cls(spec, frame, states, ids, np.asarray(counter, dtype=float).T.ravel())
+
+
+def scan_of(beams, max_range: float) -> LidarScan:
+    """The scan of literal ``(bearing, range, hit)`` triples."""
+    return LidarScan(np.array(beams, dtype=float).reshape(-1, 3).T, max_range)
+
+
+def cell_mass(grid: EvidentialGrid, i: int, j: int) -> MassFunction:
+    """Cell (i, j) of a grid as a mass function."""
+    return MassFunction(grid.frame, grid.states[:, grid.ids[j, i]])
 
 
 def _cell_rows(grid: EvidentialGrid, values: np.ndarray) -> np.ndarray:
@@ -161,16 +172,18 @@ def traverse_ray_oracle(spec: GridSpec, x0: float, y0: float,
 def sensor_counts_oracle(scan: LidarScan, pose, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell counts of free and hit beams, as (width, height) arrays, one
     beam at a time: a beam's free cells are its scalar traversal less its
-    hit cell, and the hit cell is ``world_to_cell`` of the hit point."""
+    hit cell, and the hit cell is the one ``world_to_index`` gives the hit
+    point."""
     n_free = np.zeros((spec.width, spec.height), dtype=int)
     n_hit = np.zeros_like(n_free)
-    for beam in scan.beams:
-        angle = pose.heading + beam.bearing
+    for bearing, rng, is_hit in scan.columns.T.tolist():
+        angle = pose.heading + bearing
         dx, dy = math.cos(angle), math.sin(angle)
         hit = None
-        if beam.hit:
-            hit = spec.world_to_cell(pose.x + beam.range * dx, pose.y + beam.range * dy)
-        for cell in traverse_ray_oracle(spec, pose.x, pose.y, dx, dy, beam.range):
+        if is_hit:
+            index = int(spec.world_to_index(pose.x + rng * dx, pose.y + rng * dy))
+            hit = (index % spec.width, index // spec.width) if index >= 0 else None
+        for cell in traverse_ray_oracle(spec, pose.x, pose.y, dx, dy, rng):
             if cell != hit:
                 n_free[cell] += 1
         if hit is not None:
@@ -229,7 +242,7 @@ def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np
     omega = frames.PG_OMEGA
     for j in range(spec.height):
         for i in range(spec.width):
-            center = spec.cell_center(i, j)
+            center = spec.cell_centers(i, j)
             in_building = any(point_in_polygon_oracle(center, p) for p in vmap.buildings)
             in_road = any(point_in_polygon_oracle(center, p) for p in vmap.roads)
             if in_building and in_road:
@@ -284,10 +297,10 @@ def simulate_scan_oracle(segments, pose, sensor, rng=None) -> LidarScan:
             rng_t += rng.uniform(-sensor.range_jitter, sensor.range_jitter)
             rng_t = max(rng_t, _RAY_EPS)
         if rng_t <= sensor.max_range:
-            beams.append(Beam(float(bearing), rng_t, True))
+            beams.append((float(bearing), rng_t, True))
         else:
-            beams.append(Beam(float(bearing), sensor.max_range, False))
-    return LidarScan(tuple(beams), sensor.max_range)
+            beams.append((float(bearing), sensor.max_range, False))
+    return scan_of(beams, sensor.max_range)
 
 
 def _sum_in_row_order(rows: np.ndarray) -> np.ndarray:
@@ -404,11 +417,11 @@ def write_ppm_oracle(pixels: np.ndarray, out) -> None:
 
 
 def format_scan_oracle(t: float, pose, scan: LidarScan) -> str:
-    """``format_scan`` writing one ``[bearing, range, hit]`` list per
-    ``Beam`` of ``scan.beams``."""
+    """``format_scan`` writing one ``[bearing, range, hit]`` list per beam,
+    one column of ``scan.columns`` at a time."""
     return json.dumps({
         "t": t,
         "pose": {"x": pose.x, "y": pose.y, "heading": pose.heading},
-        "beams": [[b.bearing, b.range, b.hit] for b in scan.beams],
+        "beams": [[bearing, rng, hit == 1.0] for bearing, rng, hit in scan.columns.T.tolist()],
         "max_range": scan.max_range,
     })

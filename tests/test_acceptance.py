@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (conjunctive_oracle, dempster_oracle, disjunctive_oracle,
+from oracles import (cell_mass, conjunctive_oracle, dempster_oracle, disjunctive_oracle,
                      pignistic_oracle, random_mass)
 
 from evigrid import frames
@@ -205,8 +205,8 @@ def test_criterion_3_property_suites(criterion):
 
 def _footprint_cells(cfg, polygon):
     spec = cfg.grid
-    centres = [[spec.cell_center(i, j) for j in range(spec.height)] for i in range(spec.width)]
-    inside = point_in_polygon(centres, polygon)
+    xs, ys = spec.cell_centers(np.arange(spec.width)[:, None], np.arange(spec.height))
+    inside = point_in_polygon(np.stack(np.broadcast_arrays(xs, ys), axis=-1), polygon)
     return [(int(i), int(j)) for i, j in np.argwhere(inside)]
 
 
@@ -250,7 +250,7 @@ def test_criterion_5_parked_car_vs_facade(criterion, scenario_dir):
         footprint = _footprint_cells(cfg, car.polygon_at(0.0))
         assert footprint
         # facade cell straight ahead of the sensor on the near building wall
-        facade = cfg.grid.world_to_cell(15.25, 22.25)
+        facade = divmod(int(cfg.grid.world_to_index(15.25, 22.25)), cfg.grid.width)[::-1]
 
         results = list(run_scenario(cfg))
         epoch4 = decide_grid(results[4].pg, cfg.decision_threshold)
@@ -273,7 +273,7 @@ def test_criterion_5_parked_car_vs_facade(criterion, scenario_dir):
         codes4 = decide_grid(blind[4].pg, cfg_blind.decision_threshold)
         assert DECISION_LABELS[codes4[facade]] != "I"
         assert DECISION_LABELS[codes4[facade]] == "UNKNOWN"
-        bet = blind[4].pg.cell(*facade)
+        bet = cell_mass(blind[4].pg, *facade)
         from evigrid.dst import pignistic as betp
         probs = betp(bet)
         assert probs[1] < cfg_blind.decision_threshold  # BetP(infrastructure)

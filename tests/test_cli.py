@@ -183,9 +183,14 @@ def test_bad_grid_value_is_config_error(small_scenario, tmp_path, capsys, field,
     ({"sensor_model": {"free_weight": True}}, "sensor_model free_weight True is not a number"),
     ({"map_confidence": {"building": False}}, "map_confidence building False is not a number"),
     ({"map_confidence": [0.9]}, "map_confidence [0.9] is not an object"),
+    ({"decision_threshold": 2.0}, "decision_threshold must be in [0, 1], got 2.0"),
+    ({"decision_threshold": -1.0}, "decision_threshold must be in [0, 1], got -1.0"),
+    ({"decision_threshold": math.nan}, "decision_threshold must be finite, got nan"),
+    ({"fusion": {"ageing_rate": math.inf}}, "fusion ageing_rate must be finite, got inf"),
 ], ids=["threshold_bool", "threshold_string", "ageing_bool", "counter_string",
         "context_bool", "context_list", "free_weight_bool", "confidence_bool",
-        "confidence_list"])
+        "confidence_list", "threshold_above_one", "threshold_negative", "threshold_nan",
+        "ageing_inf"])
 def test_non_number_setting_is_config_error(small_scenario, tmp_path, capsys, where,
                                             settings, message):
     out = str(tmp_path / "out")
@@ -207,6 +212,31 @@ def test_non_number_setting_is_config_error(small_scenario, tmp_path, capsys, wh
     assert rc == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where, name", [
+    ("object", "object 0 length"), ("trajectory", "trajectory t"),
+    ("waypoint", "object 0 waypoint t")])
+def test_non_finite_scenario_number_is_config_error(small_scenario, tmp_path, capsys, where,
+                                                    name, value):
+    """``json`` reads NaN and Infinity; a scenario number must be finite."""
+    data = json.loads(small_scenario.read_text())
+    car = {"length": 4.0, "width": 2.0,
+           "waypoints": [{"t": 0.0, "x": 4.0, "y": 2.0, "heading": 0.0},
+                         {"t": 1.0, "x": 6.0, "y": 2.0, "heading": 0.0}]}
+    data["objects"] = [car]
+    if where == "object":
+        car["length"] = value
+    elif where == "trajectory":
+        data["trajectory"][0]["t"] = value
+    else:
+        car["waypoints"][1]["t"] = value
+    small_scenario.write_text(json.dumps(data))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{name} must be finite, got {value}" in err
 
 
 @pytest.mark.parametrize("value", [2.5, True])

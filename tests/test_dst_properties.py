@@ -23,8 +23,9 @@ from evigrid.dst import (FrameOfDiscernment, MassFunction, Refining,
 from evigrid.fusion import (FusionParams, combine_prior, refine_sg, step_cell,
                             step_with_conflicts)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
-from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
-from oracles import context_of_cell, dense_grid, step_with_conflicts_dense_oracle
+from evigrid.sensor import Pose, SensorGridParams, build_sg
+from oracles import (cell_mass, context_of_cell, dense_grid, scan_of,
+                     step_with_conflicts_dense_oracle)
 
 FRAMES = {n: FrameOfDiscernment(tuple("abcd"[:n])) for n in (2, 3, 4)}
 
@@ -205,10 +206,10 @@ def test_conflict_partition_adds_up_to_k(inputs):
         for j in range(pg.spec.height):
             context = context_of_cell(gg, i, j)
             k = combine_conjunctive(
-                discount(pg.cell(i, j), params.ageing_for(context)),
-                combine_prior(refine_sg(sg.cell(i, j)), gg.cell(i, j))).conflict
-            pair = step_cell(pg.cell(i, j), pg.counter[i, j], sg.cell(i, j), gg.cell(i, j),
-                             params, context)[2]
+                discount(cell_mass(pg, i, j), params.ageing_for(context)),
+                combine_prior(refine_sg(cell_mass(sg, i, j)), cell_mass(gg, i, j))).conflict
+            pair = step_cell(cell_mass(pg, i, j), pg.counter[i, j], cell_mass(sg, i, j),
+                             cell_mass(gg, i, j), params, context)[2]
             assert abs(pair.total - k) <= 1e-12
             grid_k += k
     totals = step_with_conflicts(pg, sg, gg, params)[1]
@@ -250,8 +251,8 @@ def beam_fans(draw):
     beams = draw(st.lists(st.tuples(
         st.floats(min_value=-math.pi, max_value=math.pi),
         st.floats(min_value=0.01, max_value=max_range), st.booleans()), max_size=40))
-    scan = LidarScan(tuple(Beam(bearing, r if hit else max_range, hit)
-                           for bearing, r, hit in beams), max_range)
+    scan = scan_of([(bearing, r if hit else max_range, hit) for bearing, r, hit in beams],
+                   max_range)
     pose = Pose(draw(st.floats(-1.0, 7.0)), draw(st.floats(-1.0, 6.0)),
                 draw(st.floats(-math.pi, math.pi)))
     params = SensorGridParams(draw(st.sampled_from([0.0, 0.7, 1.0]) | unit),
@@ -265,7 +266,7 @@ def test_build_sg_invariants_and_order(fan, rnd):
     scan, pose, params = fan
     grid = build_sg(scan, pose, GRID_SPEC, params)
     assert_normal_grid(grid.masses)
-    shuffled = list(scan.beams)
+    shuffled = scan.columns.T.tolist()
     rnd.shuffle(shuffled)
-    again = build_sg(LidarScan(tuple(shuffled), scan.max_range), pose, GRID_SPEC, params)
+    again = build_sg(scan_of(shuffled, scan.max_range), pose, GRID_SPEC, params)
     assert np.array_equal(grid.masses, again.masses)

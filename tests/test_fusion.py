@@ -13,9 +13,10 @@ from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             update_accumulator)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
-from evigrid.sensor import Beam, LidarScan, Pose, SensorGridParams, build_sg
+from evigrid.sensor import Pose, SensorGridParams, build_sg
 from evigrid.simulator import ScenarioConfig, run_scenario
-from oracles import context_of_cell, dense_grid, step_with_conflicts_dense_oracle
+from oracles import (cell_mass, context_of_cell, dense_grid, scan_of,
+                     step_with_conflicts_dense_oracle)
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -297,8 +298,8 @@ class TestStep:
         for i in range(self.SPEC.width):
             for j in range(self.SPEC.height):
                 m, z, conflicts = step_cell(
-                    pg.cell(i, j), pg.counter[i, j], sg.cell(i, j), gg.cell(i, j),
-                    params, context_of_cell(gg, i, j))
+                    cell_mass(pg, i, j), pg.counter[i, j], cell_mass(sg, i, j),
+                    cell_mass(gg, i, j), params, context_of_cell(gg, i, j))
                 assert np.allclose(out.masses[i, j], m.masses, atol=1e-12)
                 assert out.counter[i, j] == pytest.approx(z, abs=1e-12)
                 total_check += conflicts.total
@@ -313,7 +314,7 @@ class TestStep:
         # reference: per-cell chain without the prior combination
         for i in range(self.SPEC.width):
             for j in range(self.SPEC.height):
-                expect, _, _ = step_cell(pg.cell(i, j), 0.0, sg.cell(i, j),
+                expect, _, _ = step_cell(cell_mass(pg, i, j), 0.0, cell_mass(sg, i, j),
                                          MassFunction.vacuous(PG), FusionParams())
                 assert np.allclose(out.masses[i, j], expect.masses, atol=1e-12)
 
@@ -327,9 +328,9 @@ class TestStep:
         sg = dense_grid(EvidentialGrid, self.SPEC, SG, sg_m)
         gg = dense_grid(EvidentialGrid, self.SPEC, PG, gg_m)
         with pytest.raises(TotalConflictError):
-            combine_dempster(refine_sg(sg.cell(2, 1)), gg.cell(2, 1))
+            combine_dempster(refine_sg(cell_mass(sg, 2, 1)), cell_mass(gg, 2, 1))
         out, totals = step_with_conflicts(pg, sg, gg, FusionParams())
-        m, z, conflicts = step_cell(pg.cell(2, 1), 0.0, sg.cell(2, 1),
+        m, z, conflicts = step_cell(cell_mass(pg, 2, 1), 0.0, cell_mass(sg, 2, 1),
                                     MassFunction.vacuous(PG), FusionParams())
         assert np.allclose(out.masses[2, 1], m.masses, atol=1e-12)
         assert out.counter[2, 1] == z and totals == conflicts
@@ -421,22 +422,24 @@ class TestDecideGrid:
         from evigrid.fusion import DECISION_LABELS
         for i in range(spec.width):
             for j in range(spec.height):
-                assert DECISION_LABELS[codes[i, j]] == decide(pg.cell(i, j), 0.4)
+                assert DECISION_LABELS[codes[i, j]] == decide(cell_mass(pg, i, j), 0.4)
 
-    def test_pignistic_grid_is_the_per_cell_transform(self):
-        # within the rounding of 16 shares of the scalar transform (whose
-        # MassFunction renormalizes), and a cell's bits do not depend on
-        # the other cells
+    def test_pignistic_grid_is_the_per_state_transform(self):
+        # one column per state, each cell's within the rounding of 16 shares
+        # of the scalar transform (whose MassFunction renormalizes), and a
+        # state's bits do not depend on the other states
         rng = np.random.default_rng(22)
         spec, one = GridSpec(0, 0, 0.5, 6, 5), GridSpec(0, 0, 0.5, 1, 1)
         pg = random_pg(rng, spec)
         bet = pignistic_grid(pg)
+        assert bet.shape == (PG.n, pg.states.shape[1])
         for i in range(spec.width):
             for j in range(spec.height):
-                scalar = pignistic(pg.cell(i, j))
-                assert np.abs(bet[i, j] - scalar).max() <= 16 * np.finfo(float).eps
+                column = bet[:, pg.ids[j, i]]
+                scalar = pignistic(cell_mass(pg, i, j))
+                assert np.abs(column - scalar).max() <= 16 * np.finfo(float).eps
                 alone = dense_grid(PerceptionGrid, one, PG, pg.masses[i:i + 1, j:j + 1])
-                assert pignistic_grid(alone)[0, 0].tobytes() == bet[i, j].tobytes()
+                assert pignistic_grid(alone)[:, 0].tobytes() == column.tobytes()
 
 
 class TestStoredLayout:
@@ -457,7 +460,7 @@ class TestStoredLayout:
     def test_grids_store_planes(self):
         self.assert_planes(EvidentialGrid(self.SPEC, SG))
         self.assert_planes(PerceptionGrid(self.SPEC, PG))
-        scan = LidarScan((Beam(0.3, 1.2, True), Beam(-0.4, 3.0, False)), 3.0)
+        scan = scan_of([(0.3, 1.2, True), (-0.4, 3.0, False)], 3.0)
         sg = build_sg(scan, Pose(0.6, 0.7, 0.0), self.SPEC, SensorGridParams())
         self.assert_planes(sg)
         vmap = VectorMap(buildings=[np.array([(0.1, 0.1), (1.1, 0.1), (1.1, 1.1), (0.1, 1.1)])])

@@ -12,7 +12,7 @@ from evigrid import grid as grid_module
 from evigrid.grid import (EvidentialGrid, GridSpec, PerceptionGrid,
                           mass_column_names, write_grid_csv)
 from evigrid.frames import PERCEPTION_FRAME
-from oracles import dense_grid, write_grid_csv_oracle
+from oracles import cell_mass, dense_grid, write_grid_csv_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 4, 4)
 
@@ -39,50 +39,58 @@ class TestGridSpec:
     def test_accepts_numpy_integers(self):
         assert GridSpec(0, 0, 0.5, np.int64(4), np.int32(3)).height == 3
 
-    def test_world_to_cell(self):
-        assert SPEC.world_to_cell(0.0, 0.0) == (0, 0)
-        assert SPEC.world_to_cell(0.74, 1.26) == (1, 2)
-        assert SPEC.world_to_cell(-0.1, 0.0) is None
+    def test_world_to_index(self):
+        # the flat raster index j * width + i, -1 outside the grid
+        assert SPEC.world_to_index(0.0, 0.0) == 0
+        assert SPEC.world_to_index(0.74, 1.26) == 2 * SPEC.width + 1
+        assert SPEC.world_to_index(-0.1, 0.0) == -1
         # upper boundary belongs to the higher-index cell ...
-        assert SPEC.world_to_cell(0.5, 0.0) == (1, 0)
+        assert SPEC.world_to_index(0.5, 0.0) == 1
         # ... except on the grid's outer edge
-        assert SPEC.world_to_cell(2.0, 2.0) == (3, 3)
-        assert SPEC.world_to_cell(2.1, 1.0) is None
+        assert SPEC.world_to_index(2.0, 2.0) == 3 * SPEC.width + 3
+        assert SPEC.world_to_index(2.1, 1.0) == -1
 
-    def test_cell_center(self):
-        assert SPEC.cell_center(0, 0) == (0.25, 0.25)
-        assert SPEC.cell_center(2, 3) == (1.25, 1.75)
+    def test_cell_centers(self):
+        assert SPEC.cell_centers(0, 0) == (0.25, 0.25)
+        assert SPEC.cell_centers(2, 3) == (1.25, 1.75)
         shifted = GridSpec(100.0, 200.0, 0.5, 4, 4)
-        assert shifted.cell_center(0, 0) == (100.25, 200.25)
-        with pytest.raises(IndexError):
-            SPEC.cell_center(4, 0)
+        assert shifted.cell_centers(0, 0) == (100.25, 200.25)
 
     def test_center_roundtrip(self):
-        for i in range(SPEC.width):
-            for j in range(SPEC.height):
-                assert SPEC.world_to_cell(*SPEC.cell_center(i, j)) == (i, j)
+        i, j = np.meshgrid(np.arange(SPEC.width), np.arange(SPEC.height))
+        assert (SPEC.world_to_index(*SPEC.cell_centers(i, j)) == j * SPEC.width + i).all()
 
     @pytest.mark.parametrize("spec", [SPEC, GridSpec(-3.25, 7.5, 0.125, 37, 11)])
-    def test_world_to_index_matches_world_to_cell(self, spec):
-        # lattice points (upper boundaries, outer edges, corners) and points
-        # in between, inside and outside the grid
-        steps = np.arange(-2, 2 * max(spec.width, spec.height) + 3) * spec.cell_size / 2
-        x = spec.origin_east + steps[:, None]
-        y = spec.origin_north + steps[None, :]
-        x, y = np.broadcast_arrays(x, y)
+    def test_world_to_index_boundary_rules(self, spec):
+        """Point by point, the last cell whose closed box holds the point, so
+        an upper boundary belongs to the higher-index cell and the grid's
+        outer edge to the last cell, and -1 outside.  On lattice points
+        (upper boundaries, outer edges, corners) and points in between,
+        inside and outside the grid; every coordinate here is exact in
+        binary, so the box bounds round nowhere."""
+        cs = spec.cell_size
+
+        def last_cell(p, origin, n):
+            holding = [k for k in range(n) if origin + k * cs <= p <= origin + (k + 1) * cs]
+            return holding[-1] if holding else None
+
+        steps = np.arange(-2, 2 * max(spec.width, spec.height) + 3) * cs / 2
+        x, y = np.broadcast_arrays(spec.origin_east + steps[:, None],
+                                   spec.origin_north + steps[None, :])
         index = spec.world_to_index(x, y)
         assert index.shape == x.shape and index.dtype == np.intp
         for k, xk, yk in zip(index.ravel().tolist(), x.ravel().tolist(), y.ravel().tolist()):
-            cell = spec.world_to_cell(xk, yk)
-            assert k == (-1 if cell is None else cell[1] * spec.width + cell[0]), (xk, yk)
+            i = last_cell(xk, spec.origin_east, spec.width)
+            j = last_cell(yk, spec.origin_north, spec.height)
+            assert k == (-1 if i is None or j is None else j * spec.width + i), (xk, yk)
         assert (index >= 0).any() and (index == -1).any()
 
-    def test_cell_centers_match_cell_center(self):
+    def test_cell_centers_element_wise(self):
         spec = GridSpec(100.0, -7.3, 0.3, 5, 3)
         xs, ys = spec.cell_centers(np.arange(spec.width)[:, None], np.arange(spec.height))
         for i in range(spec.width):
             for j in range(spec.height):
-                assert (xs[i, 0], ys[j]) == spec.cell_center(i, j)
+                assert (xs[i, 0], ys[j]) == spec.cell_centers(i, j)
 
 
 def vacuous_masses(spec):
@@ -100,7 +108,7 @@ class TestEvidentialGrid:
         assert grid.ids.shape == (SPEC.height, SPEC.width) and (grid.ids == 0).all()
         for i in range(SPEC.width):
             for j in range(SPEC.height):
-                assert grid.cell(i, j).is_vacuous()
+                assert cell_mass(grid, i, j).is_vacuous()
 
     def test_perception_counter_starts_zero(self):
         pg = PerceptionGrid(SPEC, PERCEPTION_FRAME)
@@ -165,7 +173,7 @@ class TestCsvExport:
         expect = []
         for j in range(spec.height):
             for i in range(spec.width):
-                x, y = spec.cell_center(i, j)
+                x, y = map(float, spec.cell_centers(i, j))
                 z = grid.counter[i, j] if with_counter else 0.0
                 values = [x, y] + [float(v) for v in grid.masses[i, j]] + [float(z)]
                 expect.append(",".join([repr(i), repr(j)] + [repr(v) for v in values]))

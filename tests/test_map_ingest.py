@@ -12,7 +12,7 @@ from evigrid.map_ingest import (MapConfidence, MapFormatError, MapOverlapError,
                                 VectorMap, load_map, point_in_polygon,
                                 rasterize_gg)
 from evigrid.simulator import ScenarioConfig
-from oracles import point_in_polygon_oracle, rasterize_oracle
+from oracles import cell_mass, point_in_polygon_oracle, rasterize_oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -211,13 +211,13 @@ class TestRasterize:
                          roads=[np.array([(2, 2), (4, 2), (4, 4), (2, 4)])])
         conf = MapConfidence(building=0.9, road=0.8, intermediate=0.6)
         gg = rasterize_gg(vmap, conf, self.SPEC)
-        building_cell = gg.cell(0, 0)
+        building_cell = cell_mass(gg, 0, 0)
         assert building_cell[frames.BUILDING_SET] == pytest.approx(0.9)
         assert building_cell["FIUSM"] == pytest.approx(0.1)
-        road_cell = gg.cell(3, 3)
+        road_cell = cell_mass(gg, 3, 3)
         assert road_cell[frames.ROAD_SET] == pytest.approx(0.8)
         assert road_cell["FIUSM"] == pytest.approx(0.2)
-        open_cell = gg.cell(0, 3)
+        open_cell = cell_mass(gg, 0, 3)
         assert open_cell[frames.INTERMEDIATE_SET] == pytest.approx(0.6)
         assert open_cell["FIUSM"] == pytest.approx(0.4)
 
@@ -250,7 +250,7 @@ class TestRasterize:
         gg = rasterize_gg(vmap, MapConfidence(0.0, 0.0, 0.0), self.SPEC)
         for i in range(4):
             for j in range(4):
-                assert gg.cell(i, j).is_vacuous()
+                assert cell_mass(gg, i, j).is_vacuous()
 
     def test_deterministic(self):
         vmap = VectorMap(roads=[np.array([(0, 0), (4, 0), (4, 4), (0, 4)])])

@@ -1,6 +1,6 @@
 """Palette grids: the fusion kernel fuses each distinct cell state once.
 
-A grid is a 1 x S palette of distinct states plus one palette id per cell.
+A grid is a palette of S distinct states plus one palette id per cell.
 On grids whose cells come from small pools of states (with signed zeros and
 values one ulp apart), the kernel must give the bits of the dense 32-row
 oracle, and its output palette must hold each distinct state exactly once,
@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from evigrid import frames, fusion
 from evigrid.dst import MassFunction
-from evigrid.fusion import (FusionParams, decide_pignistic, pignistic_grid, step_cell,
+from evigrid.fusion import (FusionParams, decide_grid, pignistic_grid, step_cell,
                             step_with_conflicts)
 from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
 from evigrid.map_ingest import load_map, rasterize_gg
 from evigrid.sensor import build_sg
 from evigrid.simulator import ScenarioConfig, TimedPose, run_scenario
-from oracles import dense_grid, step_with_conflicts_dense_oracle
+from oracles import cell_mass, dense_grid, step_with_conflicts_dense_oracle
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -52,7 +52,7 @@ def assert_same_bits(out, totals, want, want_totals):
 def assert_exact_palette(grid):
     """No two palette states are equal, and two cells share an id exactly
     when their bits are equal."""
-    states = [state.tobytes() for state in cell_states(grid.palette)]
+    states = [state.tobytes() for state in np.vstack([grid.states, grid.state_counter]).T]
     assert len(set(states)) == len(states)
     cells = [state.tobytes() for state in cell_states(grid)]
     pairs = set(zip(cells, grid.ids.ravel().tolist()))
@@ -135,7 +135,7 @@ def test_palette_kernel_equals_dense_oracle(inputs):
     assert_same_bits(*step_with_conflicts(dense(pg), dense(sg), dense(gg), params),
                      out, totals)
     assert_exact_palette(out)
-    assert out.palette.spec.width == len({state.tobytes() for state in cell_states(out)})
+    assert out.states.shape[1] == len({state.tobytes() for state in cell_states(out)})
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,10 +212,10 @@ def test_total_conflict_with_prior_keeps_the_sensor_mass():
 def test_gathered_cells_are_read_only():
     spec = GridSpec(0.0, 0.0, 0.5, 3, 2)
     pg = PerceptionGrid(spec, PG)
-    for values in (pg.masses, pg.counter, pg.palette.masses):
+    for values in (pg.masses, pg.counter):
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.5
-    assert pg.cell(2, 1).is_vacuous()
+    assert cell_mass(pg, 2, 1).is_vacuous()
 
 
 # --- whole runs --------------------------------------------------------------
@@ -238,7 +238,39 @@ def test_scenario_run_equals_dense_loop(scenario_dir, name):
         sg = dense(build_sg(result.scan, result.pose, cfg.grid, cfg.sensor_model))
         pg, totals = step_with_conflicts_dense_oracle(pg, sg, gg, cfg.fusion)
         assert_same_bits(result.pg, result.conflicts, pg, totals)
-        bet = pignistic_grid(pg)
+        assert result.state_bet.tobytes() == pignistic_grid(result.pg).tobytes(), result.epoch
+        bet = np.take(pignistic_grid(pg), pg.ids, axis=1).T
         assert result.bet.tobytes() == bet.tobytes(), result.epoch
-        assert np.array_equal(result.codes, decide_pignistic(bet, cfg.decision_threshold))
-        assert result.pg.palette.spec.width < cfg.grid.width * cfg.grid.height
+        assert np.array_equal(result.codes, decide_grid(pg, cfg.decision_threshold))
+        assert result.pg.states.shape[1] < cfg.grid.width * cfg.grid.height
+
+
+def test_subnormal_regime_soak(scenario_dir):
+    """A long run at a high ageing rate, where masses that only decay pass
+    through the subnormal range (from about epoch 54 here) without a
+    flush to zero: the masses stay normal mass functions and the counter in
+    [0, 1] at every checkpoint, the palette holds subnormal masses, and the
+    step whose stored palette holds the most of them is bit for bit the
+    dense 32-row oracle's."""
+    cfg = ScenarioConfig.from_file(scenario_dir / "crossing_car.json")
+    cfg.grid = GridSpec(0.0, 0.0, 1.0, 30, 30)
+    cfg.fusion = dataclasses.replace(cfg.fusion, ageing_rate=0.5)
+    cfg.sensor = dataclasses.replace(cfg.sensor, range_jitter=0.02)
+    cfg.epochs = 300
+    tiny = np.finfo(float).tiny
+    pg, most = PerceptionGrid(cfg.grid, PG), (0, None, None)
+    for result in run_scenario(cfg, seed=31):
+        subnormal = int(((0.0 < pg.states) & (pg.states < tiny)).sum())
+        if subnormal > most[0]:
+            most = (subnormal, pg, result)
+        pg = result.pg
+        if result.epoch % 25 == 0 or result.epoch == cfg.epochs - 1:
+            assert (pg.states >= 0.0).all(), result.epoch
+            assert np.abs(pg.states.sum(axis=0) - 1.0).max() <= 1e-12, result.epoch
+            assert ((0.0 <= pg.state_counter) & (pg.state_counter <= 1.0)).all(), result.epoch
+    subnormal, before, result = most
+    assert subnormal > 0
+    gg = rasterize_gg(load_map(cfg.map_path), cfg.map_confidence, cfg.grid)
+    sg = build_sg(result.scan, result.pose, cfg.grid, cfg.sensor_model)
+    assert_same_bits(result.pg, result.conflicts,
+                     *step_with_conflicts_dense_oracle(before, sg, gg, cfg.fusion))

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from evigrid import frames
 from evigrid.dst import MassFunction, combine_dempster
 from evigrid.grid import GridSpec
-from evigrid.sensor import (Beam, LidarScan, Pose, SensorGridParams, build_sg,
+from evigrid.sensor import (LidarScan, Pose, SensorGridParams, build_sg,
                             normalize_heading, traverse_ray)
 from evigrid.simulator import SensorSpec, simulate_scan
-from oracles import sensor_counts_oracle, sensor_merge_oracle, traverse_ray_oracle
+from oracles import (cell_mass, scan_of, sensor_counts_oracle, sensor_merge_oracle,
+                     traverse_ray_oracle)
 
 PARAMS = SensorGridParams(free_weight=0.7, occupied_weight=0.8)
 
@@ -41,71 +42,69 @@ class TestPose:
 class TestLidarScan:
     def test_hit_range_validated(self):
         with pytest.raises(ValueError):
-            LidarScan((Beam(0.0, 25.0, True),), max_range=20.0)
+            scan_of(((0.0, 25.0, True),), max_range=20.0)
         with pytest.raises(ValueError):
-            LidarScan((Beam(0.0, 0.0, True),), max_range=20.0)
+            scan_of(((0.0, 0.0, True),), max_range=20.0)
 
     def test_non_hit_range_is_max(self):
         with pytest.raises(ValueError):
-            LidarScan((Beam(0.0, 10.0, False),), max_range=20.0)
+            scan_of(((0.0, 10.0, False),), max_range=20.0)
 
     @pytest.mark.parametrize("beam, max_range", [
-        (Beam(0.0, math.inf, False), math.inf),
-        (Beam(0.0, 5.0, True), math.nan),
-        (Beam(math.nan, 5.0, True), 20.0),
-        (Beam(math.inf, 20.0, False), 20.0),
-        (Beam(0.0, math.nan, True), 20.0),
-        (Beam(0.0, math.nan, False), 20.0)])
+        ((0.0, math.inf, False), math.inf),
+        ((0.0, 5.0, True), math.nan),
+        ((math.nan, 5.0, True), 20.0),
+        ((math.inf, 20.0, False), 20.0),
+        ((0.0, math.nan, True), 20.0),
+        ((0.0, math.nan, False), 20.0)])
     def test_rejects_non_finite(self, beam, max_range):
         with pytest.raises(ValueError):
-            LidarScan((beam,), max_range=max_range)
+            scan_of((beam,), max_range=max_range)
 
 
     @pytest.mark.parametrize("k", [0, 540, 1080])
     @pytest.mark.parametrize("bad, message", [
-        (Beam(math.nan, 5.0, True), "bearing nan is not finite"),
-        (Beam(math.inf, 6.0, False), "bearing inf is not finite"),
-        (Beam(0.0, 7.0, True), "hit range 7.0 outside (0, max_range]"),
-        (Beam(0.0, 0.0, True), "hit range 0.0 outside (0, max_range]"),
-        (Beam(0.0, math.nan, True), "hit range nan outside (0, max_range]"),
-        (Beam(0.0, 5.0, False), "non-hit beams must carry range = max_range"),
-        (Beam(0.0, 5, 0), "non-hit beams must carry range = max_range"),
+        ((math.nan, 5.0, True), "bearing nan is not finite"),
+        ((math.inf, 6.0, False), "bearing inf is not finite"),
+        ((0.0, 7.0, True), "hit range 7.0 outside (0, max_range]"),
+        ((0.0, 0.0, True), "hit range 0.0 outside (0, max_range]"),
+        ((0.0, math.nan, True), "hit range nan outside (0, max_range]"),
+        ((0.0, 5.0, False), "non-hit beams must carry range = max_range"),
+        ((0.0, 5, 0), "non-hit beams must carry range = max_range"),
         ((0.0, math.inf, False), "non-hit beams must carry range = max_range")])
     def test_names_the_first_bad_beam_of_many(self, k, bad, message):
         """The columns are checked at once; a bad beam is named by the
         per-beam checks, the first one when there are two."""
-        beams = [Beam(0.001 * i, 5.0, True) if i % 3 else Beam(0.001 * i, 6.0, False)
+        beams = [(0.001 * i, 5.0, True) if i % 3 else (0.001 * i, 6.0, False)
                  for i in range(1081)]
         beams[k] = bad
         if k < 1080:
-            beams[1080] = Beam(math.nan, 5.0, True)
+            beams[1080] = (math.nan, 5.0, True)
         with pytest.raises(ValueError, match=f"^beam {k}: {re.escape(message)}$"):
-            LidarScan(tuple(beams), 6.0)
+            scan_of(beams, 6.0)
 
     def test_columns_hold_the_beams(self):
-        beams = (Beam(0.5, 5.0, True), (1, 6, False), Beam(-0.25, 6.0, False))
-        scan = LidarScan(beams, 6)
-        assert [type(beam) for beam in scan.beams] == [Beam] * 3
+        scan = scan_of([(0.5, 5.0, True), (1, 6, False), (-0.25, 6.0, False)], 6)
         assert scan.columns.tolist() == [[0.5, 1.0, -0.25], [5.0, 6.0, 6.0], [1.0, 0.0, 0.0]]
-        again = LidarScan(scan.beams[::2], 6.0)
+        again = LidarScan(scan.columns[:, ::2], 6.0)
         assert again.columns.tolist() == [[0.5, -0.25], [5.0, 6.0], [1.0, 0.0]]
-        assert LidarScan((), 6.0).columns.shape == (3, 0)
+        assert LidarScan(np.empty((3, 0)), 6.0).columns.shape == (3, 0)
         assert not scan.columns.flags.writeable and not again.columns.flags.writeable
-        assert again == LidarScan(list(scan.beams[::2]), 6.0)
+        assert again == scan_of([(0.5, 5.0, True), (-0.25, 6.0, False)], 6.0)
 
     def test_columns_in_one_array(self):
         columns = np.array([[0.5, 1.0], [5.0, 6.0], [1.0, 0.0]])
         scan = LidarScan(columns, 6.0)
-        assert scan == LidarScan((Beam(0.5, 5.0, True), Beam(1.0, 6.0, False)), 6.0)
-        assert "beams" not in vars(scan)    # made only when read
-        assert scan.beams == (Beam(0.5, 5.0, True), Beam(1.0, 6.0, False))
-        assert [type(v) for v in scan.beams[0]] == [float, float, bool]
+        assert scan == scan_of([(0.5, 5.0, True), (1.0, 6.0, False)], 6.0)
         columns[1, 0] = 7.0
         assert scan.columns[1, 0] == 5.0    # the scan holds its own copy
         with pytest.raises(ValueError, match=r"^beam 0: hit range 7\.0 outside"):
             LidarScan(columns, 6.0)
-        with pytest.raises(ValueError, match=r"shape \(3, beams\)"):
+        with pytest.raises(ValueError, match=r"shape \(3, beams\), got \(2, 2\)"):
             LidarScan(columns[:2], 6.0)
+        # only an array: beams as triples, even three of them, are not columns
+        with pytest.raises(ValueError, match=r"shape \(3, beams\), got tuple"):
+            LidarScan(((0.5, 5.0, True), (1.0, 6.0, False), (0.0, 6.0, False)), 6.0)
 
 
 def ray_cells(spec, cells, ray=0):
@@ -156,7 +155,8 @@ def origins(spec, rng):
     lattice = [(spec.origin_east + i * cs, spec.origin_north + j * cs)
                for i, j in ((0, 0), (spec.width, spec.height), (1, spec.height // 2),
                             (spec.width // 2, 3))]
-    centres = [spec.cell_center(int(rng.integers(spec.width)), int(rng.integers(spec.height)))
+    centres = [tuple(map(float, spec.cell_centers(int(rng.integers(spec.width)),
+                                                  int(rng.integers(spec.height)))))
                for _ in range(3)]
     outside = [(spec.origin_east - 2.5 * cs, spec.origin_north + 0.5 * spec.height * cs),
                (spec.origin_east + (spec.width + 3) * cs, spec.origin_north - 4 * cs),
@@ -211,7 +211,7 @@ class TestBatchedTraversal:
         cs = spec.cell_size
         dx, dy = np.array(AXIS_AND_CORNER_DIRECTIONS[:8]).T
         for x0, y0, offset in ((spec.origin_east + 2 * cs, spec.origin_north + 2 * cs, 0.0),
-                               (*spec.cell_center(2, 2), 0.5)):
+                               (*map(float, spec.cell_centers(2, 2)), 0.5)):
             for steps in (1, 2, 3):
                 length = np.full(len(dx), (steps + offset) * cs)
                 assert_matches_oracle(spec, x0, y0, dx, dy, length)
@@ -219,27 +219,28 @@ class TestBatchedTraversal:
         assert len(traverse_one(spec, spec.origin_east, spec.origin_north + 0.5 * cs,
                                 1.0, 0.0, 3 * cs)) == 3
 
-    def test_hit_cells_on_boundaries_follow_world_to_cell(self, spec):
+    def test_hit_cells_on_boundaries_follow_world_to_index(self, spec):
         # hit points on an upper cell boundary and on the grid's outer edge
-        cs, (xc, yc) = spec.cell_size, spec.cell_center(0, 1)
+        cs, (xc, yc) = spec.cell_size, map(float, spec.cell_centers(0, 1))
         beams, ends = [], []
         for bearing, end in ((0.0, (spec.origin_east + 3 * cs, yc)),
                              (0.0, (spec.origin_east + spec.width * cs, yc)),
                              (math.pi / 2, (xc, spec.origin_north + 2 * cs)),
                              (math.pi / 2, (xc, spec.origin_north + spec.height * cs))):
-            beams.append(Beam(bearing, math.dist((xc, yc), end), True))
+            beams.append((bearing, math.dist((xc, yc), end), True))
             ends.append(end)
-        scan = LidarScan(tuple(beams), max_range=1e3)
+        scan = scan_of(beams, max_range=1e3)
         pose = Pose(xc, yc, 0.0)
         grid = build_sg(scan, pose, spec, PARAMS)
         n_free, n_hit = sensor_counts_oracle(scan, pose, spec)
         # the upper boundary belongs to the higher-index cell, the outer edge
         # to the last cell
         hits = [(3, 1), (spec.width - 1, 1), (0, 2), (0, spec.height - 1)]
-        assert [spec.world_to_cell(*end) for end in ends] == hits
+        assert [int(spec.world_to_index(*end)) for end in ends] == [j * spec.width + i
+                                                                     for i, j in hits]
         for hit in hits:
-            assert grid.cell(*hit)["O"] > 0.0
-        assert n_free[spec.width - 1, 1] == 0 and grid.cell(spec.width - 1, 1)["F"] == 0.0
+            assert cell_mass(grid, *hit)["O"] > 0.0
+        assert n_free[spec.width - 1, 1] == 0 and cell_mass(grid, spec.width - 1, 1)["F"] == 0.0
         assert_counts(grid, n_free, n_hit)
 
     def test_sensor_grid_matches_counts(self, spec):
@@ -248,9 +249,9 @@ class TestBatchedTraversal:
             bearings = np.linspace(-math.pi, math.pi, 90, endpoint=False).tolist()
             max_range = max(spec.width, spec.height) * spec.cell_size
             ranges = rng.uniform(0.05, max_range, len(bearings)).tolist()
-            beams = tuple(Beam(b, r, True) if r < 0.8 * max_range else Beam(b, max_range, False)
+            beams = tuple((b, r, True) if r < 0.8 * max_range else (b, max_range, False)
                           for b, r in zip(bearings, ranges))
-            scan, pose = LidarScan(beams, max_range), Pose(x0, y0, float(rng.uniform(-3, 3)))
+            scan, pose = scan_of(beams, max_range), Pose(x0, y0, float(rng.uniform(-3, 3)))
             grid = build_sg(scan, pose, spec, PARAMS)
             assert_counts(grid, *sensor_counts_oracle(scan, pose, spec))
 
@@ -258,12 +259,12 @@ class TestBatchedTraversal:
         assert traverse_ray(spec, 0.0, 0.0, np.empty(0), np.empty(0), np.empty(0)).shape == (0, 2)
         omega = frames.SENSOR_FRAME.omega
         pose = Pose(spec.origin_east, spec.origin_north, 0.0)
-        grid = build_sg(LidarScan((), 20.0), pose, spec, PARAMS)
+        grid = build_sg(scan_of((), 20.0), pose, spec, PARAMS)
         assert (grid.masses[:, :, omega] == 1.0).all()
         # a fan facing away from the grid, from a pose south-west of it
-        beams = tuple(Beam(b, 5.0, True) for b in np.linspace(-2.8, -1.9, 31).tolist())
+        beams = tuple((b, 5.0, True) for b in np.linspace(-2.8, -1.9, 31).tolist())
         pose = Pose(spec.origin_east - 1.0, spec.origin_north - 1.0, 0.0)
-        grid = build_sg(LidarScan(beams, 20.0), pose, spec, PARAMS)
+        grid = build_sg(scan_of(beams, 20.0), pose, spec, PARAMS)
         assert (grid.masses[:, :, omega] == 1.0).all()
 
 
@@ -301,7 +302,7 @@ def ray_fans(draw):
     if where == "lattice":
         x0, y0 = ox + i * cs, oy + j * cs
     elif where == "centre":
-        x0, y0 = spec.cell_center(min(i, width - 1), min(j, height - 1))
+        x0, y0 = map(float, spec.cell_centers(min(i, width - 1), min(j, height - 1)))
     else:
         fx = draw(st.sampled_from([-2.5, -1.0, -0.25, width + 0.5, width + 3.0]))
         x0, y0 = ox + fx * cs, oy + draw(st.floats(-3.0, height + 3.0)) * cs
@@ -362,7 +363,7 @@ def test_sensor_grid_matches_counts_at_extreme_fans(beam_count, fov):
     sensor = SensorSpec(beam_count=beam_count, fov=fov, max_range=3.0)
     for pose in (Pose(1.3, 2.6, 0.4), Pose(-1.0, 0.5, math.pi), Pose(0.75, 1.25, -math.pi / 2)):
         scan = simulate_scan(segments, pose, sensor)
-        assert len(scan.beams) == beam_count
+        assert scan.columns.shape == (3, beam_count)
         assert_counts(build_sg(scan, pose, spec, PARAMS), *sensor_counts_oracle(scan, pose, spec))
 
 
@@ -382,47 +383,47 @@ class TestBuildSg:
     SPEC = GridSpec(0.0, 0.0, 0.5, 44, 4)
 
     def test_single_hit_beam(self):
-        scan = LidarScan((Beam(0.0, 10.0, True),), max_range=20.0)
+        scan = scan_of(((0.0, 10.0, True),), max_range=20.0)
         grid = build_sg(scan, Pose(0.0, 0.0, 0.0), self.SPEC, PARAMS)
         for i in range(20):
-            cell = grid.cell(i, 0)
+            cell = cell_mass(grid, i, 0)
             assert cell["F"] == pytest.approx(0.7)
             assert cell["FO"] == pytest.approx(0.3)
-        hit = grid.cell(20, 0)
+        hit = cell_mass(grid, 20, 0)
         assert hit["O"] == pytest.approx(0.8)
         assert hit["FO"] == pytest.approx(0.2)
         # cells beyond the hit stay vacuous
-        assert grid.cell(21, 0).is_vacuous()
+        assert cell_mass(grid, 21, 0).is_vacuous()
 
     def test_non_hit_beam_marks_free(self):
-        scan = LidarScan((Beam(0.0, 20.0, False),), max_range=20.0)
+        scan = scan_of(((0.0, 20.0, False),), max_range=20.0)
         grid = build_sg(scan, Pose(0.0, 0.0, 0.0), self.SPEC, PARAMS)
         for i in range(40):
-            assert grid.cell(i, 0)["F"] == pytest.approx(0.7)
-        assert all(grid.cell(i, 0)["O"] == 0.0 for i in range(self.SPEC.width))
+            assert cell_mass(grid, i, 0)["F"] == pytest.approx(0.7)
+        assert all(cell_mass(grid, i, 0)["O"] == 0.0 for i in range(self.SPEC.width))
 
     def test_empty_scan(self):
-        grid = build_sg(LidarScan((), 20.0), Pose(0, 0, 0), self.SPEC, PARAMS)
+        grid = build_sg(scan_of((), 20.0), Pose(0, 0, 0), self.SPEC, PARAMS)
         assert (grid.masses[:, :, frames.SENSOR_FRAME.omega] == 1.0).all()
 
     def test_focal_sets_limited(self):
-        scan = LidarScan((Beam(0.0, 5.0, True), Beam(0.01, 5.0, True),
-                          Beam(-0.01, 20.0, False)), max_range=20.0)
+        scan = scan_of(((0.0, 5.0, True), (0.01, 5.0, True),
+                          (-0.01, 20.0, False)), max_range=20.0)
         grid = build_sg(scan, Pose(0.2, 1.1, 0.0), self.SPEC, PARAMS)
         total = grid.masses.sum(axis=2)
         assert np.allclose(total, 1.0, atol=1e-9)
         assert (grid.masses[:, :, 0] == 0.0).all()
 
     def test_beam_order_invariance(self):
-        beams = (Beam(0.0, 9.0, True), Beam(0.05, 20.0, False), Beam(-0.05, 4.0, True))
+        beams = ((0.0, 9.0, True), (0.05, 20.0, False), (-0.05, 4.0, True))
         pose = Pose(0.1, 1.0, 0.0)
-        a = build_sg(LidarScan(beams, 20.0), pose, self.SPEC, PARAMS)
-        b = build_sg(LidarScan(beams[::-1], 20.0), pose, self.SPEC, PARAMS)
+        a = build_sg(scan_of(beams, 20.0), pose, self.SPEC, PARAMS)
+        b = build_sg(scan_of(beams[::-1], 20.0), pose, self.SPEC, PARAMS)
         assert np.array_equal(a.masses, b.masses)
 
     def test_merge_matches_dempster(self):
         # two beams hitting the same cell: inline merge == dst Dempster rule
-        scan = LidarScan((Beam(0.0, 1.1, True), Beam(0.0, 1.2, True)), max_range=20.0)
+        scan = scan_of(((0.0, 1.1, True), (0.0, 1.2, True)), max_range=20.0)
         grid = build_sg(scan, Pose(0.0, 0.25, 0.0), self.SPEC, PARAMS)
         occ = MassFunction(frames.SENSOR_FRAME, {"O": 0.8, "FO": 0.2})
         free = MassFunction(frames.SENSOR_FRAME, {"F": 0.7, "FO": 0.3})
@@ -430,14 +431,14 @@ class TestBuildSg:
         # 0,1 and hit in cell 2 as well (1.2 is still inside cell 2)
         expect_free = combine_dempster(free, free)
         expect_hit = combine_dempster(occ, occ)
-        assert np.allclose(grid.cell(0, 0).masses, expect_free.masses, atol=1e-12)
-        assert np.allclose(grid.cell(2, 0).masses, expect_hit.masses, atol=1e-12)
+        assert np.allclose(cell_mass(grid, 0, 0).masses, expect_free.masses, atol=1e-12)
+        assert np.allclose(cell_mass(grid, 2, 0).masses, expect_hit.masses, atol=1e-12)
 
     def test_occupied_survives_crossing_free_beam(self):
         # beam A hits cell (4,0); beam B passes through the same row as free
-        scan = LidarScan((Beam(0.0, 2.2, True), Beam(0.0, 20.0, False)), max_range=20.0)
+        scan = scan_of(((0.0, 2.2, True), (0.0, 20.0, False)), max_range=20.0)
         grid = build_sg(scan, Pose(0.0, 0.25, 0.0), self.SPEC, PARAMS)
-        cell = grid.cell(4, 0)
+        cell = cell_mass(grid, 4, 0)
         occ = MassFunction(frames.SENSOR_FRAME, {"O": 0.8, "FO": 0.2})
         free = MassFunction(frames.SENSOR_FRAME, {"F": 0.7, "FO": 0.3})
         expect = combine_dempster(occ, free)
@@ -448,11 +449,11 @@ class TestBuildSg:
     def stacked_scan(n_free, n_occupied):
         """Beams along the x axis from (0, 0.25): each hit beam ends in cell
         (2, 0), each non-hit beam crosses it; the two kinds interleave."""
-        hits = [Beam(0.0, 1.2, True)] * n_occupied
-        frees = [Beam(0.0, 20.0, False)] * n_free
+        hits = [(0.0, 1.2, True)] * n_occupied
+        frees = [(0.0, 20.0, False)] * n_free
         beams = [b for pair in zip(hits, frees) for b in pair]
         beams += hits[len(frees):] + frees[len(hits):]
-        return LidarScan(tuple(beams), max_range=20.0)
+        return scan_of(beams, max_range=20.0)
 
     @pytest.mark.parametrize("n_free, n_occupied", [
         (20, 20), (0, 0), (1, 0), (0, 1), (1, 1), (3, 7), (12, 2), (40, 40)])
@@ -471,8 +472,8 @@ class TestBuildSg:
         params = SensorGridParams(free_weight=1.0, occupied_weight=1.0)
         grid = build_sg(self.stacked_scan(1, 1), Pose(0.0, 0.25, 0.0), self.SPEC, params)
         assert not np.isnan(grid.masses).any()
-        assert grid.cell(2, 0).is_vacuous()
-        assert grid.cell(0, 0)["F"] == 1.0
+        assert cell_mass(grid, 2, 0).is_vacuous()
+        assert cell_mass(grid, 0, 0)["F"] == 1.0
 
 
 @pytest.mark.parametrize("params", [PARAMS, SensorGridParams(1.0, 1.0),
@@ -485,7 +486,7 @@ def test_palette_state_per_pair_of_counts(params):
     rng = np.random.default_rng(29)
     bearings = np.linspace(-math.pi, math.pi, 200, endpoint=False).tolist()
     ranges = rng.uniform(0.05, 6.0, len(bearings)).tolist()
-    scan = LidarScan(tuple(Beam(b, r, True) if r < 5.0 else Beam(b, 6.0, False)
+    scan = scan_of(tuple((b, r, True) if r < 5.0 else (b, 6.0, False)
                            for b, r in zip(bearings, ranges)), 6.0)
     pose = Pose(1.3, 2.6, 0.4)
     grid = build_sg(scan, pose, spec, params)
@@ -500,5 +501,5 @@ def test_palette_state_per_pair_of_counts(params):
                         (frames.SG_OMEGA, a * b)):
         want[seen, focal] = mass[seen] / norm[seen]
     assert grid.masses.tobytes() == want.tobytes()
-    assert grid.palette.spec.width == len(set(zip(n_free.ravel().tolist(),
-                                                  n_hit.ravel().tolist())))
+    assert grid.states.shape[1] == len(set(zip(n_free.ravel().tolist(),
+                                               n_hit.ravel().tolist())))

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from evigrid.map_ingest import VectorMap, load_map
-from evigrid.sensor import Beam, LidarScan, Pose
+from evigrid.sensor import Pose
 from evigrid.simulator import (ObjectTrack, ScenarioConfig, ScenarioError,
                                SensorSpec, TimedPose, format_scan,
                                interpolate_pose, polygon_segments,
                                read_scan_log, run_scenario, simulate_scan,
                                world_segments)
-from oracles import format_scan_oracle, simulate_scan_oracle
+from oracles import cell_mass, format_scan_oracle, scan_of, simulate_scan_oracle
 
 WALL = np.array([[10.0, -5.0, 10.0, 5.0]])  # vertical segment at x = 10
 
@@ -79,38 +79,38 @@ class TestObjectTrack:
 class TestSimulateScan:
     def test_wall_straight_ahead(self):
         scan = simulate_scan(WALL, Pose(0, 0, 0), fan(n=1))
-        assert scan.beams[0].hit
-        assert scan.beams[0].range == pytest.approx(10.0, abs=1e-12)
+        assert scan.columns[2, 0] == 1.0
+        assert scan.columns[1, 0] == pytest.approx(10.0, abs=1e-12)
 
     def test_angled_hit_matches_geometry(self):
         # 45-degree beam reaches x=10 after 10*sqrt(2) metres, at y = 4
         scan = simulate_scan(WALL, Pose(0, -6, math.pi / 4), fan(n=1))
-        assert scan.beams[0].hit
-        assert scan.beams[0].range == pytest.approx(10 * math.sqrt(2), abs=1e-9)
+        assert scan.columns[2, 0] == 1.0
+        assert scan.columns[1, 0] == pytest.approx(10 * math.sqrt(2), abs=1e-9)
 
     def test_open_space(self):
         scan = simulate_scan(np.empty((0, 4)), Pose(0, 0, 0), fan())
-        assert all(not b.hit and b.range == 20.0 for b in scan.beams)
+        assert (scan.columns[2] == 0.0).all() and (scan.columns[1] == 20.0).all()
 
     def test_wall_beyond_range(self):
         scan = simulate_scan(WALL, Pose(0, 0, 0), fan(n=1, max_range=8.0))
-        assert not scan.beams[0].hit
-        assert scan.beams[0].range == 8.0
+        assert scan.columns[2, 0] == 0.0
+        assert scan.columns[1, 0] == 8.0
 
     def test_nearest_segment_wins(self):
         two = np.vstack([WALL, [[5.0, -5.0, 5.0, 5.0]]])
         scan = simulate_scan(two, Pose(0, 0, 0), fan(n=1))
-        assert scan.beams[0].range == pytest.approx(5.0)
+        assert scan.columns[1, 0] == pytest.approx(5.0)
 
     def test_beam_misses_finite_segment(self):
         seg = np.array([[10.0, 2.0, 10.0, 5.0]])  # off-axis stub
         scan = simulate_scan(seg, Pose(0, 0, 0), fan(n=1))
-        assert not scan.beams[0].hit
+        assert scan.columns[2, 0] == 0.0
 
     def test_deterministic_without_jitter(self):
         a = simulate_scan(WALL, Pose(0, 0, 0), fan())
         b = simulate_scan(WALL, Pose(0, 0, 0), fan())
-        assert a.beams == b.beams
+        assert a == b
 
     def test_jitter_seeded(self):
         import random
@@ -119,8 +119,8 @@ class TestSimulateScan:
         a = simulate_scan(WALL, Pose(0, 0, 0), spec, random.Random(42))
         b = simulate_scan(WALL, Pose(0, 0, 0), spec, random.Random(42))
         c = simulate_scan(WALL, Pose(0, 0, 0), spec, random.Random(43))
-        assert a.beams == b.beams
-        assert a.beams != c.beams
+        assert a == b
+        assert a != c
 
     def test_bearings_cover_fov(self):
         spec = fan(n=5, fov=math.pi)
@@ -266,11 +266,11 @@ class TestRunScenario:
         assert len(results) == 1
         pg = results[0].pg
         # a cell straight ahead inside the range should lean free
-        i, j = pg.spec.world_to_cell(7.0, 5.0)
-        assert pg.cell(i, j)["F"] > 0.5
+        j, i = divmod(int(pg.spec.world_to_index(7.0, 5.0)), pg.spec.width)
+        assert cell_mass(pg, i, j)["F"] > 0.5
         # behind the sensor only the open-area map context applies
-        i, j = pg.spec.world_to_cell(3.0, 5.0)
-        behind = pg.cell(i, j)
+        j, i = divmod(int(pg.spec.world_to_index(3.0, 5.0)), pg.spec.width)
+        behind = cell_mass(pg, i, j)
         assert behind["F"] == 0.0
         assert behind["FUSM"] == pytest.approx(0.6)
 
@@ -311,9 +311,10 @@ class TestShippedScenarios:
         segs = world_segments(vmap, cfg.objects, t)
         pose = interpolate_pose(cfg.trajectory, t)
         scan = simulate_scan(segs, pose, cfg.sensor)
-        forward = min(scan.beams, key=lambda b: abs(b.bearing))
-        assert forward.hit
-        assert forward.range < cfg.sensor.max_range / 2
+        bearing, rng, hit = scan.columns
+        forward = np.abs(bearing).argmin()
+        assert hit[forward] == 1.0
+        assert rng[forward] < cfg.sensor.max_range / 2
 
     @pytest.mark.parametrize("name", ["crossing_car", "parked_then_leaves", "street_canyon"])
     @pytest.mark.parametrize("jitter", [0.0, 0.05])
@@ -384,15 +385,14 @@ class TestReadScanLog:
         (_, _, scan), = read_scan_log([self.line(beams=beams)])
         beams[3] = [0, 5, True]
         (_, _, again), = read_scan_log([self.line(beams=beams)])
-        assert again.beams[3] == (0.0, 5.0, True) and type(again.beams[3].range) is float
-        assert again.beams[4:] == scan.beams[4:]
+        assert again.columns[:, 3].tolist() == [0.0, 5.0, 1.0] and again.columns.dtype == float
         assert again.columns[:, 4:].tolist() == scan.columns[:, 4:].tolist()
 
     def test_accepts_json_integers(self):
         line = self.line(t=1, pose={"x": 2, "y": -3, "heading": 0}, beams=[[0, 6, True]],
                          max_range=6)
         (t, pose, scan), = read_scan_log([line])
-        values = (t, pose.x, pose.y, scan.beams[0].bearing, scan.beams[0].range, scan.max_range)
+        values = (t, pose.x, pose.y, *scan.columns[:2, 0].tolist(), scan.max_range)
         assert values == (1.0, 2.0, -3.0, 0.0, 6.0, 6.0)
         assert all(isinstance(v, float) for v in values)
 
@@ -400,12 +400,12 @@ class TestReadScanLog:
 def _hand_made_scans():
     """Scans of 0, 1 and 1081 beams, with a ``-0.0`` bearing, a range of
     exactly 5.0 and hits next to misses."""
-    many = [Beam(0.001 * k - 0.54, 5.0 if k % 3 else 30.0, k % 3 != 0) for k in range(1081)]
-    many[540] = Beam(-0.0, 5.0, True)
-    return {"one_hit": LidarScan((Beam(0.25, 5.0, True),), 30.0),
-            "one_miss": LidarScan((Beam(-0.0, 30.0, False),), 30.0),
-            "many": LidarScan(tuple(many), 30.0),
-            "none": LidarScan((), 30.0)}
+    many = [(0.001 * k - 0.54, 5.0 if k % 3 else 30.0, k % 3 != 0) for k in range(1081)]
+    many[540] = (-0.0, 5.0, True)
+    return {"one_hit": scan_of([(0.25, 5.0, True)], 30.0),
+            "one_miss": scan_of([(-0.0, 30.0, False)], 30.0),
+            "many": scan_of(many, 30.0),
+            "none": scan_of([], 30.0)}
 
 
 class TestScanLogRoundTrip:
@@ -419,9 +419,8 @@ class TestScanLogRoundTrip:
         assert line == format_scan_oracle(t, pose, scan)
         (t_back, pose_back, back), = read_scan_log([line])
         assert (t_back, pose_back, back) == (t, pose, scan)
-        assert all(type(b.bearing) is float and type(b.range) is float and type(b.hit) is bool
-                   for b in back.beams)
-        assert back.beams == scan.beams
+        # bit for bit, so a -0.0 bearing stays -0.0
+        assert back.columns.tobytes() == scan.columns.tobytes()
         return line, back
 
     @pytest.mark.parametrize("name", ["one_hit", "one_miss", "many", "none"])
@@ -430,7 +429,7 @@ class TestScanLogRoundTrip:
         line, back = self.round_trip(0.1, scan)
         if name == "many":
             assert "[-0.0, 5.0, true]" in line
-            assert math.copysign(1.0, back.beams[540].bearing) == -1.0
+            assert math.copysign(1.0, back.columns[0, 540]) == -1.0
             assert back.columns.tolist() == scan.columns.tolist()
 
     @pytest.mark.parametrize("jitter", [0.0, 0.05])
@@ -448,7 +447,7 @@ class TestScanLogRoundTrip:
 
     def test_integer_beams_written_as_floats(self):
         # the columns hold floats, so integer input is written as its float
-        scan = LidarScan(((0, 5, True), (1, 6, 0)), 6)
+        scan = scan_of(((0, 5, True), (1, 6, 0)), 6)
         assert format_scan(2, self.POSE, scan) == format_scan_oracle(2, self.POSE, scan)
         assert '"beams": [[0.0, 5.0, true], [1.0, 6.0, false]]' in format_scan(2, self.POSE, scan)
         (_, _, back), = read_scan_log([format_scan(2, self.POSE, scan)])
