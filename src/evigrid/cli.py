@@ -4,17 +4,14 @@ Exit codes: 0 success, 1 configuration error (a usage error on the command
 line, an unreadable or invalid scenario, map or params file, an unreadable
 scan log, an --every below 1 or a --dump-grid that is not a list of epochs
 from 0), 2 runtime error (failures while stepping epochs, including a
-malformed scan-log line).
-Diagnostic verbosity is controlled by the EVIGRID_LOG environment variable
-(DEBUG, INFO, WARNING, ...).
+malformed scan-log line).  An error prints one message line on stderr,
+after the usage for a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
@@ -25,14 +22,6 @@ from .map_ingest import load_map, rasterize_gg
 from .render import MovingTrace, decision_image, pignistic_image, write_ppm
 from .simulator import (EpochResult, ScenarioConfig, format_scan, load_settings,
                         replay_scans, run_scenario)
-
-log = logging.getLogger("evigrid")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("EVIGRID_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _dump_epochs(args) -> set[int]:
@@ -68,7 +57,7 @@ def _emit(results: Iterable[EpochResult], out_dir: Path, render: str, every: int
                         write_ppm(decision_image(result.codes), fh)
                 if render in ("pignistic", "both"):
                     with open(out_dir / f"pignistic_{result.epoch:05d}.ppm", "w") as fh:
-                        write_ppm(pignistic_image(result.bet), fh)
+                        write_ppm(pignistic_image(result.state_bet, result.pg.ids), fh)
             if result.epoch in dump_epochs:
                 with open(out_dir / f"grid_{result.epoch:05d}.csv", "w") as fh:
                     write_grid_csv(result.pg, fh)
@@ -133,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Build the command's epochs, then fuse and write them; failures map to
     the exit codes above."""
-    _setup_logging()
     args = build_parser().parse_args(argv)
     with ExitStack() as inputs:
         try:
@@ -146,7 +134,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(results, Path(args.out), args.render, args.every, dump_epochs,
                   Path(args.record) if args.record else None)
         except Exception as exc:
-            log.debug("runtime error", exc_info=True)
             print(f"evigrid: runtime error: {exc}", file=sys.stderr)
             return 2
     return 0

@@ -1,6 +1,7 @@
 """ASCII image renders of perception grids.
 
-Two styles: per-cell decision colors and a pignistic mean color.  The palette
+Two styles: per-cell decision colors, and a pignistic mean color made once
+per palette state and gathered by the grid's palette indices.  The palette
 is fixed: free space green, moving objects red, static classes (mapped and
 unmapped infrastructure, stopped objects) blue, unknown black.  Images are
 written as ASCII PPM (P3), which is diffable text.
@@ -28,16 +29,13 @@ DECISION_COLORS = np.array([
 # taken over the five classes weighted by their pignistic probability).
 CLASS_COLORS = DECISION_COLORS[:5].astype(float)
 
+# Row order: never decided as moving (black), decided as moving (red).
+TRACE_COLORS = DECISION_COLORS[[-1, DECISION_LABELS.index("M")]]
 
-def _sample_words(end: str) -> np.ndarray:
-    """Each sample value's decimal text and then `end`, NUL-padded to four
-    bytes, as one uint32 word per value 0-255."""
-    return np.frombuffer(b"".join(f"{v}{end}".encode().ljust(4, b"\0") for v in range(256)),
-                         dtype=np.uint32)
-
-
-_WORDS = _sample_words(" ")
-_LAST_WORDS = _sample_words("\n")   # the last sample of a row
+# each sample value's decimal text and then a space, or a newline for the
+# last sample of a row, NUL-padded to four bytes
+_WORDS = np.array([f"{v} " for v in range(256)], dtype="S4")
+_LAST_WORDS = np.array([f"{v}\n" for v in range(256)], dtype="S4")
 # samples per write: a block of whole rows, or one row when a row is longer
 _BLOCK_SAMPLES = 1 << 15
 
@@ -68,10 +66,18 @@ def decision_image(codes: np.ndarray) -> np.ndarray:
     return _to_image(DECISION_COLORS[codes])
 
 
-def pignistic_image(bet: np.ndarray) -> np.ndarray:
-    """Image of (width, height, 5) per-cell pignistic probabilities, as ``EpochResult.bet``."""
-    rgb = np.clip(np.rint(bet @ CLASS_COLORS), 0, 255).astype(np.uint8)
-    return _to_image(rgb)
+def pignistic_image(state_bet: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Image of a grid's (5, S) per-state pignistic table, as
+    ``EpochResult.state_bet``, and its (height, width) palette ``ids``.
+
+    Each state is coloured once, its class colours added in class order so
+    that its colour does not depend on S; each plane is gathered by ids.
+    """
+    planes = np.zeros((3, state_bet.shape[1]))
+    for color, share in zip(CLASS_COLORS, state_bet):
+        planes += np.multiply.outer(color, share)
+    planes = np.clip(np.rint(planes), 0, 255).astype(np.uint8)
+    return np.stack([np.take(plane, ids[::-1]) for plane in planes], axis=-1)
 
 
 class MovingTrace:
@@ -85,6 +91,4 @@ class MovingTrace:
         self.mask |= codes == DECISION_LABELS.index("M")
 
     def image(self) -> np.ndarray:
-        rgb = np.zeros(self.mask.shape + (3,), dtype=np.uint8)
-        rgb[self.mask] = (255, 0, 0)
-        return _to_image(rgb)
+        return _to_image(TRACE_COLORS[self.mask.view(np.uint8)])

@@ -172,9 +172,12 @@ def traverse_ray(spec: GridSpec, x0: float, y0: float, dx: np.ndarray, dy: np.nd
     ox, oy, cs = spec.origin_east, spec.origin_north, spec.cell_size
     width, height = spec.width, spec.height
     t_lo, t_hi = np.zeros(len(length)), length
-    # slab clipping; np.where drops the quotients of d == 0 (the ray enters no
-    # cell if it starts outside on that axis); a subnormal d overflows to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a component whose boundary spacing cs / |d| overflows to inf does
+        # not move the ray along its axis: it is taken as 0
+        dx, dy = (np.where(np.isinf(cs / abs(d)), 0.0, d) for d in (dx, dy))
+        # slab clipping; np.where drops the quotients of d == 0 (the ray
+        # enters no cell if it starts outside on that axis)
         for p, d, lo, hi in ((x0, dx, ox, ox + width * cs), (y0, dy, oy, oy + height * cs)):
             moving = d != 0.0
             t1, t2 = (lo - p) / d, (hi - p) / d

@@ -309,7 +309,9 @@ def simulate_scan(segments: np.ndarray, pose: Pose, sensor: SensorSpec,
         dx = np.array([math.cos(angle) for angle in angles])[:, None]
         dy = np.array([math.sin(angle) for angle in angles])[:, None]
         denom = dx * v[:, 1] - dy * v[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a subnormal denominator (a beam along a segment, its heading a
+        # subnormal number of radians off) overflows the quotients to inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
             u = (w[:, 0] * dy - w[:, 1] * dx) / denom
         valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
@@ -336,11 +338,6 @@ class EpochResult:
     codes: np.ndarray    # decision codes of pg, indices into DECISION_LABELS
     stats: dict
     state_bet: np.ndarray  # pignistic probabilities of pg.states, (5, S)
-
-    @property
-    def bet(self) -> np.ndarray:
-        """state_bet per cell, (width, height, 5): a view of (5, height, width) planes."""
-        return np.take(self.state_bet, self.pg.ids, axis=1).T
 
 
 def epoch_stats(epoch: int, codes: np.ndarray, conflicts: ConflictPair) -> dict:

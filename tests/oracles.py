@@ -10,7 +10,7 @@ with the scalar even-odd test.  The scan oracle casts one beam at a time.
 The dense fusion oracle runs one epoch on all 2**n subset rows of every
 grid, zero rows included, with the fusion module's per-pair helpers.
 The writer oracles format every cell, every pixel and every beam on its
-own.
+own, and the image oracle colours every cell on its own.
 Tests build their input grids with ``dense_grid``: one palette state per
 cell, and their scans from literal beams with ``scan_of``; ``cell_mass``
 reads one cell as a ``MassFunction``.
@@ -111,6 +111,12 @@ def traverse_ray_oracle(spec: GridSpec, x0: float, y0: float,
     corner hits step diagonally so no zero-dwell cell is reported.
     """
     ox, oy, cs = spec.origin_east, spec.origin_north, spec.cell_size
+    # a component whose boundary spacing cs / |d| overflows to inf does not
+    # move the ray along its axis
+    if dx and math.isinf(cs / abs(dx)):
+        dx = 0.0
+    if dy and math.isinf(cs / abs(dy)):
+        dy = 0.0
     t_lo, t_hi = 0.0, length
     for p, d, lo, hi in ((x0, dx, ox, ox + spec.width * cs),
                          (y0, dy, oy, oy + spec.height * cs)):
@@ -287,7 +293,7 @@ def simulate_scan_oracle(segments, pose, sensor, rng=None) -> LidarScan:
             v = segments[:, 2:] - a
             w = a - p
             denom = d[0] * v[:, 1] - d[1] * v[:, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
                 u = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
             valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
@@ -414,6 +420,25 @@ def write_ppm_oracle(pixels: np.ndarray, out) -> None:
     rows, cols, _ = pixels.shape
     out.write(f"P3\n{cols} {rows}\n255\n")
     out.writelines(" ".join(map(str, row.ravel().tolist())) + "\n" for row in pixels)
+
+
+# the colour of each class of the perception frame, F, I, U, S, M
+_CLASS_RGB = ((0, 255, 0), (0, 0, 255), (0, 0, 255), (0, 0, 255), (255, 0, 0))
+
+
+def pignistic_image_oracle(state_bet: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``pignistic_image`` colouring each cell on its own: its state's
+    probabilities as Python floats, the class colours added in class order
+    and each sum rounded half to even, then placed north up."""
+    height, width = ids.shape
+    image = np.zeros((height, width, 3), dtype=np.uint8)
+    for j in range(height):
+        for i in range(width):
+            rgb = [0.0, 0.0, 0.0]
+            for color, share in zip(_CLASS_RGB, state_bet[:, ids[j, i]].tolist()):
+                rgb = [total + c * share for total, c in zip(rgb, color)]
+            image[height - 1 - j, i] = [min(max(round(total), 0), 255) for total in rgb]
+    return image
 
 
 def format_scan_oracle(t: float, pose, scan: LidarScan) -> str:

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evigrid.cli import main
 
@@ -528,3 +531,80 @@ def test_usage_error_and_help_exit_codes_of_the_process(small_scenario, tmp_path
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, (argv, proc.stderr)
         assert "usage: evigrid" in (proc.stdout if code == 0 else proc.stderr)
+
+
+# --- full-range sweep -----------------------------------------------------------
+
+# a unit-interval setting: the closed range, its endpoints drawn often
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+def unit_settings(names):
+    return st.fixed_dictionaries({name: UNIT for name in names})
+
+
+@st.composite
+def sweep_cases(draw):
+    """Every setting over its documented closed range, on a grid from 1x1
+    over a map with all three contexts; a moving ego and a crossing car."""
+    cs = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    grid = {"origin_east": 0.0, "origin_north": 0.0, "cell_size": cs,
+            "width": draw(st.integers(1, 16)), "height": draw(st.integers(1, 16))}
+    fusion = draw(unit_settings(["ageing_rate", "counter_inc", "counter_dec",
+                                 "occupancy_threshold", "conflict_threshold"]))
+    contexts = draw(st.sets(st.sampled_from(["building", "road", "intermediate"])))
+    fusion["ageing_by_context"] = draw(st.none() | unit_settings(sorted(contexts)))
+    params = {
+        "grid": grid,
+        "sensor_model": draw(unit_settings(["free_weight", "occupied_weight"])),
+        "map_confidence": draw(unit_settings(["building", "road", "intermediate"])),
+        "fusion": fusion,
+        "decision_threshold": draw(UNIT),
+    }
+    sensor = {"beam_count": draw(st.integers(1, 64)),
+              "fov": draw(st.sampled_from([0.0, 2 * math.pi]) | st.floats(0.0, 2 * math.pi)),
+              "max_range": draw(st.floats(0.5, 12.0)),
+              "range_jitter": draw(st.sampled_from([0.0]) | st.floats(0.0, 0.5))}
+    scenario = {
+        "map": "m.geojson", **params, "sensor": sensor,
+        "epochs": draw(st.integers(1, 5)),
+        "trajectory": [{"t": 0.0, "x": 1.25, "y": 2.0, "heading": draw(st.floats(-4.0, 4.0))},
+                       {"t": 0.3, "x": 2.0, "y": 3.5, "heading": 1.0}],
+        "objects": [{"length": 1.0, "width": 0.5,
+                     "waypoints": [{"t": 0.0, "x": 0.5, "y": 4.0, "heading": 0.0},
+                                   {"t": 0.4, "x": 3.0, "y": 4.0, "heading": 0.0}]}],
+    }
+    return scenario, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_cases())
+def test_full_range_run_and_replay_agree(case):
+    """A run with every setting anywhere in its range records, renders and
+    dumps every epoch and exits 0; its replay writes the same files, and
+    every dumped cell holds a normal mass function and a counter in [0, 1]."""
+    scenario, params, seed = case
+    epochs = ",".join(map(str, range(scenario["epochs"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_map(tmp / "m.geojson", [("building", [[3, 0], [5, 0], [5, 1.5], [3, 1.5], [3, 0]]),
+                                      ("road", [[0, 0], [2.5, 0], [2.5, 6], [0, 6], [0, 0]])])
+        (tmp / "scn.json").write_text(json.dumps(scenario))
+        (tmp / "params.json").write_text(json.dumps(params))
+        log = tmp / "scans.ndjson"
+        assert main(["run", str(tmp / "scn.json"), "--out", str(tmp / "run"), "--record",
+                     str(log), "--dump-grid", epochs, "--seed", str(seed)]) == 0
+        assert main(["replay", str(log), str(tmp / "m.geojson"), "--params",
+                     str(tmp / "params.json"), "--out", str(tmp / "replay"),
+                     "--dump-grid", epochs]) == 0
+        names = sorted(path.name for path in (tmp / "run").iterdir())
+        assert names == sorted(path.name for path in (tmp / "replay").iterdir())
+        for name in names:
+            assert (tmp / "run" / name).read_bytes() == (tmp / "replay" / name).read_bytes(), name
+        for epoch in range(scenario["epochs"]):
+            dump = np.loadtxt(tmp / "run" / f"grid_{epoch:05d}.csv", delimiter=",",
+                              skiprows=1, ndmin=2)
+            masses, zeta = dump[:, 4:-1], dump[:, -1]
+            assert masses.min() >= 0.0, epoch
+            assert np.abs(masses.sum(axis=1) - 1.0).max() <= 1e-9, epoch
+            assert 0.0 <= zeta.min() and zeta.max() <= 1.0, epoch

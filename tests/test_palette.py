@@ -239,8 +239,10 @@ def test_scenario_run_equals_dense_loop(scenario_dir, name):
         pg, totals = step_with_conflicts_dense_oracle(pg, sg, gg, cfg.fusion)
         assert_same_bits(result.pg, result.conflicts, pg, totals)
         assert result.state_bet.tobytes() == pignistic_grid(result.pg).tobytes(), result.epoch
-        bet = np.take(pignistic_grid(pg), pg.ids, axis=1).T
-        assert result.bet.tobytes() == bet.tobytes(), result.epoch
+        # per cell: the run's table and the oracle's, each gathered by its ids
+        cell_bet = np.take(result.state_bet, result.pg.ids, axis=1)
+        assert cell_bet.tobytes() == np.take(pignistic_grid(pg), pg.ids, axis=1).tobytes(), \
+            result.epoch
         assert np.array_equal(result.codes, decide_grid(pg, cfg.decision_threshold))
         assert result.pg.states.shape[1] < cfg.grid.width * cfg.grid.height
 

@@ -16,7 +16,7 @@ from evigrid.fusion import decide_grid, pignistic_grid
 from evigrid.grid import GridSpec, PerceptionGrid
 from evigrid.render import (DECISION_COLORS, MovingTrace, decision_image, pignistic_image,
                             write_ppm)
-from oracles import dense_grid, write_ppm_oracle
+from oracles import dense_grid, pignistic_image_oracle, write_ppm_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 3, 2)
 
@@ -27,12 +27,6 @@ def grid_with(cells):
     for cell, mapping in cells.items():
         masses[cell] = MassFunction(PERCEPTION_FRAME, mapping).masses
     return dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, masses)
-
-
-def cell_bet(pg):
-    """Per-cell pignistic probabilities, (width, height, 5), gathered from
-    the per-state table."""
-    return np.take(pignistic_grid(pg), pg.ids, axis=1).T
 
 
 def test_write_ppm_format():
@@ -121,9 +115,56 @@ def test_decision_image_north_up():
 
 def test_pignistic_image_blends():
     pg = grid_with({(0, 0): {"FIUSM": 1.0}})
-    img = pignistic_image(cell_bet(pg))
+    img = pignistic_image(pignistic_grid(pg), pg.ids)
     # equal weight on green, red and three blues
     assert tuple(img[1, 0]) == (51, 51, 153)
+
+
+# probabilities whose colour sums land on or next to a rounding midpoint
+EDGE_SHARES = [0.0, 1.0, 0.2, 1 / 3, 0.5, 0.5 / 255, 1.5 / 255, 127.5 / 255, 254.5 / 255]
+
+
+@st.composite
+def palettes(draw):
+    """A (5, S) table of S states, some repeated, and the (height, width)
+    ids of a grid from 1x1 that uses them."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(st.sampled_from(EDGE_SHARES) | st.floats(0.0, 1.0),
+                                  min_size=5, max_size=5), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    state_bet = np.array([pool[k] for k in picks]).T
+    ids = draw(arrays(np.intp, (height, width), elements=st.integers(0, len(picks) - 1)))
+    return state_bet, ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(palettes())
+def test_pignistic_image_matches_per_cell_oracle(palette):
+    state_bet, ids = palette
+    image = pignistic_image(state_bet, ids)
+    assert image.dtype == np.uint8
+    assert image.tobytes() == pignistic_image_oracle(state_bet, ids).tobytes()
+
+
+@pytest.mark.parametrize("shares, blue", [
+    ((0.09518585083675656, 0.21769169011838074, 0.042024419829176436), 90),
+    ((0.10374160573120306, 0.09373238441867855, 0.05938875494815756), 66)])
+def test_pignistic_image_adds_classes_in_order(shares, blue):
+    """Blue sums of I, U and S that are a rounding midpoint only when added
+    in class order, and then round half to even."""
+    state_bet = np.array([[0.0, *shares, 0.0]]).T
+    ids = np.zeros((1, 1), dtype=np.intp)
+    assert pignistic_image(state_bet, ids).tolist() == [[[0, 0, blue]]]
+    assert pignistic_image_oracle(state_bet, ids).tolist() == [[[0, 0, blue]]]
+
+
+def test_pignistic_image_of_a_state_alone_and_among_5000():
+    """A state's pixel does not depend on the size of the table around it."""
+    state_bet = np.random.default_rng(11).dirichlet(np.ones(5), 5000).T
+    alone = pignistic_image(state_bet[:, 1234:1235], np.zeros((1, 1), dtype=np.intp))
+    among = pignistic_image(state_bet, np.array([[1234]]))
+    assert alone.tobytes() == among.tobytes()
+    assert among.tobytes() == pignistic_image_oracle(state_bet, np.array([[1234]])).tobytes()
 
 
 def test_moving_trace_accumulates():
@@ -139,6 +180,6 @@ def test_moving_trace_accumulates():
 def test_images_deterministic():
     pg = grid_with({(0, 0): {"SM": 0.5, "FIUSM": 0.5}})
     a, b = io.StringIO(), io.StringIO()
-    write_ppm(pignistic_image(cell_bet(pg)), a)
-    write_ppm(pignistic_image(cell_bet(pg)), b)
+    write_ppm(pignistic_image(pignistic_grid(pg), pg.ids), a)
+    write_ppm(pignistic_image(pignistic_grid(pg), pg.ids), b)
     assert a.getvalue() == b.getvalue()

@@ -351,6 +351,18 @@ def test_a_ray_enters_at_most_width_plus_height_minus_one_cells(width, height):
                                                          2.0 * norm)
 
 
+@pytest.mark.parametrize("dx", [5e-324, -5e-324, -1e-310, 0.0])
+def test_component_with_infinite_spacing_does_not_move(dx):
+    """A start a few ulps past the boundary that a subnormal dx moves
+    towards: cs / |dx| overflows to inf, so the ray moves along y only, as
+    for dx = 0, and crosses rows 2-4 of column 459."""
+    spec = GridSpec(-15.044045342610389, 0.0, 0.1, 600, 5)
+    x0, y0 = 30.855954657389614, 0.25
+    expect = [(459, 2), (459, 3), (459, 4)]
+    assert traverse_ray_oracle(spec, x0, y0, dx, 1.0, 0.3) == expect
+    assert traverse_one(spec, x0, y0, dx, 1.0, 0.3) == expect
+
+
 @pytest.mark.parametrize("beam_count, fov", [(1, 0.0), (1, 2 * math.pi), (5, 0.0),
                                              (91, 2 * math.pi)])
 def test_sensor_grid_matches_counts_at_extreme_fans(beam_count, fov):

@@ -107,6 +107,16 @@ class TestSimulateScan:
         scan = simulate_scan(seg, Pose(0, 0, 0), fan(n=1))
         assert scan.columns[2, 0] == 0.0
 
+    def test_beam_along_a_segment_a_subnormal_angle_off(self):
+        # the denominator is subnormal and the quotients overflow to inf: no
+        # hit, and no overflow warning
+        heading = 2.225073858507e-311
+        floor = np.array([[0.0, 0.0, 2.5, 0.0]])
+        sensor = fan(n=1, fov=0.0, max_range=1.0)
+        scan = simulate_scan(floor, Pose(1.25, 2.0, heading), sensor)
+        assert scan.columns.tolist() == [[0.0], [1.0], [0.0]]
+        assert scan == simulate_scan_oracle(floor, Pose(1.25, 2.0, heading), sensor)
+
     def test_deterministic_without_jitter(self):
         a = simulate_scan(WALL, Pose(0, 0, 0), fan())
         b = simulate_scan(WALL, Pose(0, 0, 0), fan())
