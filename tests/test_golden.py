@@ -1,7 +1,9 @@
 """Golden digests of the command-line outputs of every shipped scenario.
 
 Each scenario is run with ``run --render both --dump-grid 5,20 --record``,
-then its recorded scan log is replayed with the scenario's settings.  The
+then its recorded scan log is replayed with the scenario's settings.  So is
+each case of ``VARIANTS``, a shipped scenario with some settings replaced
+through ``--params``.  The
 SHA-256 of every file the run writes (stats, every PPM, the trace image,
 the grid CSVs and the scan log) must equal the digests in
 ``golden_digests.json``, and the replay must write the same files but the
@@ -26,22 +28,34 @@ SCENARIOS = TESTS.parent / "scenarios"
 DIGESTS = TESTS / "golden_digests.json"
 SCAN_LOG = "scans.ndjson"
 
+# Every shipped scenario's grid is square, so a swapped width and height
+# would pass them all: a non-square grid tells the two apart.
+VARIANTS = {
+    "crossing_car_72x40": ("crossing_car", {"grid": {
+        "origin_east": 0.0, "origin_north": 0.0, "cell_size": 0.5, "width": 72, "height": 40}}),
+}
+CASES = {**{path.stem: (path.stem, {}) for path in SCENARIOS.glob("*.json")}, **VARIANTS}
+
 
 def _digests(directory: Path) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(directory.iterdir())}
 
 
-def scenario_outputs(scenario: Path, work: Path) -> tuple[dict, dict]:
-    """Digests of the files written by the run of `scenario` (its scan log
-    included) and by the replay of that log."""
+def scenario_outputs(scenario: Path, work: Path, overrides: dict) -> tuple[dict, dict]:
+    """Digests of the files written by the run of `scenario` with the
+    settings `overrides` (its scan log included) and by the replay of that
+    log."""
     log = work / SCAN_LOG
+    overrides_path = work / "overrides.json"
+    overrides_path.write_text(json.dumps(overrides))
     assert main(["run", str(scenario), "--out", str(work / "run"), "--render", "both",
-                 "--dump-grid", "5,20", "--record", str(log)]) == 0
+                 "--dump-grid", "5,20", "--record", str(log),
+                 "--params", str(overrides_path)]) == 0
     data = json.loads(scenario.read_text())
     params = work / "params.json"
-    params.write_text(json.dumps({f.name: data[f.name]
-                                  for f in dataclasses.fields(Settings) if f.name in data}))
+    params.write_text(json.dumps({**{f.name: data[f.name] for f in dataclasses.fields(Settings)
+                                     if f.name in data}, **overrides}))
     assert main(["replay", str(log), str(scenario.parent / data["map"]),
                  "--params", str(params), "--out", str(work / "replay"), "--render", "both",
                  "--dump-grid", "5,20"]) == 0
@@ -50,10 +64,11 @@ def scenario_outputs(scenario: Path, work: Path) -> tuple[dict, dict]:
     return run, _digests(work / "replay")
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in SCENARIOS.glob("*.json")))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     golden = json.loads(DIGESTS.read_text())[name]
-    run, replay = scenario_outputs(SCENARIOS / f"{name}.json", tmp_path)
+    stem, overrides = CASES[name]
+    run, replay = scenario_outputs(SCENARIOS / f"{stem}.json", tmp_path, overrides)
     assert sorted(run) == sorted(golden)
     assert [f for f in sorted(run) if run[f] != golden[f]] == []
     del golden[SCAN_LOG]
@@ -62,8 +77,8 @@ def test_outputs_match_golden_digests(name, tmp_path):
 
 if __name__ == "__main__":
     golden = {}
-    for scenario in sorted(SCENARIOS.glob("*.json")):
+    for name, (stem, overrides) in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as work:
-            golden[scenario.stem] = scenario_outputs(scenario, Path(work))[0]
+            golden[name] = scenario_outputs(SCENARIOS / f"{stem}.json", Path(work), overrides)[0]
     DIGESTS.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)
