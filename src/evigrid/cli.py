@@ -5,7 +5,8 @@ line, an unreadable or invalid scenario, map or params file, an unreadable
 scan log, an --every below 1 or a --dump-grid that is not a list of epochs
 from 0), 2 runtime error (failures while stepping epochs, including a
 malformed scan-log line).  An error prints one message line on stderr,
-after the usage for a usage error.
+after the usage for a usage error; one in a scenario, map or params file
+names the file.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ def _emit(results: Iterable[EpochResult], out_dir: Path, render: str, every: int
             if record:
                 record.write(format_scan(result.time, result.pose, result.scan) + "\n")
             if trace is None:
-                trace = MovingTrace(*result.codes.shape)
-            trace.update(result.codes)
+                trace = MovingTrace(*result.pg.ids.shape)
+            trace.update(result.codes, result.pg.ids)
             if result.epoch % every == 0:
                 if render in ("decision", "both"):
                     with open(out_dir / f"decision_{result.epoch:05d}.ppm", "w") as fh:
-                        write_ppm(decision_image(result.codes), fh)
+                        write_ppm(decision_image(result.codes, result.pg.ids), fh)
                 if render in ("pignistic", "both"):
                     with open(out_dir / f"pignistic_{result.epoch:05d}.ppm", "w") as fh:
                         write_ppm(pignistic_image(result.state_bet, result.pg.ids), fh)

@@ -266,11 +266,9 @@ def _conjunctive_rows(m1, sets1: tuple[int, ...], m2, sets2: tuple[int, ...],
 
 
 def _ageing_vector(gg_m: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Per-cell ageing rate from the (32, N) prior masses by map context:
+    """Per-state ageing rate from the (32, S) prior states by map context:
     building where the prior supports I, else road where it supports FSM,
     else intermediate."""
-    if not params.ageing_by_context:
-        return np.full(gg_m.shape[1], params.ageing_rate)
     return np.select([gg_m[frames.BUILDING_SET] > 0.0, gg_m[frames.ROAD_SET] > 0.0],
                      [params.ageing_for("building"), params.ageing_for("road")],
                      params.ageing_for("intermediate"))

@@ -3,7 +3,7 @@
 Maps are a GeoJSON subset: a FeatureCollection of Polygon features, each with
 a property ``kind`` equal to ``"building"`` or ``"road"``, coordinates already
 in planar metres in the global frame.  Building and road regions must be
-disjoint; overlap is detected during rasterization.
+disjoint; rasterization finds overlap at cell centres laid out as the ids.
 """
 
 from __future__ import annotations
@@ -59,30 +59,33 @@ class MapConfidence:
                 raise ValueError(f"{name} confidence must be in [0, 1], got {value}")
 
 
-def _parse_polygon(feature_idx: int, geometry: dict) -> np.ndarray:
+def _parse_polygon(where: str, geometry: dict) -> np.ndarray:
     if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
-        raise MapFormatError(f"feature {feature_idx}: geometry must be a Polygon")
+        raise MapFormatError(f"{where}: geometry must be a Polygon")
     coords = geometry.get("coordinates")
     if not coords or not isinstance(coords, list):
-        raise MapFormatError(f"feature {feature_idx}: missing polygon coordinates")
+        raise MapFormatError(f"{where}: missing polygon coordinates")
     ring = coords[0]
+    if not isinstance(ring, list):
+        raise MapFormatError(f"{where}: polygon ring {ring!r} is not a list of vertices")
     if len(ring) >= 2 and ring[0] == ring[-1]:
         ring = ring[:-1]
     if len(ring) < 3:
-        raise MapFormatError(f"feature {feature_idx}: polygon needs at least 3 vertices")
+        raise MapFormatError(f"{where}: polygon needs at least 3 vertices")
     try:
         poly = np.asarray(ring, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise MapFormatError(f"feature {feature_idx}: non-numeric coordinates") from exc
+        raise MapFormatError(f"{where}: non-numeric coordinates") from exc
     if poly.ndim != 2 or poly.shape[1] != 2:
-        raise MapFormatError(f"feature {feature_idx}: vertices must be [x, y] pairs")
+        raise MapFormatError(f"{where}: vertices must be [x, y] pairs")
     if not np.isfinite(poly).all():
-        raise MapFormatError(f"feature {feature_idx}: coordinates must be finite")
+        raise MapFormatError(f"{where}: coordinates must be finite")
     return poly
 
 
 def load_map(path) -> VectorMap:
-    """Load a GeoJSON-subset map file, partitioning features by kind."""
+    """Load a GeoJSON-subset map file, partitioning features by kind.  Every
+    error names the file, and the feature at fault."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -92,15 +95,23 @@ def load_map(path) -> VectorMap:
         raise MapFormatError(f"map file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise MapFormatError(f"map file {path} must be a FeatureCollection")
+    features = data.get("features", [])
+    if not isinstance(features, list):
+        raise MapFormatError(f"map file {path}: features must be a list")
     vmap = VectorMap()
-    for idx, feature in enumerate(data.get("features", [])):
+    for idx, feature in enumerate(features):
+        where = f"map file {path}: feature {idx}"
+        if not isinstance(feature, dict):
+            raise MapFormatError(f"{where} is not an object")
         props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise MapFormatError(f"{where}: properties must be an object")
         kind = props.get("kind")
         if kind is None:
-            raise MapFormatError(f"feature {idx}: missing kind property")
+            raise MapFormatError(f"{where}: missing kind property")
         if kind not in FEATURE_KINDS:
-            raise MapFormatError(f"feature {idx}: unknown feature kind {kind!r}")
-        poly = _parse_polygon(idx, feature.get("geometry"))
+            raise MapFormatError(f"{where}: unknown feature kind {kind!r}")
+        poly = _parse_polygon(where, feature.get("geometry"))
         (vmap.buildings if kind == "building" else vmap.roads).append(poly)
     return vmap
 
@@ -139,19 +150,16 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
     of the confidence stays on the full frame.  The grid's palette holds one
     state per context that some cell has.
     """
-    # cell centres, shape (width, height, 2)
-    xs, ys = spec.cell_centers(np.arange(spec.width)[:, None], np.arange(spec.height))
+    # cell centres in the (height, width) layout of the palette ids
+    xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height)[:, None])
     centres = np.stack(np.broadcast_arrays(xs, ys), axis=-1)
-    in_building = np.zeros((spec.width, spec.height), dtype=bool)
-    in_road = np.zeros_like(in_building)
-    for polygon in vmap.buildings:
-        in_building |= point_in_polygon(centres, polygon)
-    for polygon in vmap.roads:
-        in_road |= point_in_polygon(centres, polygon)
+    in_building, in_road = np.zeros((2, spec.height, spec.width), dtype=bool)
+    for mask, polygons in ((in_building, vmap.buildings), (in_road, vmap.roads)):
+        for polygon in polygons:
+            mask |= point_in_polygon(centres, polygon)
     overlap = in_building & in_road
     if overlap.any():
-        # the first overlapping cell with j outer, i inner
-        j, i = np.argwhere(overlap.T)[0]
+        j, i = np.argwhere(overlap)[0]
         raise MapOverlapError(f"map overlap at cell ({i}, {j})")
     # one palette state per context present, named by the context's mask
     ids = np.empty((spec.height, spec.width), dtype=np.intp)
@@ -161,7 +169,7 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
             (in_road, frames.ROAD_SET, conf.road),
             (~(in_building | in_road), frames.INTERMEDIATE_SET, conf.intermediate)):
         if mask.any():
-            ids.T[mask] = len(states)
+            ids[mask] = len(states)
             state = np.zeros(frames.PERCEPTION_FRAME.size)
             state[focal] = confidence
             state[frames.PG_OMEGA] = 1.0 - confidence

@@ -1,10 +1,11 @@
 """ASCII image renders of perception grids.
 
-Two styles: per-cell decision colors, and a pignistic mean color made once
-per palette state and gathered by the grid's palette indices.  The palette
-is fixed: free space green, moving objects red, static classes (mapped and
-unmapped infrastructure, stopped objects) blue, unknown black.  Images are
-written as ASCII PPM (P3), which is diffable text.
+Decision and pignistic mean colors are made once per palette state, and
+every image, the moving-object trace too, is one gather of (3, S) uint8
+color planes by (height, width) palette ids.  The colors are fixed: free
+space green, moving objects red, static classes (mapped and unmapped
+infrastructure, stopped objects) blue, unknown black.  Images are written
+as ASCII PPM (P3), which is diffable text.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
         out.write(words.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _to_image(cellwise: np.ndarray) -> np.ndarray:
-    """Flip (i, j, ...) cell-indexed data into image rows, north up."""
-    return cellwise.swapaxes(0, 1)[::-1]
+def _image(planes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Image of (3, S) uint8 color planes gathered by (height, width) ids, north up."""
+    return np.stack([np.take(plane, ids[::-1]) for plane in planes], axis=-1)
 
 
-def decision_image(codes: np.ndarray) -> np.ndarray:
-    """Image of (width, height) decision codes, as ``EpochResult.codes``."""
-    return _to_image(DECISION_COLORS[codes])
+def decision_image(codes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Image of a grid's (S,) per-state decision codes and its palette ``ids``."""
+    return _image(np.take(DECISION_COLORS.T, codes, axis=1), ids)
 
 
 def pignistic_image(state_bet: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -71,24 +72,24 @@ def pignistic_image(state_bet: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ``EpochResult.state_bet``, and its (height, width) palette ``ids``.
 
     Each state is coloured once, its class colours added in class order so
-    that its colour does not depend on S; each plane is gathered by ids.
+    that its colour does not depend on S.
     """
     planes = np.zeros((3, state_bet.shape[1]))
     for color, share in zip(CLASS_COLORS, state_bet):
         planes += np.multiply.outer(color, share)
-    planes = np.clip(np.rint(planes), 0, 255).astype(np.uint8)
-    return np.stack([np.take(plane, ids[::-1]) for plane in planes], axis=-1)
+    return _image(np.clip(np.rint(planes), 0, 255).astype(np.uint8), ids)
 
 
 class MovingTrace:
     """Persistent overlay of every cell ever decided as a moving object."""
 
-    def __init__(self, width: int, height: int):
-        self.mask = np.zeros((width, height), dtype=bool)
+    def __init__(self, height: int, width: int):
+        self.mask = np.zeros((height, width), dtype=bool)
 
-    def update(self, codes: np.ndarray) -> None:
-        """Add the cells whose decision code is moving."""
-        self.mask |= codes == DECISION_LABELS.index("M")
+    def update(self, codes: np.ndarray, ids: np.ndarray) -> None:
+        """Add the cells whose state's code, of the (S,) `codes`, is moving."""
+        self.mask |= np.take(codes == DECISION_LABELS.index("M"), ids)
 
     def image(self) -> np.ndarray:
-        return _to_image(TRACE_COLORS[self.mask.view(np.uint8)])
+        # the mask is the ids of a palette of two states: never and ever moving
+        return _image(TRACE_COLORS.T, self.mask.view(np.uint8))

@@ -34,6 +34,12 @@ def normalize_heading(heading: float) -> float:
     return h
 
 
+def beam_directions(heading: float, bearings: np.ndarray) -> np.ndarray:
+    """Beam unit directions, rows dx and dy: math.cos/sin, as np's can differ in the last bit."""
+    angles = (heading + bearings).tolist()
+    return np.array((list(map(math.cos, angles)), list(map(math.sin, angles))))
+
+
 @dataclass(frozen=True)
 class Pose:
     """Globally referenced vehicle pose; heading counter-clockwise from east."""
@@ -259,10 +265,7 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     one state per distinct pair of counts.
     """
     bearings, ranges, hit = scan.columns
-    # math.cos/math.sin, not np.cos/np.sin, which can differ in the last bit
-    angles = (pose.heading + bearings).tolist()
-    dx = np.fromiter(map(math.cos, angles), float, len(angles))
-    dy = np.fromiter(map(math.sin, angles), float, len(angles))
+    dx, dy = beam_directions(pose.heading, bearings)
     # cells as flat raster indices j * width + i, the cell order of the
     # grid's stored planes; -1 for a beam without a hit cell in the grid
     hit_cell = np.where(hit.astype(bool), spec.world_to_index(pose.x + ranges * dx,

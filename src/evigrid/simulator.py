@@ -2,8 +2,10 @@
 
 Scenario files are JSON documents describing a map, a vehicle trajectory,
 tracked objects and the sensor/fusion parameters; see the shipped files under
-``scenarios/`` for the schema.  Ray casting is exact and noise-free by
-default; an optional uniform range jitter sits behind a seeded RNG.
+``scenarios/`` for the schema; unknown keys are rejected, and errors name
+the file.  Ray casting is exact and noise-free by default; an optional
+uniform range jitter sits behind a seeded RNG.  Each epoch decides once per
+palette state, and the readers of its (S,) codes gather them by palette ids.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignist
                      step_with_conflicts)
 from .grid import EvidentialGrid, GridSpec, PerceptionGrid
 from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
-from .sensor import LidarScan, Pose, SensorGridParams, build_sg, normalize_heading
+from .sensor import LidarScan, Pose, SensorGridParams, beam_directions, build_sg, normalize_heading
 
 # Ignore intersections closer than this along the ray: the emitter itself
 # must not count as an obstacle when it sits exactly on a segment.
@@ -180,19 +182,44 @@ def _setting(value, name: str):
     return {key: _number(rate, f"{name} {key}") for key, rate in _object(value, name).items()}
 
 
+def _known(data: dict, keys: set[str], where: str = "") -> dict:
+    """`data`, once each of its keys is one of `keys`; `where` leads the error."""
+    unknown = sorted(set(data) - keys)
+    if unknown:
+        raise ScenarioError(f"{where}unknown key(s) {', '.join(map(repr, unknown))}")
+    return data
+
+
+def _parse_file(path: Path, kind: str, parse):
+    """`parse` of the JSON object in a scenario or params file.  Every error
+    is a ScenarioError of one line that names the file."""
+    try:
+        data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {kind} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{kind} {path} is not valid JSON: {exc}") from exc
+    try:
+        if not isinstance(data, dict):
+            raise ScenarioError(f"expected a JSON object, got {type(data).__name__}")
+        return parse(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{kind} {path}: {exc}") from exc
+
+
+_SETTINGS_KEYS = {f.name for f in dataclasses.fields(Settings)}
+_SCENARIO_KEYS = _SETTINGS_KEYS | {"map", "trajectory", "sensor", "epochs", "objects"}
+_OBJECT_KEYS = {"length", "width", "waypoints", "pose", "appear_t", "disappear_t"}
+
+
 def load_settings(path, base: Optional[Settings] = None) -> Settings:
     """Read a params file: any of the ``Settings`` keys, each replacing its
     value in `base`.  Without a base the file must give the grid.  Other keys
     are rejected."""
-    data = json.loads(Path(path).read_text())
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(Settings)})
-    if unknown:
-        raise ScenarioError(f"params {path}: unknown key(s) {', '.join(map(repr, unknown))}")
-    parsed = _parse_settings(data)
-    return Settings(**parsed) if base is None else dataclasses.replace(base, **parsed)
-
-
-_OBJECT_KEYS = {"length", "width", "waypoints", "pose", "appear_t", "disappear_t"}
+    def parse(data: dict) -> Settings:
+        parsed = _parse_settings(_known(data, _SETTINGS_KEYS))
+        return Settings(**parsed) if base is None else dataclasses.replace(base, **parsed)
+    return _parse_file(Path(path), "params", parse)
 
 
 @dataclass
@@ -218,21 +245,13 @@ class ScenarioConfig(Settings):
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
-        try:
-            return cls.from_dict(data, base_dir=path.parent)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"scenario {path}: {exc}") from exc
+        return _parse_file(path, "scenario", lambda data: cls.from_dict(data, path.parent))
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path = Path(".")) -> "ScenarioConfig":
+        """A scenario from its JSON object; unknown keys are rejected."""
+        _known(data, _SCENARIO_KEYS)
+
         def pose(entry, where):
             return Pose(*(_number(entry[key], f"{where} {key}") for key in ("x", "y", "heading")))
 
@@ -243,9 +262,7 @@ class ScenarioConfig(Settings):
         objects = []
         for k, entry in enumerate(data.get("objects", [])):
             where = f"object {k}"
-            unknown = sorted(set(entry) - _OBJECT_KEYS)
-            if unknown:
-                raise ScenarioError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+            _known(entry, _OBJECT_KEYS, f"{where}: ")
             kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
             if "waypoints" in entry:
                 for key in ("appear_t", "disappear_t"):
@@ -304,10 +321,7 @@ def simulate_scan(segments: np.ndarray, pose: Pose, sensor: SensorSpec,
         a = segments[:, :2]
         v = segments[:, 2:] - a
         w = a - np.array([pose.x, pose.y])
-        # math.cos/math.sin, not np.cos/np.sin, which can differ in the last bit
-        angles = (pose.heading + bearings).tolist()
-        dx = np.array([math.cos(angle) for angle in angles])[:, None]
-        dy = np.array([math.sin(angle) for angle in angles])[:, None]
+        dx, dy = beam_directions(pose.heading, bearings)[:, :, None]
         denom = dx * v[:, 1] - dy * v[:, 0]
         # a subnormal denominator (a beam along a segment, its heading a
         # subnormal number of radians off) overflows the quotients to inf
@@ -335,21 +349,20 @@ class EpochResult:
     scan: LidarScan
     pg: PerceptionGrid
     conflicts: ConflictPair
-    codes: np.ndarray    # decision codes of pg, indices into DECISION_LABELS
+    codes: np.ndarray    # decision codes of pg.states, (S,), indices into DECISION_LABELS
     stats: dict
     state_bet: np.ndarray  # pignistic probabilities of pg.states, (5, S)
 
 
-def epoch_stats(epoch: int, codes: np.ndarray, conflicts: ConflictPair) -> dict:
-    counts = np.bincount(codes.ravel(), minlength=len(DECISION_LABELS))
+_COUNT_KEYS = ("cells_F", "cells_I", "cells_U", "cells_S", "cells_M", "cells_unknown")
+
+
+def epoch_stats(epoch: int, codes: np.ndarray, ids: np.ndarray, conflicts: ConflictPair) -> dict:
+    """A ``stats.ndjson`` line: the cells of each of the (S,) codes, by palette ids."""
+    counts = np.bincount(np.take(codes, ids).ravel(), minlength=len(DECISION_LABELS))
     return {
         "t": epoch,
-        "cells_F": int(counts[0]),
-        "cells_I": int(counts[1]),
-        "cells_U": int(counts[2]),
-        "cells_S": int(counts[3]),
-        "cells_M": int(counts[4]),
-        "cells_unknown": int(counts[5]),
+        **dict(zip(_COUNT_KEYS, counts.tolist())),
         "total_conflict_fo": conflicts.free_to_occupied,
         "total_conflict_of": conflicts.occupied_to_free,
         "total_residual": conflicts.residual,
@@ -368,9 +381,9 @@ def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
         # once per palette state; looked up on the module, where
         # perfbench/traced.py times it
         bet = fusion.pignistic_grid(pg)
-        codes = decide_pignistic(bet, settings.decision_threshold)[pg.ids].T
+        codes = decide_pignistic(bet, settings.decision_threshold)
         yield EpochResult(epoch, t, pose, scan, pg, conflicts, codes,
-                          epoch_stats(epoch, codes, conflicts), bet)
+                          epoch_stats(epoch, codes, pg.ids, conflicts), bet)
 
 
 def _simulated_scans(cfg: ScenarioConfig, vmap: VectorMap,

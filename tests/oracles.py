@@ -422,8 +422,11 @@ def write_ppm_oracle(pixels: np.ndarray, out) -> None:
     out.writelines(" ".join(map(str, row.ravel().tolist())) + "\n" for row in pixels)
 
 
-# the colour of each class of the perception frame, F, I, U, S, M
-_CLASS_RGB = ((0, 255, 0), (0, 0, 255), (0, 0, 255), (0, 0, 255), (255, 0, 0))
+# the colour of each decision, F, I, U, S, M and UNKNOWN; the first five
+# are the colours of the classes of the perception frame
+_DECISION_RGB = ((0, 255, 0), (0, 0, 255), (0, 0, 255), (0, 0, 255), (255, 0, 0), (0, 0, 0))
+_CLASS_RGB = _DECISION_RGB[:5]
+_MOVING = 4
 
 
 def pignistic_image_oracle(state_bet: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -438,6 +441,30 @@ def pignistic_image_oracle(state_bet: np.ndarray, ids: np.ndarray) -> np.ndarray
             for color, share in zip(_CLASS_RGB, state_bet[:, ids[j, i]].tolist()):
                 rgb = [total + c * share for total, c in zip(rgb, color)]
             image[height - 1 - j, i] = [min(max(round(total), 0), 255) for total in rgb]
+    return image
+
+
+def decision_image_oracle(codes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``decision_image`` colouring each cell on its own: the colour of its
+    state's decision code, placed north up."""
+    height, width = ids.shape
+    image = np.zeros((height, width, 3), dtype=np.uint8)
+    for j in range(height):
+        for i in range(width):
+            image[height - 1 - j, i] = _DECISION_RGB[codes[ids[j, i]]]
+    return image
+
+
+def moving_trace_oracle(epochs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The ``MovingTrace`` image after the (per-state codes, ids) of each of
+    `epochs`, cell by cell: red where some epoch decides the cell's state as
+    moving, black elsewhere, placed north up."""
+    height, width = epochs[0][1].shape
+    image = np.zeros((height, width, 3), dtype=np.uint8)
+    for j in range(height):
+        for i in range(width):
+            if any(codes[ids[j, i]] == _MOVING for codes, ids in epochs):
+                image[height - 1 - j, i] = _DECISION_RGB[_MOVING]
     return image
 
 

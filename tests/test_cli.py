@@ -161,6 +161,51 @@ def test_params_unknown_key_is_config_error(small_scenario, tmp_path, capsys):
     assert "decison_threshold" in err
 
 
+def test_scenario_unknown_key_is_config_error(small_scenario, tmp_path, capsys):
+    data = json.loads(small_scenario.read_text())
+    small_scenario.write_text(json.dumps({**data, "fusoin": {"ageing_rate": 0.2}}))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"evigrid: configuration error: scenario {small_scenario}:"
+                                       " unknown key(s) 'fusoin'\n")
+
+
+def _feature(properties, coordinates):
+    return {"type": "Feature", "properties": properties,
+            "geometry": {"type": "Polygon", "coordinates": coordinates}}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("scn.json", "[1, 2]", "expected a JSON object, got list"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection", "features": "abc"}),
+     "features must be a list"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection", "features": [5]}),
+     "feature 0 is not an object"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection",
+                              "features": [_feature(["kind"], [BUILDING])]}),
+     "feature 0: properties must be an object"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection",
+                              "features": [_feature({"kind": "road"}, [5])]}),
+     "feature 0: polygon ring 5 is not a list of vertices"),
+    ("params.json", "{nope", "is not valid JSON"),
+    ("params.json", "[1, 2]", "expected a JSON object, got list"),
+], ids=["scenario_array", "map_features_string", "map_feature_not_object",
+        "map_properties_list", "map_ring_not_list", "params_invalid_json", "params_array"])
+def test_malformed_document_is_one_line_naming_the_file(small_scenario, tmp_path, capsys,
+                                                         name, text, message):
+    """A malformed scenario, map or params file exits 1 with one line that
+    names the file, not with a traceback."""
+    params = tmp_path / "params.json"
+    params.write_text("{}")
+    (tmp_path / name).write_text(text)
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out"),
+               "--params", str(params)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evigrid: configuration error: ") and err.count("\n") == 1, err
+    assert str(tmp_path / name) in err and message in err, err
+
+
 @pytest.mark.parametrize("field, value", [
     ("cell_size", float("nan")), ("origin_east", float("inf")), ("width", 10.5)])
 def test_bad_grid_value_is_config_error(small_scenario, tmp_path, capsys, field, value):
@@ -310,12 +355,13 @@ def test_non_finite_map_vertex_is_config_error(small_scenario, tmp_path, capsys,
                                        ("building", ring)])
     rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out_run")])
     assert rc == 1
-    assert "configuration error: feature 1" in capsys.readouterr().err
+    message = f"configuration error: map file {tmp_path / 'm.geojson'}: feature 1: "
+    assert message in capsys.readouterr().err
     log = tmp_path / "scans.ndjson"
     log.write_text(record_line(0.0) + "\n")
     rc = replay(tmp_path, log, tmp_path / "out_replay")
     assert rc == 1
-    assert "configuration error: feature 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_record_then_replay_matches(small_scenario, tmp_path):

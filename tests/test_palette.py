@@ -243,7 +243,8 @@ def test_scenario_run_equals_dense_loop(scenario_dir, name):
         cell_bet = np.take(result.state_bet, result.pg.ids, axis=1)
         assert cell_bet.tobytes() == np.take(pignistic_grid(pg), pg.ids, axis=1).tobytes(), \
             result.epoch
-        assert np.array_equal(result.codes, decide_grid(pg, cfg.decision_threshold))
+        assert np.array_equal(result.codes[result.pg.ids].T,
+                              decide_grid(pg, cfg.decision_threshold))
         assert result.pg.states.shape[1] < cfg.grid.width * cfg.grid.height
 
 

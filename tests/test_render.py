@@ -12,11 +12,12 @@ from hypothesis.extra.numpy import arrays
 from evigrid import render
 from evigrid.dst import MassFunction
 from evigrid.frames import PERCEPTION_FRAME
-from evigrid.fusion import decide_grid, pignistic_grid
+from evigrid.fusion import decide_pignistic, pignistic_grid
 from evigrid.grid import GridSpec, PerceptionGrid
 from evigrid.render import (DECISION_COLORS, MovingTrace, decision_image, pignistic_image,
                             write_ppm)
-from oracles import dense_grid, pignistic_image_oracle, write_ppm_oracle
+from oracles import (decision_image_oracle, dense_grid, moving_trace_oracle,
+                     pignistic_image_oracle, write_ppm_oracle)
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 3, 2)
 
@@ -105,7 +106,7 @@ def test_write_ppm_matches_oracle_for_any_block(block, data):
 def test_decision_image_north_up():
     # cell (0, 1) is the top-left pixel: j grows north, image rows go down
     pg = grid_with({(0, 1): {"M": 1.0}, (2, 0): {"F": 1.0}})
-    img = decision_image(decide_grid(pg, 0.5))
+    img = decision_image(decide_pignistic(pignistic_grid(pg), 0.5), pg.ids)
     assert img.shape == (2, 3, 3)
     assert tuple(img[0, 0]) == (255, 0, 0)
     assert tuple(img[1, 2]) == (0, 255, 0)
@@ -168,13 +169,44 @@ def test_pignistic_image_of_a_state_alone_and_among_5000():
 
 
 def test_moving_trace_accumulates():
-    trace = MovingTrace(SPEC.width, SPEC.height)
-    trace.update(decide_grid(grid_with({(1, 0): {"M": 1.0}}), 0.5))
-    trace.update(decide_grid(grid_with({(2, 1): {"M": 1.0}}), 0.5))
+    trace = MovingTrace(SPEC.height, SPEC.width)
+    for pg in (grid_with({(1, 0): {"M": 1.0}}), grid_with({(2, 1): {"M": 1.0}})):
+        trace.update(decide_pignistic(pignistic_grid(pg), 0.5), pg.ids)
     img = trace.image()
     assert tuple(img[1, 1]) == (255, 0, 0)
     assert tuple(img[0, 2]) == (255, 0, 0)
     assert tuple(img[0, 0]) == (0, 0, 0)
+
+
+@st.composite
+def decision_epochs(draw):
+    """The (S,) per-state decision codes and (height, width) palette ids of
+    one to three epochs of a grid from 1x1, each with a palette of its own
+    from S = 1."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    epochs = []
+    for _ in range(draw(st.integers(1, 3))):
+        codes = draw(arrays(np.int8, st.integers(1, 5), elements=st.integers(0, 5)))
+        ids = draw(arrays(np.intp, (height, width), elements=st.integers(0, len(codes) - 1)))
+        epochs.append((codes, ids))
+    return epochs
+
+
+@settings(max_examples=150, deadline=None)
+@given(decision_epochs())
+def test_decision_image_and_trace_match_per_cell_oracles(epochs):
+    """Both images gather per-state colours by ids into the (height, width)
+    layout, north up; most drawn grids are not square, so a swapped width
+    and height shows."""
+    trace = MovingTrace(*epochs[0][1].shape)
+    for codes, ids in epochs:
+        image = decision_image(codes, ids)
+        assert image.dtype == np.uint8
+        assert np.array_equal(image, decision_image_oracle(codes, ids))
+        trace.update(codes, ids)
+    image = trace.image()
+    assert image.dtype == np.uint8
+    assert np.array_equal(image, moving_trace_oracle(epochs))
 
 
 def test_images_deterministic():
