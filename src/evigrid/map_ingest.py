@@ -91,7 +91,7 @@ def load_map(path) -> VectorMap:
             data = json.load(fh)
     except OSError as exc:
         raise MapFormatError(f"cannot read map file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MapFormatError(f"map file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise MapFormatError(f"map file {path} must be a FeatureCollection")

@@ -197,11 +197,11 @@ def _parse_file(path: Path, kind: str, parse):
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read {kind} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{kind} {path}: expected a JSON object, got {type(data).__name__}")
     try:
-        if not isinstance(data, dict):
-            raise ScenarioError(f"expected a JSON object, got {type(data).__name__}")
         return parse(data)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{kind} {path}: {exc}") from exc

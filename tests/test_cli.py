@@ -189,15 +189,18 @@ def _feature(properties, coordinates):
      "feature 0: polygon ring 5 is not a list of vertices"),
     ("params.json", "{nope", "is not valid JSON"),
     ("params.json", "[1, 2]", "expected a JSON object, got list"),
+    ("scn.json", b"\xff{}", "is not valid JSON"),
+    ("m.geojson", b"\xff{}", "is not valid JSON"),
 ], ids=["scenario_array", "map_features_string", "map_feature_not_object",
-        "map_properties_list", "map_ring_not_list", "params_invalid_json", "params_array"])
+        "map_properties_list", "map_ring_not_list", "params_invalid_json", "params_array",
+        "scenario_not_utf8", "map_not_utf8"])
 def test_malformed_document_is_one_line_naming_the_file(small_scenario, tmp_path, capsys,
                                                          name, text, message):
     """A malformed scenario, map or params file exits 1 with one line that
     names the file, not with a traceback."""
     params = tmp_path / "params.json"
     params.write_text("{}")
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out"),
                "--params", str(params)])
     assert rc == 1
