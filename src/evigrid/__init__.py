@@ -14,7 +14,7 @@ from .fusion import (ConflictPair, FusionParams, apply_accumulator_specializatio
                      combine_prior, decide, decide_grid, fuse_pg,
                      refine_sg, step_cell, step_with_conflicts,
                      update_accumulator)
-from .grid import EvidentialGrid, GridSpec, PerceptionGrid
+from .grid import EvidentialGrid, GridSpec
 from .map_ingest import (MapConfidence, VectorMap, load_map, point_in_polygon,
                          rasterize_gg)
 from .sensor import LidarScan, Pose, SensorGridParams, build_sg
@@ -31,7 +31,7 @@ __all__ = [
     "ConflictPair", "FusionParams", "apply_accumulator_specialization",
     "combine_prior", "decide", "decide_grid", "fuse_pg",
     "refine_sg", "step_cell", "step_with_conflicts", "update_accumulator",
-    "EvidentialGrid", "GridSpec", "PerceptionGrid",
+    "EvidentialGrid", "GridSpec",
     "MapConfidence", "VectorMap", "load_map", "point_in_polygon", "rasterize_gg",
     "LidarScan", "Pose", "SensorGridParams", "build_sg",
     "ObjectTrack", "ScenarioConfig", "SensorSpec", "run_scenario", "simulate_scan",

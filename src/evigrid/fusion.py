@@ -34,7 +34,7 @@ import numpy as np
 from . import frames
 from .dst import (MassFunction, TOTAL_CONFLICT_TOLERANCE, TotalConflictError,
                   combine_dempster, discount, pignistic, refine, specialize)
-from .grid import EvidentialGrid, PerceptionGrid, _distinct
+from .grid import EvidentialGrid, _distinct
 
 DECISION_LABELS = ("F", "I", "U", "S", "M", "UNKNOWN")
 UNKNOWN = "UNKNOWN"
@@ -353,8 +353,8 @@ def _columns(rows: np.ndarray, sets: tuple[int, ...], cols: np.ndarray) -> np.nd
     return out
 
 
-def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGrid,
-                        params: FusionParams) -> tuple[PerceptionGrid, ConflictPair]:
+def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGrid,
+                        params: FusionParams) -> tuple[EvidentialGrid, ConflictPair]:
     """One fusion epoch over the whole grid.
 
     Returns the new perception grid plus the grid-total conflict partition.
@@ -443,8 +443,8 @@ def step_with_conflicts(pg: PerceptionGrid, sg: EvidentialGrid, gg: EvidentialGr
     rows = np.zeros((frames.PERCEPTION_FRAME.size, len(kept)))
     for k, a in enumerate(fused_sets):
         np.take(fused[k], kept, out=rows[a])
-    out = type(pg)(spec, pg.frame, rows, merged[inverse].reshape(spec.height, spec.width),
-                   np.take(counter, kept))
+    out = EvidentialGrid(spec, pg.frame, rows, merged[inverse].reshape(spec.height, spec.width),
+                         np.take(counter, kept))
     # the grid conflict totals sum over the cells in (j, i) raster order
     totals = ConflictPair(float(appear[inverse].sum()), float(disappear[inverse].sum()),
                           float(residual[inverse].sum()))
@@ -471,8 +471,8 @@ def pignistic_grid(pg: EvidentialGrid) -> np.ndarray:
 
 # kept for perfbench/traced.py, which times it by name
 def decide_grid(pg: EvidentialGrid, unknown_threshold: float) -> np.ndarray:
-    """Per-cell decision codes, indices into DECISION_LABELS."""
-    return decide_pignistic(pignistic_grid(pg), unknown_threshold)[pg.ids].T
+    """Per-cell decision codes, indices into DECISION_LABELS, like ``pg.ids``."""
+    return decide_pignistic(pignistic_grid(pg), unknown_threshold)[pg.ids]
 
 
 def decide_pignistic(bet: np.ndarray, unknown_threshold: float) -> np.ndarray:

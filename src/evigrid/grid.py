@@ -2,8 +2,9 @@
 
 Cell (i, j) of a grid covers the box
 ``[origin_east + i*cell_size, origin_east + (i+1)*cell_size]`` east and the
-analogous interval north.  Grids are world-fixed; the vehicle pose moves
-through them.
+analogous interval north; per-cell arrays hold it at ``[j, i]``, in the
+(height, width) raster layout.  Grids are world-fixed; the vehicle pose
+moves through them.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ class GridSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.cell_size <= 0:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
 
     def world_to_index(self, x, y) -> np.ndarray:
         """Flat raster index ``j * width + i`` of the cell containing each world
@@ -87,63 +88,58 @@ def _gathered(values: np.ndarray) -> np.ndarray:
 
 
 class EvidentialGrid:
-    """A lattice whose cells carry normal mass functions on a shared frame.
+    """A lattice whose cells carry normal mass functions on a shared frame,
+    and an occupancy counter.
 
     A grid is a palette of cell states plus one palette index per cell:
     ``states`` holds the (2**n, S) masses of the S states, one column per
-    state, and ``ids`` the (height, width) intp index of each cell's state.
-    Cells that share a map context and have seen the same beams share one
-    state, so the kernels compute each state once.  Without `states`, every
-    cell holds the one vacuous state.
+    state, ``state_counter`` the (S,) counter of each state, and ``ids`` the
+    (height, width) integer index, in [0, S), of each cell's state.  Cells
+    that share a map context and have seen the same beams share one state,
+    so the kernels compute each state once.  Without `states`, every cell
+    holds the one vacuous state.  The counter starts at 0 (occupancy not yet
+    confirmed), so the moving-object hypothesis is never suppressed at
+    startup; only the perception grid's ever leaves 0.
 
-    ``masses``, indexed ``masses[i, j]`` by cell, is a read-only (width,
-    height, 2**n) array gathered from the states: the view of one
-    C-contiguous (2**n, height, width) array, one plane per subset.
-    """
-
-    def __init__(self, spec: GridSpec, frame: FrameOfDiscernment,
-                 states: Optional[np.ndarray] = None, ids: Optional[np.ndarray] = None):
-        if states is None:
-            states = np.zeros((frame.size, 1))
-            states[frame.omega] = 1.0
-        if ids is None:
-            ids = np.zeros((spec.height, spec.width), dtype=np.intp)
-        if states.shape[0] != frame.size or ids.shape != (spec.height, spec.width):
-            raise ValueError(f"expected {frame.size} mass rows and ids of shape "
-                             f"{(spec.height, spec.width)}, got {states.shape} and {ids.shape}")
-        self.spec = spec
-        self.frame = frame
-        self.states = states
-        self.ids = ids
-
-    @property
-    def masses(self) -> np.ndarray:
-        return _gathered(np.take(self.states, self.ids, axis=1).T)
-
-
-class PerceptionGrid(EvidentialGrid):
-    """Evidential grid whose cells additionally carry an occupancy counter.
-
-    The counter starts at 0 (occupancy not yet confirmed) so the moving-object
-    hypothesis is never suppressed at startup.  It is stored like the
-    masses: ``state_counter`` holds one (S,) entry per state, and
-    ``counter`` is the read-only (width, height) array gathered from it.
+    ``masses`` (height, width, 2**n) and ``counter`` (height, width) are
+    read-only arrays gathered from the states, indexed ``[j, i]`` by cell
+    like ``ids``.
     """
 
     def __init__(self, spec: GridSpec, frame: FrameOfDiscernment,
                  states: Optional[np.ndarray] = None, ids: Optional[np.ndarray] = None,
                  state_counter: Optional[np.ndarray] = None):
-        super().__init__(spec, frame, states, ids)
+        if states is None:
+            states = np.zeros((frame.size, 1))
+            states[frame.omega] = 1.0
+        if ids is None:
+            ids = np.zeros((spec.height, spec.width), dtype=np.intp)
         if state_counter is None:
-            state_counter = np.zeros(self.states.shape[1])
-        if state_counter.shape != self.states.shape[1:]:
-            raise ValueError(f"expected {self.states.shape[1]} counters, "
+            state_counter = np.zeros(states.shape[1:])
+        if states.shape[0] != frame.size or ids.shape != (spec.height, spec.width):
+            raise ValueError(f"expected {frame.size} mass rows and ids of shape "
+                             f"{(spec.height, spec.width)}, got {states.shape} and {ids.shape}")
+        if state_counter.shape != states.shape[1:]:
+            raise ValueError(f"expected {states.shape[1]} counters, "
                              f"got shape {state_counter.shape}")
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
+        for extreme in (ids.min(), ids.max()):
+            if not 0 <= extreme < states.shape[1]:
+                raise ValueError(f"palette id {extreme} is outside [0, {states.shape[1]})")
+        self.spec = spec
+        self.frame = frame
+        self.states = states
+        self.ids = ids
         self.state_counter = state_counter
 
     @property
+    def masses(self) -> np.ndarray:
+        return _gathered(self.states.T[self.ids])
+
+    @property
     def counter(self) -> np.ndarray:
-        return _gathered(self.state_counter[self.ids].T)
+        return _gathered(self.state_counter[self.ids])
 
 
 def mass_column_names(frame: FrameOfDiscernment) -> list[str]:
@@ -178,14 +174,14 @@ def _state_texts(values: np.ndarray) -> list[str]:
 def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     """Dump a grid snapshot: one row per cell, one column per subset mass.
 
-    The counter column is 0 for grids that do not carry one.  Every value is
+    The counter column of the sensor and prior grids is 0.  Every value is
     written as its ``repr``.  Each palette state's text is made once, with
     the block of rows that first uses it, and each raster row is one join of
     per-column, per-row and per-state pieces.
     """
     spec = grid.spec
     height, width = spec.height, spec.width
-    zeta = getattr(grid, "state_counter", np.zeros(grid.states.shape[1]))
+    zeta = grid.state_counter
     # a state's text is dropped after the block of rows that last uses it,
     # so a palette of many states never holds all their texts at once
     first = np.full(len(zeta), height)

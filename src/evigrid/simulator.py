@@ -2,10 +2,11 @@
 
 Scenario files are JSON documents describing a map, a vehicle trajectory,
 tracked objects and the sensor/fusion parameters; see the shipped files under
-``scenarios/`` for the schema; unknown keys are rejected, and errors name
-the file.  Ray casting is exact and noise-free by default; an optional
-uniform range jitter sits behind a seeded RNG.  Each epoch decides once per
-palette state, and the readers of its (S,) codes gather them by palette ids.
+``scenarios/`` for the schema; unknown and missing keys are rejected by
+name, and errors name the file.  Ray casting is exact and noise-free by
+default; an optional uniform range jitter sits behind a seeded RNG.  Each
+epoch decides once per palette state, and the readers of its (S,) codes
+gather them by palette ids.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import frames, fusion
 from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignistic,
                      step_with_conflicts)
-from .grid import EvidentialGrid, GridSpec, PerceptionGrid
+from .grid import EvidentialGrid, GridSpec
 from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from .sensor import LidarScan, Pose, SensorGridParams, beam_directions, build_sg, normalize_heading
 
@@ -121,8 +122,9 @@ class SensorSpec:
             object.__setattr__(self, name, _number(getattr(self, name), f"sensor {name}"))
         if not 0.0 <= self.fov <= 2.0 * math.pi:
             raise ScenarioError(f"sensor fov must be in [0, 2 pi], got {self.fov}")
-        if self.max_range <= 0 or self.rate <= 0:
-            raise ScenarioError("max_range and rate must be positive")
+        for name in ("max_range", "rate"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"sensor {name} must be > 0, got {getattr(self, name)}")
         if self.range_jitter < 0:
             raise ScenarioError("range_jitter must be >= 0")
 
@@ -143,6 +145,14 @@ class Settings:
     decision_threshold: float = 0.5
 
 
+def _section(value, kind, name: str) -> dict:
+    """The object `value` of the section `name`, once its keys are fields of
+    the dataclass `kind`, those without a default included."""
+    fields = dataclasses.fields(kind)
+    return _known(value, {f.name for f in fields}, name,
+                  [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
+
+
 def _parse_settings(data: dict) -> dict:
     """The settings keys present in a scenario or params document, parsed.
 
@@ -151,25 +161,21 @@ def _parse_settings(data: dict) -> dict:
     finite JSON numbers, the threshold in [0, 1]; ``GridSpec`` checks the
     grid's.
     """
-    parsed = {"grid": GridSpec(**data["grid"])} if "grid" in data else {}
-    kinds = {"sensor_model": SensorGridParams, "map_confidence": MapConfidence,
-             "fusion": FusionParams}
+    parsed = {}
+    kinds = {"grid": GridSpec, "sensor_model": SensorGridParams,
+             "map_confidence": MapConfidence, "fusion": FusionParams}
     for key, kind in kinds.items():
         if key in data:
-            parsed[key] = kind(**{name: _setting(value, f"{key} {name}")
-                                  for name, value in _object(data[key], key).items()})
+            values = _section(data[key], kind, key)
+            if kind is not GridSpec:
+                values = {name: _setting(value, f"{key} {name}") for name, value in values.items()}
+            parsed[key] = kind(**values)
     if "decision_threshold" in data:
         threshold = _number(data["decision_threshold"], "decision_threshold")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"decision_threshold must be in [0, 1], got {threshold}")
         parsed["decision_threshold"] = threshold
     return parsed
-
-
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} {value!r} is not an object")
-    return value
 
 
 def _setting(value, name: str):
@@ -179,14 +185,22 @@ def _setting(value, name: str):
         return _number(value, name)
     if value is None:
         return None
-    return {key: _number(rate, f"{name} {key}") for key, rate in _object(value, name).items()}
+    return {key: _number(rate, f"{name} {key}")
+            for key, rate in _known(value, set(fusion._CONTEXTS), name).items()}
 
 
-def _known(data: dict, keys: set[str], where: str = "") -> dict:
-    """`data`, once each of its keys is one of `keys`; `where` leads the error."""
-    unknown = sorted(set(data) - keys)
+def _known(data, keys, where: str = "", required=()) -> dict:
+    """`data`, once it is an object whose keys are all in `keys` and include
+    each of `required`; `where` names it in the error."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{where} {data!r} is not an object".lstrip())
+    lead = f"{where}: " if where else ""
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ScenarioError(f"{where}unknown key(s) {', '.join(map(repr, unknown))}")
+        raise ScenarioError(f"{lead}unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ScenarioError(f"{lead}missing key(s) {', '.join(map(repr, missing))}")
     return data
 
 
@@ -210,6 +224,8 @@ def _parse_file(path: Path, kind: str, parse):
 _SETTINGS_KEYS = {f.name for f in dataclasses.fields(Settings)}
 _SCENARIO_KEYS = _SETTINGS_KEYS | {"map", "trajectory", "sensor", "epochs", "objects"}
 _OBJECT_KEYS = {"length", "width", "waypoints", "pose", "appear_t", "disappear_t"}
+_POSE_KEYS = ("x", "y", "heading")
+_RECORD_KEYS = ("t", "pose", "beams", "max_range")
 
 
 def load_settings(path, base: Optional[Settings] = None) -> Settings:
@@ -217,7 +233,8 @@ def load_settings(path, base: Optional[Settings] = None) -> Settings:
     value in `base`.  Without a base the file must give the grid.  Other keys
     are rejected."""
     def parse(data: dict) -> Settings:
-        parsed = _parse_settings(_known(data, _SETTINGS_KEYS))
+        parsed = _parse_settings(_known(data, _SETTINGS_KEYS,
+                                        required=("grid",) if base is None else ()))
         return Settings(**parsed) if base is None else dataclasses.replace(base, **parsed)
     return _parse_file(Path(path), "params", parse)
 
@@ -249,28 +266,40 @@ class ScenarioConfig(Settings):
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path = Path(".")) -> "ScenarioConfig":
-        """A scenario from its JSON object; unknown keys are rejected."""
-        _known(data, _SCENARIO_KEYS)
+        """A scenario from its JSON object; unknown and missing keys are
+        named, in the document and in each of its objects."""
+        _known(data, _SCENARIO_KEYS, required=("map", "grid", "trajectory", "epochs"))
+
+        def listed(entries, where) -> list:
+            if not isinstance(entries, list):
+                raise ScenarioError(f"{where} {entries!r} is not a list")
+            return entries
 
         def pose(entry, where):
-            return Pose(*(_number(entry[key], f"{where} {key}") for key in ("x", "y", "heading")))
+            return Pose(*(_number(entry[key], f"{where} {key}") for key in _POSE_KEYS))
 
         def timed_poses(entries, where):
+            keys = ("t", *_POSE_KEYS)
+            entries = [_known(e, keys, f"{where} {k}", keys)
+                       for k, e in enumerate(listed(entries, where))]
             return tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
                          for e in entries)
 
         objects = []
-        for k, entry in enumerate(data.get("objects", [])):
+        for k, entry in enumerate(listed(data.get("objects", []), "objects")):
             where = f"object {k}"
-            _known(entry, _OBJECT_KEYS, f"{where}: ")
+            _known(entry, _OBJECT_KEYS, where, ("length", "width"))
             kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
             if "waypoints" in entry:
                 for key in ("appear_t", "disappear_t"):
                     if key in entry:
                         raise ScenarioError(f"{where}: {key!r} applies to static objects only")
                 kwargs["waypoints"] = timed_poses(entry["waypoints"], f"{where} waypoint")
+            elif "pose" not in entry:
+                raise ScenarioError(f"{where}: needs 'waypoints' or a 'pose'")
             else:
-                kwargs["pose"] = pose(entry["pose"], f"{where} pose")
+                kwargs["pose"] = pose(_known(entry["pose"], _POSE_KEYS, f"{where} pose",
+                                             _POSE_KEYS), f"{where} pose")
                 for key in ("appear_t", "disappear_t"):
                     if key in entry:
                         kwargs[key] = _number(entry[key], f"{where} {key}")
@@ -279,7 +308,7 @@ class ScenarioConfig(Settings):
         return cls(
             map_path=base_dir / data["map"],
             trajectory=timed_poses(data["trajectory"], "trajectory"),
-            sensor=SensorSpec(**data.get("sensor", {})),
+            sensor=SensorSpec(**_section(data.get("sensor", {}), SensorSpec, "sensor")),
             epochs=data["epochs"],
             objects=objects,
             **_parse_settings(data),
@@ -347,7 +376,7 @@ class EpochResult:
     time: float
     pose: Pose
     scan: LidarScan
-    pg: PerceptionGrid
+    pg: EvidentialGrid
     conflicts: ConflictPair
     codes: np.ndarray    # decision codes of pg.states, (S,), indices into DECISION_LABELS
     stats: dict
@@ -374,7 +403,7 @@ def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
     """Fuse each (t, pose, scan) with the map prior `gg`: one epoch per scan."""
     spec = settings.grid
     # every cell starts in the one vacuous state
-    pg = PerceptionGrid(spec, frames.PERCEPTION_FRAME)
+    pg = EvidentialGrid(spec, frames.PERCEPTION_FRAME)
     for epoch, (t, pose, scan) in enumerate(scans):
         sg = build_sg(scan, pose, spec, settings.sensor_model)
         pg, conflicts = step_with_conflicts(pg, sg, gg, settings.fusion)
@@ -458,10 +487,10 @@ def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = _known(json.loads(line), _RECORD_KEYS, required=_RECORD_KEYS)
             t = _number(rec["t"], "t")
-            p = rec["pose"]
-            pose = Pose(*(_number(p[key], f"pose {key}") for key in ("x", "y", "heading")))
+            p = _known(rec["pose"], _POSE_KEYS, "pose", _POSE_KEYS)
+            pose = Pose(*(_number(p[key], f"pose {key}") for key in _POSE_KEYS))
             scan = LidarScan(_beams(rec["beams"]), _number(rec["max_range"], "max_range"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: malformed record: {exc}") from exc

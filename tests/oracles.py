@@ -13,7 +13,8 @@ The writer oracles format every cell, every pixel and every beam on its
 own, and the image oracle colours every cell on its own.
 Tests build their input grids with ``dense_grid``: one palette state per
 cell, and their scans from literal beams with ``scan_of``; ``cell_mass``
-reads one cell as a ``MassFunction``.
+reads one cell as a ``MassFunction``.  Every per-cell array here is
+indexed ``[j, i]``, in the (height, width) layout of a grid's ``ids``.
 """
 
 import json
@@ -26,23 +27,30 @@ from evigrid import frames
 from evigrid.dst import FrameOfDiscernment, MassFunction, TOTAL_CONFLICT_TOLERANCE
 from evigrid.fusion import (_MOVING_SUPERSETS, _OCCUPIED_SUBSETS, ConflictPair,
                             FusionParams, _ageing_vector, _conflict_kind)
-from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid, mass_column_names
+from evigrid.grid import EvidentialGrid, GridSpec, mass_column_names
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
 from evigrid.sensor import LidarScan
 from evigrid.simulator import _RAY_EPS
 
 
-def dense_grid(cls, spec: GridSpec, frame: FrameOfDiscernment, masses,
+def dense_grid(spec: GridSpec, frame: FrameOfDiscernment, masses,
                counter=None) -> EvidentialGrid:
-    """The grid of class `cls` whose cell (i, j) holds the 2**n masses
-    ``masses[i, j]`` (and, for a perception grid, ``counter[i, j]``, else
-    0): state k is cell k in (j, i) raster order, and ``ids = arange(N)``."""
+    """The grid whose cell (i, j) holds the 2**n masses ``masses[j, i]`` and
+    the counter ``counter[j, i]`` (0 without `counter`): state k is cell k
+    in (j, i) raster order, and ``ids = arange(N)``.  Both arrays must lead
+    with (height, width), so a swapped array fails on a non-square grid."""
+    shape = (spec.height, spec.width)
+    masses = np.asarray(masses, dtype=float)
+    if masses.shape != shape + (frame.size,):
+        raise ValueError(f"expected masses of shape {shape + (frame.size,)}, got {masses.shape}")
+    if counter is not None:
+        counter = np.asarray(counter, dtype=float)
+        if counter.shape != shape:
+            raise ValueError(f"expected a counter of shape {shape}, got {counter.shape}")
+        counter = counter.ravel()
     n = spec.width * spec.height
-    states = np.ascontiguousarray(np.asarray(masses, dtype=float).T).reshape(frame.size, n)
-    ids = np.arange(n).reshape(spec.height, spec.width)
-    if counter is None:
-        return cls(spec, frame, states, ids)
-    return cls(spec, frame, states, ids, np.asarray(counter, dtype=float).T.ravel())
+    return EvidentialGrid(spec, frame, np.ascontiguousarray(masses.reshape(n, frame.size).T),
+                          np.arange(n).reshape(shape), counter)
 
 
 def scan_of(beams, max_range: float) -> LidarScan:
@@ -176,11 +184,11 @@ def traverse_ray_oracle(spec: GridSpec, x0: float, y0: float,
 
 
 def sensor_counts_oracle(scan: LidarScan, pose, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell counts of free and hit beams, as (width, height) arrays, one
+    """Per-cell counts of free and hit beams, as (height, width) arrays, one
     beam at a time: a beam's free cells are its scalar traversal less its
     hit cell, and the hit cell is the one ``world_to_index`` gives the hit
     point."""
-    n_free = np.zeros((spec.width, spec.height), dtype=int)
+    n_free = np.zeros((spec.height, spec.width), dtype=int)
     n_hit = np.zeros_like(n_free)
     for bearing, rng, is_hit in scan.columns.T.tolist():
         angle = pose.heading + bearing
@@ -189,11 +197,11 @@ def sensor_counts_oracle(scan: LidarScan, pose, spec: GridSpec) -> tuple[np.ndar
         if is_hit:
             index = int(spec.world_to_index(pose.x + rng * dx, pose.y + rng * dy))
             hit = (index % spec.width, index // spec.width) if index >= 0 else None
-        for cell in traverse_ray_oracle(spec, pose.x, pose.y, dx, dy, rng):
-            if cell != hit:
-                n_free[cell] += 1
+        for i, j in traverse_ray_oracle(spec, pose.x, pose.y, dx, dy, rng):
+            if (i, j) != hit:
+                n_free[j, i] += 1
         if hit is not None:
-            n_hit[hit] += 1
+            n_hit[hit[1], hit[0]] += 1
     return n_free, n_hit
 
 
@@ -243,8 +251,9 @@ def point_in_polygon_oracle(point, polygon: np.ndarray) -> bool:
 
 
 def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np.ndarray:
-    """The prior-grid masses, classified cell by cell with the scalar test."""
-    masses = np.zeros((spec.width, spec.height, frames.PERCEPTION_FRAME.size))
+    """The prior-grid masses, (height, width, 32), classified cell by cell
+    with the scalar test."""
+    masses = np.zeros((spec.height, spec.width, frames.PERCEPTION_FRAME.size))
     omega = frames.PG_OMEGA
     for j in range(spec.height):
         for i in range(spec.width):
@@ -253,7 +262,7 @@ def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np
             in_road = any(point_in_polygon_oracle(center, p) for p in vmap.roads)
             if in_building and in_road:
                 raise MapOverlapError(f"map overlap at cell ({i}, {j})")
-            cell = masses[i, j]
+            cell = masses[j, i]
             if in_building:
                 cell[frames.BUILDING_SET] = conf.building
                 cell[omega] = 1.0 - conf.building
@@ -271,7 +280,7 @@ def context_of_cell(gg: EvidentialGrid, i: int, j: int) -> str:
 
     A vacuous cell (all confidences zero) counts as intermediate.
     """
-    cell = gg.masses[i, j]
+    cell = gg.masses[j, i]
     if cell[frames.BUILDING_SET] > 0.0:
         return "building"
     if cell[frames.ROAD_SET] > 0.0:
@@ -338,9 +347,9 @@ def _conjunctive_rows_dense(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray,
     return out, parts
 
 
-def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
+def step_with_conflicts_dense_oracle(pg: EvidentialGrid, sg: EvidentialGrid,
                                      gg: EvidentialGrid, params: FusionParams
-                                     ) -> tuple[PerceptionGrid, ConflictPair]:
+                                     ) -> tuple[EvidentialGrid, ConflictPair]:
     """One fusion epoch over the whole grid on all 32 subset rows: refine
     the sensor grid into 32 rows, Dempster with the prior, age, the
     modified conjunctive rule, the counter and the specialization."""
@@ -395,7 +404,7 @@ def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
         fused[a] -= moved
         fused[a & ~frames.PG_MOVING] += moved
 
-    out = PerceptionGrid(spec, frames.PERCEPTION_FRAME, fused,
+    out = EvidentialGrid(spec, frames.PERCEPTION_FRAME, fused,
                          np.arange(fused.shape[1]).reshape(spec.height, spec.width), counter)
     totals = ConflictPair(float(appear.sum()), float(disappear.sum()),
                           float(residual.sum()))
@@ -405,12 +414,11 @@ def step_with_conflicts_dense_oracle(pg: PerceptionGrid, sg: EvidentialGrid,
 def write_grid_csv_oracle(grid: EvidentialGrid, out) -> None:
     """``write_grid_csv`` formatting every value of every cell with ``repr``."""
     spec = grid.spec
-    zeta = getattr(grid, "counter", np.zeros((spec.width, spec.height)))
     header = ["i", "j", "x_center", "y_center"] + mass_column_names(grid.frame) + ["zeta"]
     out.write(",".join(header) + "\n")
     xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height))
     for j, y in enumerate(ys):
-        rows = np.column_stack((xs, np.full(spec.width, y), grid.masses[:, j], zeta[:, j]))
+        rows = np.column_stack((xs, np.full(spec.width, y), grid.masses[j], grid.counter[j]))
         out.writelines(f"{i},{j},{','.join(map(repr, row))}\n"
                        for i, row in enumerate(rows.tolist()))
 

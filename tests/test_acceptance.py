@@ -230,7 +230,7 @@ def test_criterion_4_crossing_car(criterion, scenario_dir):
             if result.epoch < 4 or not cells or len(cells) < 8:
                 continue
             codes = decide_grid(result.pg, cfg.decision_threshold)
-            moving = sum(DECISION_LABELS[codes[i, j]] == "M" for i, j in cells)
+            moving = sum(DECISION_LABELS[codes[j, i]] == "M" for i, j in cells)
             assert moving / len(cells) >= 0.8, (
                 f"epoch {result.epoch}: only {moving}/{len(cells)} cells moving")
 
@@ -238,7 +238,7 @@ def test_criterion_4_crossing_car(criterion, scenario_dir):
         # epochs later) every formerly covered cell must read free again
         final = decide_grid(results[-1].pg, cfg.decision_threshold)
         for i, j in sorted(ever_under_car):
-            assert DECISION_LABELS[final[i, j]] == "F", (i, j)
+            assert DECISION_LABELS[final[j, i]] == "F", (i, j)
 
     criterion(4, "crossing car tracked as moving, wake returns to free, < 5 s", body)
 
@@ -249,20 +249,20 @@ def test_criterion_5_parked_car_vs_facade(criterion, scenario_dir):
         car = cfg.objects[0]
         footprint = _footprint_cells(cfg, car.polygon_at(0.0))
         assert footprint
-        # facade cell straight ahead of the sensor on the near building wall
-        facade = divmod(int(cfg.grid.world_to_index(15.25, 22.25)), cfg.grid.width)[::-1]
+        # facade cell (j, i) straight ahead of the sensor on the near building wall
+        facade = divmod(int(cfg.grid.world_to_index(15.25, 22.25)), cfg.grid.width)
 
         results = list(run_scenario(cfg))
         epoch4 = decide_grid(results[4].pg, cfg.decision_threshold)
         for i, j in footprint:
-            assert DECISION_LABELS[epoch4[i, j]] == "S", (i, j)
+            assert DECISION_LABELS[epoch4[j, i]] == "S", (i, j)
         assert DECISION_LABELS[epoch4[facade]] == "I"
 
         # the parked car stays stopped until it disappears at epoch 30
         for result in results[5:30]:
             codes = decide_grid(result.pg, cfg.decision_threshold)
             for i, j in footprint:
-                assert DECISION_LABELS[codes[i, j]] == "S", (result.epoch, i, j)
+                assert DECISION_LABELS[codes[j, i]] == "S", (result.epoch, i, j)
 
         # without map priors the facade can no longer be told apart from any
         # other persistent obstacle: its pignistic mass splits evenly over the
@@ -273,7 +273,7 @@ def test_criterion_5_parked_car_vs_facade(criterion, scenario_dir):
         codes4 = decide_grid(blind[4].pg, cfg_blind.decision_threshold)
         assert DECISION_LABELS[codes4[facade]] != "I"
         assert DECISION_LABELS[codes4[facade]] == "UNKNOWN"
-        bet = cell_mass(blind[4].pg, *facade)
+        bet = cell_mass(blind[4].pg, *facade[::-1])
         from evigrid.dst import pignistic as betp
         probs = betp(bet)
         assert probs[1] < cfg_blind.decision_threshold  # BetP(infrastructure)

@@ -1,11 +1,14 @@
 """End-to-end command-line behaviour: outputs, exit codes, record/replay."""
 
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +171,69 @@ def test_scenario_unknown_key_is_config_error(small_scenario, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (f"evigrid: configuration error: scenario {small_scenario}:"
                                        " unknown key(s) 'fusoin'\n")
+
+
+DELETE = object()
+
+
+def with_field(document: dict, path, value) -> dict:
+    """A deep copy of `document` with the field at `path` set to `value`,
+    or deleted."""
+    document = json.loads(json.dumps(document))
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return document
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("epochs",), DELETE, "missing key(s) 'epochs'"),
+    (("trajectory", 0, "x"), DELETE, "trajectory 0: missing key(s) 'x'"),
+    (("objects",), [{"width": 2.0, "pose": {"x": 4.0, "y": 2.0, "heading": 0.0}}],
+     "object 0: missing key(s) 'length'"),
+    (("objects",), [{"length": 4.0, "width": 2.0}], "object 0: needs 'waypoints' or a 'pose'"),
+    (("grid", "size"), 12, "grid: unknown key(s) 'size'"),
+    (("grid", "height"), DELETE, "grid: missing key(s) 'height'"),
+    (("sensor", "beams"), 31, "sensor: unknown key(s) 'beams'"),
+    (("fusion",), {"ageing": 0.1}, "fusion: unknown key(s) 'ageing'"),
+    (("sensor",), [31], "sensor [31] is not an object"),
+    (("trajectory",), 5, "trajectory 5 is not a list"),
+], ids=["no_epochs", "pose_without_x", "object_without_length", "object_without_pose",
+        "grid_size", "grid_without_height", "sensor_beams", "fusion_ageing", "sensor_list",
+        "trajectory_number"])
+def test_missing_or_unknown_key_is_named(small_scenario, tmp_path, capsys, path, value,
+                                         message):
+    data = json.loads(small_scenario.read_text())
+    small_scenario.write_text(json.dumps(with_field(data, path, value)))
+    rc = main(["run", str(small_scenario), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"evigrid: configuration error: scenario {small_scenario}:"
+                                       f" {message}\n")
+
+
+def test_params_without_grid_is_named(small_scenario, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"decision_threshold": 0.5}))
+    log = tmp_path / "scans.ndjson"
+    log.write_text(record_line(0.0) + "\n")
+    rc = main(["replay", str(log), str(tmp_path / "m.geojson"), "--out", str(tmp_path / "out"),
+               "--params", str(params)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"evigrid: configuration error: params {params}:"
+                                       " missing key(s) 'grid'\n")
+
+
+def test_record_without_max_range_is_named(small_scenario, tmp_path, capsys):
+    log = tmp_path / "scans.ndjson"
+    record = json.loads(record_line(0.1))
+    del record["max_range"]
+    log.write_text(record_line(0.0) + "\n" + json.dumps(record) + "\n")
+    assert replay(tmp_path, log, tmp_path / "out") == 2
+    assert "line 2: malformed record: missing key(s) 'max_range'\n" in capsys.readouterr().err
 
 
 def _feature(properties, coordinates):
@@ -657,3 +723,100 @@ def test_full_range_run_and_replay_agree(case):
             assert masses.min() >= 0.0, epoch
             assert np.abs(masses.sum(axis=1) - 1.0).max() <= 1e-9, epoch
             assert 0.0 <= zeta.min() and zeta.max() <= 1.0, epoch
+
+
+def outside(low=None, high=None):
+    """Finite numbers below `low` or above `high`."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    parts = []
+    if low is not None:
+        parts.append(st.floats(max_value=float(np.nextafter(low, -math.inf)), **finite))
+    if high is not None:
+        parts.append(st.floats(min_value=float(np.nextafter(high, math.inf)), **finite))
+    return st.one_of(parts)
+
+
+NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+NOT_A_COUNT = st.integers(max_value=0) | st.just(2.5)
+NOT_UNIT = outside(0.0, 1.0)
+# each field by its path in a scenario, and the numbers outside its
+# documented range (None where every finite number is valid)
+RANGED_FIELDS = [
+    *((("sensor_model", key), NOT_UNIT) for key in ("free_weight", "occupied_weight")),
+    *((("map_confidence", key), NOT_UNIT) for key in ("building", "road", "intermediate")),
+    *((("fusion", key), NOT_UNIT) for key in ("ageing_rate", "counter_inc", "counter_dec",
+                                             "occupancy_threshold", "conflict_threshold")),
+    *((("fusion", "ageing_by_context", key), NOT_UNIT)
+      for key in ("building", "road", "intermediate")),
+    (("decision_threshold",), NOT_UNIT),
+    (("sensor", "beam_count"), NOT_A_COUNT), (("sensor", "fov"), outside(0.0, 2 * math.pi)),
+    (("sensor", "max_range"), NOT_POSITIVE), (("sensor", "rate"), NOT_POSITIVE),
+    (("sensor", "range_jitter"), outside(0.0)),
+    (("grid", "origin_east"), None), (("grid", "origin_north"), None),
+    (("grid", "cell_size"), NOT_POSITIVE), (("grid", "width"), NOT_A_COUNT),
+    (("grid", "height"), NOT_A_COUNT),
+]
+REQUIRED_KEYS = [("map",), ("grid",), ("trajectory",), ("epochs",),
+                 *(("grid", key) for key in GRID)]
+NOT_A_NUMBER = st.sampled_from([True, "0.5", None, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def bad_fields(draw):
+    """One field's path and a bad value for it, or DELETE for a deleted
+    required key."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(REQUIRED_KEYS)), DELETE
+    path, out_of_range = draw(st.sampled_from(RANGED_FIELDS))
+    return path, draw(NOT_A_NUMBER if out_of_range is None else NOT_A_NUMBER | out_of_range)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad_fields())
+def test_bad_field_exits_1_naming_it(case):
+    """A bad value in any field, or a deleted required key, exits 1 with one
+    line naming the field and none of the fields beside it: in a scenario,
+    in ``run --params`` and in ``replay --params``, wherever the field can
+    be given."""
+    path, value = case
+    settings_doc = {"grid": GRID, "sensor_model": {"free_weight": 0.7, "occupied_weight": 0.8},
+                    "map_confidence": {"building": 0.9, "road": 0.8, "intermediate": 0.6},
+                    "fusion": {"ageing_rate": 0.05, "counter_inc": 0.2, "counter_dec": 0.4,
+                               "occupancy_threshold": 0.6, "conflict_threshold": 0.3,
+                               "ageing_by_context": {"building": 0.01, "road": 0.1,
+                                                     "intermediate": 0.05}},
+                    "decision_threshold": 0.5}
+    scenario = {"map": "m.geojson", **settings_doc, "epochs": 2,
+                "trajectory": [{"t": 0.0, "x": 2.0, "y": 6.0, "heading": 0.0}],
+                "sensor": {"beam_count": 31, "fov": math.pi / 2, "max_range": 10.0,
+                           "rate": 10.0, "range_jitter": 0.0}}
+    siblings = scenario
+    for key in path[:-1]:
+        siblings = siblings[key]
+
+    def names(message, key):
+        return re.search(rf"\b{key}\b", message) is not None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_map(tmp / "m.geojson", [("building", BUILDING)])
+        (tmp / "good.json").write_text(json.dumps(scenario))
+        (tmp / "bad.json").write_text(json.dumps(with_field(scenario, path, value)))
+        (tmp / "scans.ndjson").write_text(record_line(0.0) + "\n")
+        runs = [["run", str(tmp / "bad.json")]]
+        if path[0] in settings_doc:
+            (tmp / "params.json").write_text(json.dumps(with_field(settings_doc, path, value)))
+            if path != ("grid",):
+                # without a base, a params file must give the grid
+                runs.append(["run", str(tmp / "good.json"), "--params", str(tmp / "params.json")])
+            runs.append(["replay", str(tmp / "scans.ndjson"), str(tmp / "m.geojson"),
+                         "--params", str(tmp / "params.json")])
+        for argv in runs:
+            with redirect_stderr(io.StringIO()) as err:
+                rc = main(argv + ["--out", str(tmp / "out")])
+            message = err.getvalue().replace(str(tmp), "")
+            assert rc == 1 and message.count("\n") == 1, (argv[0], message)
+            assert message.startswith("evigrid: configuration error: "), message
+            assert names(message, path[-1]), (argv[0], message)
+            assert not any(names(message, key) for key in siblings if key != path[-1]), \
+                (argv[0], message)

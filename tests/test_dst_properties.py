@@ -22,7 +22,7 @@ from evigrid.dst import (FrameOfDiscernment, MassFunction, Refining,
                          pignistic, refine)
 from evigrid.fusion import (FusionParams, combine_prior, refine_sg, step_cell,
                             step_with_conflicts)
-from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
+from evigrid.grid import EvidentialGrid, GridSpec
 from evigrid.sensor import Pose, SensorGridParams, build_sg
 from oracles import (cell_mass, context_of_cell, dense_grid, scan_of,
                      step_with_conflicts_dense_oracle)
@@ -169,7 +169,7 @@ def fusion_inputs(draw):
     confidence below 1 does, so the prior step never meets total conflict."""
     pg_frame, sg_frame = frames.PERCEPTION_FRAME, frames.SENSOR_FRAME
     spec = GridSpec(0.0, 0.0, 0.5, draw(st.integers(1, 4)), draw(st.integers(1, 3)))
-    shape = (spec.width, spec.height)
+    shape = (spec.height, spec.width)
     pg_m, counter = np.empty(shape + (pg_frame.size,)), np.empty(shape)
     sg_m, gg_m = np.empty(shape + (sg_frame.size,)), np.empty(shape + (pg_frame.size,))
     for cell in np.ndindex(shape):
@@ -179,9 +179,8 @@ def fusion_inputs(draw):
         prior = draw(mass_functions(frame=pg_frame))
         gg_m[cell] = discount(prior, draw(st.floats(min_value=0.01, max_value=1.0))).masses
     params = FusionParams(*(draw(unit) for _ in range(5)))
-    return (dense_grid(PerceptionGrid, spec, pg_frame, pg_m, counter),
-            dense_grid(EvidentialGrid, spec, sg_frame, sg_m),
-            dense_grid(EvidentialGrid, spec, pg_frame, gg_m), params)
+    return (dense_grid(spec, pg_frame, pg_m, counter), dense_grid(spec, sg_frame, sg_m),
+            dense_grid(spec, pg_frame, gg_m), params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,7 +207,7 @@ def test_conflict_partition_adds_up_to_k(inputs):
             k = combine_conjunctive(
                 discount(cell_mass(pg, i, j), params.ageing_for(context)),
                 combine_prior(refine_sg(cell_mass(sg, i, j)), cell_mass(gg, i, j))).conflict
-            pair = step_cell(cell_mass(pg, i, j), pg.counter[i, j], cell_mass(sg, i, j),
+            pair = step_cell(cell_mass(pg, i, j), pg.counter[j, i], cell_mass(sg, i, j),
                              cell_mass(gg, i, j), params, context)[2]
             assert abs(pair.total - k) <= 1e-12
             grid_k += k
@@ -225,7 +224,7 @@ def keep_focal_sets(grid: EvidentialGrid, keep: set[int]) -> EvidentialGrid:
     masses = grid.masses.copy()
     masses[..., omega] += masses[..., dropped].sum(axis=-1)
     masses[..., dropped] = 0.0
-    return dense_grid(type(grid), grid.spec, grid.frame, masses, getattr(grid, "counter", None))
+    return dense_grid(grid.spec, grid.frame, masses, grid.counter)
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ from evigrid.fusion import (ConflictPair, FusionParams, UNKNOWN,
                             decide, decide_grid, fuse_pg, pignistic_grid,
                             refine_sg, step_cell, step_with_conflicts,
                             update_accumulator)
-from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
+from evigrid.grid import EvidentialGrid, GridSpec
 from evigrid.map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from evigrid.sensor import Pose, SensorGridParams, build_sg
 from evigrid.simulator import ScenarioConfig, run_scenario
@@ -244,26 +244,26 @@ class TestDecide:
 
 
 def random_masses(rng, spec, frame, max_focal):
-    """(width, height, 2**n) masses, each cell on `max_focal` random subsets."""
-    masses = np.zeros((spec.width, spec.height, frame.size))
+    """(height, width, 2**n) masses, each cell on `max_focal` random subsets."""
+    masses = np.zeros((spec.height, spec.width, frame.size))
     for i in range(spec.width):
         for j in range(spec.height):
             n = min(max_focal, frame.size - 1)
             subsets = rng.choice(np.arange(1, frame.size), size=n, replace=False)
             weights = rng.random(n)
-            masses[i, j, subsets] = weights / weights.sum()
+            masses[j, i, subsets] = weights / weights.sum()
     return masses
 
 
 def random_grid(rng, spec, frame, max_focal):
-    return dense_grid(EvidentialGrid, spec, frame, random_masses(rng, spec, frame, max_focal))
+    return dense_grid(spec, frame, random_masses(rng, spec, frame, max_focal))
 
 
 def random_pg(rng, spec, with_counter=False):
     """A perception grid of random masses and, `with_counter`, counters."""
     masses = random_masses(rng, spec, PG, 6)
-    counter = rng.random((spec.width, spec.height)) if with_counter else None
-    return dense_grid(PerceptionGrid, spec, PG, masses, counter)
+    counter = rng.random((spec.height, spec.width)) if with_counter else None
+    return dense_grid(spec, PG, masses, counter)
 
 
 class TestStep:
@@ -272,7 +272,7 @@ class TestStep:
     def fresh(self):
         sg = EvidentialGrid(self.SPEC, SG)
         gg = EvidentialGrid(self.SPEC, PG)
-        pg = PerceptionGrid(self.SPEC, PG)
+        pg = EvidentialGrid(self.SPEC, PG)
         return pg, sg, gg
 
     def test_vacuous_fixed_point(self):
@@ -298,10 +298,10 @@ class TestStep:
         for i in range(self.SPEC.width):
             for j in range(self.SPEC.height):
                 m, z, conflicts = step_cell(
-                    cell_mass(pg, i, j), pg.counter[i, j], cell_mass(sg, i, j),
+                    cell_mass(pg, i, j), pg.counter[j, i], cell_mass(sg, i, j),
                     cell_mass(gg, i, j), params, context_of_cell(gg, i, j))
-                assert np.allclose(out.masses[i, j], m.masses, atol=1e-12)
-                assert out.counter[i, j] == pytest.approx(z, abs=1e-12)
+                assert np.allclose(out.masses[j, i], m.masses, atol=1e-12)
+                assert out.counter[j, i] == pytest.approx(z, abs=1e-12)
                 total_check += conflicts.total
         assert totals.total == pytest.approx(total_check, abs=1e-9)
 
@@ -309,38 +309,38 @@ class TestStep:
         rng = np.random.default_rng(5)
         sg = random_grid(rng, self.SPEC, SG, 2)
         gg_vac = EvidentialGrid(self.SPEC, PG)
-        pg = PerceptionGrid(self.SPEC, PG)
+        pg = EvidentialGrid(self.SPEC, PG)
         out, _ = step_with_conflicts(pg, sg, gg_vac, FusionParams())
         # reference: per-cell chain without the prior combination
         for i in range(self.SPEC.width):
             for j in range(self.SPEC.height):
                 expect, _, _ = step_cell(cell_mass(pg, i, j), 0.0, cell_mass(sg, i, j),
                                          MassFunction.vacuous(PG), FusionParams())
-                assert np.allclose(out.masses[i, j], expect.masses, atol=1e-12)
+                assert np.allclose(out.masses[j, i], expect.masses, atol=1e-12)
 
     def test_total_conflict_with_prior_keeps_the_sensor_mass(self):
         # a certain free cell against a certain building: Dempster's rule is
         # undefined there, so the cell fuses the sensor mass without the prior
         pg, sg, gg = self.fresh()
         sg_m, gg_m = sg.masses.copy(), gg.masses.copy()
-        sg_m[2, 1] = sg_mass({"F": 1.0}).masses
-        gg_m[2, 1] = pg_mass({"I": 1.0}).masses
-        sg = dense_grid(EvidentialGrid, self.SPEC, SG, sg_m)
-        gg = dense_grid(EvidentialGrid, self.SPEC, PG, gg_m)
+        sg_m[1, 2] = sg_mass({"F": 1.0}).masses
+        gg_m[1, 2] = pg_mass({"I": 1.0}).masses
+        sg = dense_grid(self.SPEC, SG, sg_m)
+        gg = dense_grid(self.SPEC, PG, gg_m)
         with pytest.raises(TotalConflictError):
             combine_dempster(refine_sg(cell_mass(sg, 2, 1)), cell_mass(gg, 2, 1))
         out, totals = step_with_conflicts(pg, sg, gg, FusionParams())
         m, z, conflicts = step_cell(cell_mass(pg, 2, 1), 0.0, cell_mass(sg, 2, 1),
                                     MassFunction.vacuous(PG), FusionParams())
-        assert np.allclose(out.masses[2, 1], m.masses, atol=1e-12)
-        assert out.counter[2, 1] == z and totals == conflicts
+        assert np.allclose(out.masses[1, 2], m.masses, atol=1e-12)
+        assert out.counter[1, 2] == z and totals == conflicts
         assert (out.masses[:, :, PG.omega] == 1.0).sum() == self.SPEC.width * self.SPEC.height - 1
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
         sg = random_grid(rng, self.SPEC, SG, 2)
         gg = random_grid(rng, self.SPEC, PG, 3)
-        pg = PerceptionGrid(self.SPEC, PG)
+        pg = EvidentialGrid(self.SPEC, PG)
         a = step_with_conflicts(pg, sg, gg, FusionParams())[0]
         b = step_with_conflicts(pg, sg, gg, FusionParams())[0]
         assert np.array_equal(a.masses, b.masses)
@@ -382,9 +382,9 @@ class TestStep:
         params = FusionParams()
         m_sg = sg_mass({"O": 0.8, "FO": 0.2})
         m_gg = pg_mass({"FSM": 0.8, "FIUSM": 0.2})
-        sg = dense_grid(EvidentialGrid, spec, SG, m_sg.masses[None, None])
-        gg = dense_grid(EvidentialGrid, spec, PG, m_gg.masses[None, None])
-        pg = PerceptionGrid(spec, PG)
+        sg = dense_grid(spec, SG, m_sg.masses[None, None])
+        gg = dense_grid(spec, PG, m_gg.masses[None, None])
+        pg = EvidentialGrid(spec, PG)
         m, z = MassFunction.vacuous(PG), 0.0
         for _ in range(3):
             pg = step_with_conflicts(pg, sg, gg, params)[0]
@@ -403,7 +403,7 @@ def test_scenario_epochs_equal_dense_oracle(scenario_dir, name, ageing_by_contex
     if ageing_by_context:
         cfg.fusion = FusionParams(ageing_by_context=ageing_by_context)
     gg = rasterize_gg(load_map(cfg.map_path), cfg.map_confidence, cfg.grid)
-    pg = PerceptionGrid(cfg.grid, PG)
+    pg = EvidentialGrid(cfg.grid, PG)
     for result in run_scenario(cfg):
         sg = build_sg(result.scan, result.pose, cfg.grid, cfg.sensor_model)
         dense, totals = step_with_conflicts_dense_oracle(pg, sg, gg, cfg.fusion)
@@ -422,7 +422,7 @@ class TestDecideGrid:
         from evigrid.fusion import DECISION_LABELS
         for i in range(spec.width):
             for j in range(spec.height):
-                assert DECISION_LABELS[codes[i, j]] == decide(cell_mass(pg, i, j), 0.4)
+                assert DECISION_LABELS[codes[j, i]] == decide(cell_mass(pg, i, j), 0.4)
 
     def test_pignistic_grid_is_the_per_state_transform(self):
         # one column per state, each cell's within the rounding of 16 shares
@@ -438,28 +438,27 @@ class TestDecideGrid:
                 column = bet[:, pg.ids[j, i]]
                 scalar = pignistic(cell_mass(pg, i, j))
                 assert np.abs(column - scalar).max() <= 16 * np.finfo(float).eps
-                alone = dense_grid(PerceptionGrid, one, PG, pg.masses[i:i + 1, j:j + 1])
+                alone = dense_grid(one, PG, pg.masses[j:j + 1, i:i + 1])
                 assert pignistic_grid(alone)[:, 0].tobytes() == column.tobytes()
 
 
 class TestStoredLayout:
-    """Masses are gathered as (2**n, height, width) planes, so ``masses.T``
-    is C-contiguous, and are read-only: writing to them would not reach the
-    grid's states."""
+    """The per-cell views are (height, width, ...) arrays indexed ``[j, i]``
+    like ``ids``, and read-only: writing to them would not reach the grid's
+    states."""
 
     SPEC = GridSpec(0.0, 0.0, 0.5, 5, 4)
 
     @staticmethod
     def assert_planes(grid):
-        assert grid.masses.shape == (grid.spec.width, grid.spec.height, grid.frame.size)
-        assert grid.masses.T.flags.c_contiguous
-        assert not grid.masses.flags.writeable
-        if isinstance(grid, PerceptionGrid):
-            assert grid.counter.T.flags.c_contiguous and not grid.counter.flags.writeable
+        shape = (grid.spec.height, grid.spec.width)
+        assert grid.masses.shape == shape + (grid.frame.size,)
+        assert grid.counter.shape == shape
+        assert not grid.masses.flags.writeable and not grid.counter.flags.writeable
 
     def test_grids_store_planes(self):
         self.assert_planes(EvidentialGrid(self.SPEC, SG))
-        self.assert_planes(PerceptionGrid(self.SPEC, PG))
+        self.assert_planes(EvidentialGrid(self.SPEC, PG))
         scan = scan_of([(0.3, 1.2, True), (-0.4, 3.0, False)], 3.0)
         sg = build_sg(scan, Pose(0.6, 0.7, 0.0), self.SPEC, SensorGridParams())
         self.assert_planes(sg)

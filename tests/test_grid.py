@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evigrid import grid as grid_module
-from evigrid.grid import (EvidentialGrid, GridSpec, PerceptionGrid,
-                          mass_column_names, write_grid_csv)
-from evigrid.frames import PERCEPTION_FRAME
+from evigrid.grid import EvidentialGrid, GridSpec, mass_column_names, write_grid_csv
+from evigrid.frames import PERCEPTION_FRAME, SENSOR_FRAME
 from oracles import cell_mass, dense_grid, write_grid_csv_oracle
 
 SPEC = GridSpec(0.0, 0.0, 0.5, 4, 4)
@@ -94,8 +93,8 @@ class TestGridSpec:
 
 
 def vacuous_masses(spec):
-    """(width, height, 32) masses of vacuous cells, to be edited."""
-    masses = np.zeros((spec.width, spec.height, PERCEPTION_FRAME.size))
+    """(height, width, 32) masses of vacuous cells, to be edited."""
+    masses = np.zeros((spec.height, spec.width, PERCEPTION_FRAME.size))
     masses[..., PERCEPTION_FRAME.omega] = 1.0
     return masses
 
@@ -111,7 +110,7 @@ class TestEvidentialGrid:
                 assert cell_mass(grid, i, j).is_vacuous()
 
     def test_perception_counter_starts_zero(self):
-        pg = PerceptionGrid(SPEC, PERCEPTION_FRAME)
+        pg = EvidentialGrid(SPEC, PERCEPTION_FRAME)
         assert pg.state_counter.tolist() == [0.0]
         assert (pg.counter == 0.0).all()
 
@@ -122,14 +121,36 @@ class TestEvidentialGrid:
             with pytest.raises(ValueError, match="expected 32 mass rows"):
                 EvidentialGrid(SPEC, PERCEPTION_FRAME, *args)
         with pytest.raises(ValueError, match="expected 1 counters"):
-            PerceptionGrid(SPEC, PERCEPTION_FRAME, states, ids, np.zeros(2))
+            EvidentialGrid(SPEC, PERCEPTION_FRAME, states, ids, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_palette_ids_out_of_range(self, bad):
+        # a negative id would silently read the last state, a high one fail
+        # only when a cell is read
+        spec = GridSpec(0.0, 0.0, 1.0, 3, 2)
+        states = np.eye(SENSOR_FRAME.size)[:, [1, 3]]
+        ids = np.array([[0, 1, bad], [1, 1, 0]])
+        with pytest.raises(ValueError, match=rf"^palette id {bad} is outside \[0, 2\)$"):
+            EvidentialGrid(spec, SENSOR_FRAME, states, ids)
+
+    def test_dense_grid_rejects_swapped_arrays(self):
+        spec, swapped = GridSpec(0.0, 0.0, 1.0, 3, 2), GridSpec(0.0, 0.0, 1.0, 2, 3)
+        with pytest.raises(ValueError, match=r"expected masses of shape \(2, 3, 32\)"):
+            dense_grid(spec, PERCEPTION_FRAME, vacuous_masses(swapped))
+        with pytest.raises(ValueError, match=r"expected a counter of shape \(2, 3\)"):
+            dense_grid(spec, PERCEPTION_FRAME, vacuous_masses(spec), np.zeros((3, 2)))
+
+    def test_rejects_non_integer_ids(self):
+        ids = np.zeros((SPEC.height, SPEC.width))
+        with pytest.raises(ValueError, match="ids must be integers, got dtype float64"):
+            EvidentialGrid(SPEC, PERCEPTION_FRAME, np.eye(PERCEPTION_FRAME.size)[:, [-1]], ids)
 
 
 class TestCsvExport:
     def test_header_and_shape(self):
-        counter = np.zeros((SPEC.width, SPEC.height))
-        counter[1, 2] = 0.5
-        pg = dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, vacuous_masses(SPEC), counter)
+        counter = np.zeros((SPEC.height, SPEC.width))
+        counter[2, 1] = 0.5
+        pg = dense_grid(SPEC, PERCEPTION_FRAME, vacuous_masses(SPEC), counter)
         buf = io.StringIO()
         write_grid_csv(pg, buf)
         lines = buf.getvalue().splitlines()
@@ -146,11 +167,11 @@ class TestCsvExport:
         assert names[-1] == "m_FIUSM"
 
     def test_values_roundtrip(self):
-        masses, counter = vacuous_masses(SPEC), np.zeros((SPEC.width, SPEC.height))
-        masses[1, 2, PERCEPTION_FRAME.mask("F")] = 0.25
-        masses[1, 2, PERCEPTION_FRAME.omega] = 0.75
-        counter[1, 2] = 0.5
-        pg = dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, masses, counter)
+        masses, counter = vacuous_masses(SPEC), np.zeros((SPEC.height, SPEC.width))
+        masses[2, 1, PERCEPTION_FRAME.mask("F")] = 0.25
+        masses[2, 1, PERCEPTION_FRAME.omega] = 0.75
+        counter[2, 1] = 0.5
+        pg = dense_grid(SPEC, PERCEPTION_FRAME, masses, counter)
         buf = io.StringIO()
         write_grid_csv(pg, buf)
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
@@ -162,20 +183,17 @@ class TestCsvExport:
     def test_matches_per_cell_format(self, with_counter):
         spec = GridSpec(100.0, -7.3, 0.3, 5, 3)
         rng = np.random.default_rng(3)
-        masses = rng.dirichlet(np.ones(PERCEPTION_FRAME.size), (5, 3))
+        masses = rng.dirichlet(np.ones(PERCEPTION_FRAME.size), (3, 5))
         masses[0, 0] = vacuous_masses(spec)[0, 0]
-        if with_counter:
-            grid = dense_grid(PerceptionGrid, spec, PERCEPTION_FRAME, masses, rng.random((5, 3)))
-        else:
-            grid = dense_grid(EvidentialGrid, spec, PERCEPTION_FRAME, masses)
+        grid = dense_grid(spec, PERCEPTION_FRAME, masses,
+                          rng.random((3, 5)) if with_counter else None)
         buf = io.StringIO()
         write_grid_csv(grid, buf)
         expect = []
         for j in range(spec.height):
             for i in range(spec.width):
                 x, y = map(float, spec.cell_centers(i, j))
-                z = grid.counter[i, j] if with_counter else 0.0
-                values = [x, y] + [float(v) for v in grid.masses[i, j]] + [float(z)]
+                values = [x, y] + [float(v) for v in grid.masses[j, i]] + [float(grid.counter[j, i])]
                 expect.append(",".join([repr(i), repr(j)] + [repr(v) for v in values]))
         assert buf.getvalue().splitlines()[1:] == expect
 
@@ -189,10 +207,10 @@ def _csv(writer, grid) -> str:
 def _grid_from_rows(spec, rows, with_counter=True):
     """A grid whose cell k in raster order holds rows[k]: 32 masses and,
     with a counter, the counter as a 33rd value."""
-    cells = np.asarray(rows, dtype=float).reshape(spec.height, spec.width, -1).transpose(1, 0, 2)
+    cells = np.asarray(rows, dtype=float).reshape(spec.height, spec.width, -1)
     if with_counter:
-        return dense_grid(PerceptionGrid, spec, PERCEPTION_FRAME, cells[..., :-1], cells[..., -1])
-    return dense_grid(EvidentialGrid, spec, PERCEPTION_FRAME, cells)
+        return dense_grid(spec, PERCEPTION_FRAME, cells[..., :-1], cells[..., -1])
+    return dense_grid(spec, PERCEPTION_FRAME, cells)
 
 
 class TestCsvMatchesOracle:
@@ -241,13 +259,13 @@ class TestCsvMatchesOracle:
     def test_one_cell(self):
         spec = GridSpec(0.0, 0.0, 1.0, 1, 1)
         self.check(_grid_from_rows(spec, self.random_rows(np.random.default_rng(14), 1)))
-        self.check(PerceptionGrid(spec, PERCEPTION_FRAME))
+        self.check(EvidentialGrid(spec, PERCEPTION_FRAME))
 
     def test_grid_without_counter(self):
         rng = np.random.default_rng(15)
         pool = self.random_rows(rng, 4)[:, :-1]
         grid = _grid_from_rows(self.SPEC, pool[rng.integers(0, 4, 35)], with_counter=False)
-        assert not hasattr(grid, "counter")
+        assert (grid.state_counter == 0.0).all()
         self.check(grid)
 
     @pytest.mark.parametrize("with_counter", [True, False])
@@ -262,8 +280,8 @@ class TestCsvMatchesOracle:
         states[5, -1] = np.nextafter(states[5, -1], 2.0)
         ids = rng.integers(0, 6, (self.SPEC.height, self.SPEC.width))
         masses = states[:, :-1].T.copy()
-        grid = (PerceptionGrid(self.SPEC, PERCEPTION_FRAME, masses, ids, states[:, -1].copy())
-                if with_counter else EvidentialGrid(self.SPEC, PERCEPTION_FRAME, masses, ids))
+        grid = EvidentialGrid(self.SPEC, PERCEPTION_FRAME, masses, ids,
+                              states[:, -1].copy() if with_counter else None)
         self.check(grid)
 
     @settings(max_examples=60, deadline=None)
@@ -295,7 +313,7 @@ class TestCsvMatchesOracle:
         rng = np.random.default_rng(17)
         states = rng.choice(pool, (PERCEPTION_FRAME.size + 1, 3000))
         ids = rng.integers(0, 3000, (spec.height, spec.width))
-        grid = PerceptionGrid(spec, PERCEPTION_FRAME, states[:-1].copy(), ids, states[-1].copy())
+        grid = EvidentialGrid(spec, PERCEPTION_FRAME, states[:-1].copy(), ids, states[-1].copy())
         self.check(grid)
 
     @settings(max_examples=80, deadline=None)
@@ -327,7 +345,7 @@ class TestCsvMatchesOracle:
         spec = GridSpec(0.5, -2.0, 0.25, width, height)
         columns = np.array(states).T
         masses = np.ascontiguousarray(columns[:-1])
-        grid = (PerceptionGrid(spec, PERCEPTION_FRAME, masses, ids, columns[-1].copy())
-                if with_counter else EvidentialGrid(spec, PERCEPTION_FRAME, masses, ids))
+        grid = EvidentialGrid(spec, PERCEPTION_FRAME, masses, ids,
+                              columns[-1].copy() if with_counter else None)
         with mock.patch.object(grid_module, "_BLOCK_CELLS", block):
             self.check(grid)

@@ -199,8 +199,8 @@ class TestRasterizeMatchesOracle:
         want = rasterize_oracle(CENTRED_MAP, conf, CENTRED_SPEC)
         assert got.tobytes() == want.tobytes()
         # centres on a vertex and on an edge are inside; the next one is not
-        assert got[0, 0, frames.BUILDING_SET] == got[5, 3, frames.BUILDING_SET] == 0.7
-        assert got[6, 3, frames.INTERMEDIATE_SET] == 0.3
+        assert got[0, 0, frames.BUILDING_SET] == got[3, 5, frames.BUILDING_SET] == 0.7
+        assert got[3, 6, frames.INTERMEDIATE_SET] == 0.3
 
 
 class TestRasterize:
@@ -226,7 +226,7 @@ class TestRasterize:
         gg = rasterize_gg(vmap, MapConfidence(), self.SPEC)
         for i in range(4):
             for j in range(4):
-                assert np.count_nonzero(gg.masses[i, j]) <= 2
+                assert np.count_nonzero(gg.masses[j, i]) <= 2
 
     def test_overlap_rejected(self):
         square = np.array([(0, 0), (2, 0), (2, 2), (0, 2)])

@@ -19,7 +19,7 @@ from evigrid import frames, fusion
 from evigrid.dst import MassFunction
 from evigrid.fusion import (FusionParams, decide_grid, pignistic_grid, step_cell,
                             step_with_conflicts)
-from evigrid.grid import EvidentialGrid, GridSpec, PerceptionGrid
+from evigrid.grid import EvidentialGrid, GridSpec
 from evigrid.map_ingest import load_map, rasterize_gg
 from evigrid.sensor import build_sg
 from evigrid.simulator import ScenarioConfig, TimedPose, run_scenario
@@ -31,16 +31,13 @@ SG = frames.SENSOR_FRAME
 
 def dense(grid):
     """A dense copy of `grid`: the same cells, one palette column each."""
-    return dense_grid(type(grid), grid.spec, grid.frame, grid.masses,
-                      getattr(grid, "counter", None))
+    return dense_grid(grid.spec, grid.frame, grid.masses, grid.counter)
 
 
 def cell_states(grid) -> np.ndarray:
-    """Each cell's masses and, for a perception grid, its counter: (N, 33)."""
+    """Each cell's masses and counter, (N, 2**n + 1), in (j, i) raster order."""
     n = grid.spec.width * grid.spec.height
-    rows = [grid.masses.T.reshape(-1, n)] + ([grid.counter.T.reshape(1, n)]
-                                             if isinstance(grid, PerceptionGrid) else [])
-    return np.vstack(rows).T
+    return np.column_stack((grid.masses.reshape(n, -1), grid.counter.ravel()))
 
 
 def assert_same_bits(out, totals, want, want_totals):
@@ -96,9 +93,10 @@ def state_pool(draw, size: int, ignorance: bool = False):
 
 
 @st.composite
-def palette_grid(draw, cls, spec, frame, ignorance=False):
+def palette_grid(draw, spec, frame, ignorance=False, counter=False):
     """A palette grid whose cells take states from a small pool; some pool
-    states may be used by no cell."""
+    states may be used by no cell.  With `counter`, each state draws its
+    counter, else it is 0."""
     pool = draw(state_pool(frame.size, ignorance))
     extra = draw(st.lists(st.sampled_from(pool), max_size=2))
     rows = np.array(pool + extra).T.copy()
@@ -106,19 +104,19 @@ def palette_grid(draw, cls, spec, frame, ignorance=False):
                                  min_size=spec.width * spec.height,
                                  max_size=spec.width * spec.height)),
                    dtype=np.intp).reshape(spec.height, spec.width)
-    if cls is EvidentialGrid:
-        return cls(spec, frame, rows, ids)
+    if not counter:
+        return EvidentialGrid(spec, frame, rows, ids)
     values = draw(st.lists(st.sampled_from([0.0, -0.0, 0.2, nudged(0.2, "up"), 1.0]) | unit,
                            min_size=rows.shape[1], max_size=rows.shape[1]))
-    return cls(spec, frame, rows, ids, np.array(values))
+    return EvidentialGrid(spec, frame, rows, ids, np.array(values))
 
 
 @st.composite
 def pooled_inputs(draw):
     spec = GridSpec(0.0, 0.0, 0.5, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
-    pg = draw(palette_grid(PerceptionGrid, spec, PG))
-    sg = draw(palette_grid(EvidentialGrid, spec, SG))
-    gg = draw(palette_grid(EvidentialGrid, spec, PG, ignorance=True))
+    pg = draw(palette_grid(spec, PG, counter=True))
+    sg = draw(palette_grid(spec, SG))
+    gg = draw(palette_grid(spec, PG, ignorance=True))
     params = FusionParams(*(draw(unit) for _ in range(5)),
                           ageing_by_context=draw(st.none() | st.just({"building": 0.01,
                                                                       "road": 0.1})))
@@ -196,7 +194,7 @@ def test_total_conflict_with_prior_keeps_the_sensor_mass():
     building = np.zeros(PG.size)
     building[frames.BUILDING_SET] = 1.0
     gg = EvidentialGrid(spec, PG, building[:, None], np.zeros((3, 4), dtype=np.intp))
-    pg = PerceptionGrid(spec, PG)
+    pg = EvidentialGrid(spec, PG)
     params = FusionParams()
     out, totals = step_with_conflicts(pg, sg, gg, params)
     assert_same_bits(out, totals, *step_with_conflicts_dense_oracle(pg, sg, gg, params))
@@ -205,13 +203,13 @@ def test_total_conflict_with_prior_keeps_the_sensor_mass():
     got, got_z, _ = step_cell(vacuous, 0.0, m_sg, MassFunction(PG, building), params)
     assert got.masses.tolist() == want.masses.tolist() and got_z == want_z
     for i, j in [(3, 0), (2, 2)]:
-        assert np.allclose(out.masses[i, j], want.masses, atol=1e-12)
-        assert out.counter[i, j] == want_z
+        assert np.allclose(out.masses[j, i], want.masses, atol=1e-12)
+        assert out.counter[j, i] == want_z
 
 
 def test_gathered_cells_are_read_only():
     spec = GridSpec(0.0, 0.0, 0.5, 3, 2)
-    pg = PerceptionGrid(spec, PG)
+    pg = EvidentialGrid(spec, PG)
     for values in (pg.masses, pg.counter):
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.5
@@ -233,7 +231,7 @@ def test_scenario_run_equals_dense_loop(scenario_dir, name):
                               heading=start.pose.heading + 0.3)
     cfg.trajectory = cfg.trajectory + (TimedPose(end_t, end),)
     gg = dense(rasterize_gg(load_map(cfg.map_path), cfg.map_confidence, cfg.grid))
-    pg = PerceptionGrid(cfg.grid, PG)
+    pg = EvidentialGrid(cfg.grid, PG)
     for result in run_scenario(cfg, seed=17):
         sg = dense(build_sg(result.scan, result.pose, cfg.grid, cfg.sensor_model))
         pg, totals = step_with_conflicts_dense_oracle(pg, sg, gg, cfg.fusion)
@@ -243,7 +241,7 @@ def test_scenario_run_equals_dense_loop(scenario_dir, name):
         cell_bet = np.take(result.state_bet, result.pg.ids, axis=1)
         assert cell_bet.tobytes() == np.take(pignistic_grid(pg), pg.ids, axis=1).tobytes(), \
             result.epoch
-        assert np.array_equal(result.codes[result.pg.ids].T,
+        assert np.array_equal(result.codes[result.pg.ids],
                               decide_grid(pg, cfg.decision_threshold))
         assert result.pg.states.shape[1] < cfg.grid.width * cfg.grid.height
 
@@ -261,7 +259,7 @@ def test_subnormal_regime_soak(scenario_dir):
     cfg.sensor = dataclasses.replace(cfg.sensor, range_jitter=0.02)
     cfg.epochs = 300
     tiny = np.finfo(float).tiny
-    pg, most = PerceptionGrid(cfg.grid, PG), (0, None, None)
+    pg, most = EvidentialGrid(cfg.grid, PG), (0, None, None)
     for result in run_scenario(cfg, seed=31):
         subnormal = int(((0.0 < pg.states) & (pg.states < tiny)).sum())
         if subnormal > most[0]:

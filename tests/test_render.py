@@ -13,7 +13,7 @@ from evigrid import render
 from evigrid.dst import MassFunction
 from evigrid.frames import PERCEPTION_FRAME
 from evigrid.fusion import decide_pignistic, pignistic_grid
-from evigrid.grid import GridSpec, PerceptionGrid
+from evigrid.grid import GridSpec
 from evigrid.render import (DECISION_COLORS, MovingTrace, decision_image, pignistic_image,
                             write_ppm)
 from oracles import (decision_image_oracle, dense_grid, moving_trace_oracle,
@@ -23,11 +23,12 @@ SPEC = GridSpec(0.0, 0.0, 0.5, 3, 2)
 
 
 def grid_with(cells):
-    masses = np.zeros((SPEC.width, SPEC.height, PERCEPTION_FRAME.size))
+    """A grid of vacuous cells except the cells (i, j) of `cells`."""
+    masses = np.zeros((SPEC.height, SPEC.width, PERCEPTION_FRAME.size))
     masses[..., PERCEPTION_FRAME.omega] = 1.0
-    for cell, mapping in cells.items():
-        masses[cell] = MassFunction(PERCEPTION_FRAME, mapping).masses
-    return dense_grid(PerceptionGrid, SPEC, PERCEPTION_FRAME, masses)
+    for (i, j), mapping in cells.items():
+        masses[j, i] = MassFunction(PERCEPTION_FRAME, mapping).masses
+    return dense_grid(SPEC, PERCEPTION_FRAME, masses)
 
 
 def test_write_ppm_format():

@@ -240,7 +240,7 @@ class TestBatchedTraversal:
                                                                      for i, j in hits]
         for hit in hits:
             assert cell_mass(grid, *hit)["O"] > 0.0
-        assert n_free[spec.width - 1, 1] == 0 and cell_mass(grid, spec.width - 1, 1)["F"] == 0.0
+        assert n_free[1, spec.width - 1] == 0 and cell_mass(grid, spec.width - 1, 1)["F"] == 0.0
         assert_counts(grid, n_free, n_hit)
 
     def test_sensor_grid_matches_counts(self, spec):
@@ -472,11 +472,11 @@ class TestBuildSg:
     def test_matches_exact_dempster(self, n_free, n_occupied):
         scan = self.stacked_scan(n_free, n_occupied)
         grid = build_sg(scan, Pose(0.0, 0.25, 0.0), self.SPEC, PARAMS)
-        for cell, counts in (((2, 0), (n_free, n_occupied)),
-                             ((0, 0), (n_free + n_occupied, 0))):
+        for (i, j), counts in (((2, 0), (n_free, n_occupied)),
+                               ((0, 0), (n_free + n_occupied, 0))):
             expect = sensor_merge_oracle(PARAMS.free_weight, PARAMS.occupied_weight, *counts)
-            got = grid.masses[cell][[frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA]]
-            assert np.abs(got - [float(m) for m in expect]).max() <= 1e-12, cell
+            got = grid.masses[j, i][[frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA]]
+            assert np.abs(got - [float(m) for m in expect]).max() <= 1e-12, (i, j)
 
     def test_total_conflict_leaves_cell_vacuous(self):
         # weights 1.0: a free and an occupied beam in one cell contradict
