@@ -79,7 +79,8 @@ def cmd_replay(args, inputs: ExitStack) -> Iterator[EpochResult]:
     """The epochs of a recorded scan log, read as they are fused."""
     settings = load_settings(args.params)
     gg = rasterize_gg(load_map(args.map), settings.map_confidence, settings.grid)
-    return replay_scans(inputs.enter_context(open(args.log)), gg, settings)
+    # bytes, so that read_scan_log names a line that is not UTF-8
+    return replay_scans(inputs.enter_context(open(args.log, "rb")), gg, settings)
 
 
 class _Parser(argparse.ArgumentParser):

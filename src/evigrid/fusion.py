@@ -14,13 +14,14 @@ Each epoch, per cell:
    moving-free subsets (a sustained occupancy is a stopped object).
 
 ``step_with_conflicts`` runs this vectorised over the grid, once per
-distinct (stored state, sensor state, prior state) triple of the grids'
-palettes, one row of triples per subset.  It carries compact row blocks:
-only the subsets that can hold mass at each stage, named by an ascending
-tuple of bitmasks (the three refined sensor sets; those and the at most
-3 x k sets of the prior; the focal sets of the stored grid plus the full
-frame, and their intersections).  The other rows of the 32 are zero and are never
-stored, scanned or normalised; only the output palette holds all 32 rows.
+distinct (prior state, stored state, sensor state) triple of the grids'
+palettes (``grid._distinct_tuples``), one row of triples per subset.  It
+carries compact row blocks: only the subsets that can hold mass at each
+stage, named by an ascending tuple of bitmasks (the three refined sensor
+sets; those and the at most 3 x k sets of the prior; the focal sets of the
+stored grid plus the full frame, and their intersections).  The other rows
+of the 32 are zero and are never stored, scanned or normalised; only the
+output palette holds all 32 rows.
 ``step_cell`` is the per-cell reference the grid kernel is tested against.
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import frames
 from .dst import (MassFunction, TOTAL_CONFLICT_TOLERANCE, TotalConflictError,
                   combine_dempster, discount, pignistic, refine, specialize)
-from .grid import EvidentialGrid, _distinct
+from .grid import EvidentialGrid, _distinct_tuples, _one_of_each
 
 DECISION_LABELS = ("F", "I", "U", "S", "M", "UNKNOWN")
 UNKNOWN = "UNKNOWN"
@@ -281,24 +282,6 @@ _SENSOR_SETS = (frames.PG_FREE, frames.OCCUPIED_SET, frames.PG_OMEGA)
 _SG_SETS = (frames.SG_FREE, frames.SG_OCCUPIED, frames.SG_OMEGA)
 
 
-def _distinct_cells(ids: list[np.ndarray], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """One cell of each distinct tuple of palette ids, and the index of each
-    cell's tuple among the tuples in ascending order.  ``ids[g]`` holds
-    every cell's id into a palette of ``sizes[g]`` states; the number of
-    cells times any size must stay within int64."""
-    n = len(ids[0])
-    key, radix = np.zeros(n, dtype=np.int64), 1
-    for cell_ids, size in zip(ids, sizes):
-        if radix * size > np.iinfo(np.int64).max:
-            # renumber the tuples so far 0 .. < n, so the key cannot overflow
-            radix, key = n, _distinct(key, radix)[1]
-        key = key * size + cell_ids
-        radix *= size
-    inverse = _distinct(key, radix)[1]
-    # any cell of a tuple stands for it: they all read the same states
-    return _one_of_each(inverse), inverse
-
-
 # odd multipliers of the column hash (splitmix64's finalizer)
 _HASH_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
@@ -338,13 +321,6 @@ def _merge_equal_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, first
 
 
-def _one_of_each(ids: np.ndarray) -> np.ndarray:
-    """For each id 0 .. max(ids), the index of one element holding it."""
-    first = np.empty(ids.max() + 1, dtype=np.intp)
-    first[ids] = np.arange(len(ids))
-    return first
-
-
 def _columns(rows: np.ndarray, sets: tuple[int, ...], cols: np.ndarray) -> np.ndarray:
     """Rows `sets` of `rows` at the columns `cols`, taken one row at a time."""
     out = np.empty((len(sets), len(cols)))
@@ -360,7 +336,7 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     Returns the new perception grid plus the grid-total conflict partition.
     Cells without sensor coverage still age; epochs are strictly sequential.
 
-    Each distinct (stored state, sensor state, prior state) is fused once,
+    Each distinct (prior state, stored state, sensor state) is fused once,
     one column per tuple; every operation is column-wise, and row sums add in
     a fixed order (``_sum_rows``), so a column's bits do not depend on the
     other columns.  The output palette holds each distinct fused state once.
@@ -373,13 +349,14 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
         raise ValueError("perception and map grids must be on the 5-class frame")
 
     spec = pg.spec
-    grids = (pg, sg, gg)
+    # the prior has few states, so the (prior, stored) pairs fit a table
+    grids = (gg, pg, sg)
     ids = [grid.ids.ravel() for grid in grids]
-    first, inverse = _distinct_cells(ids, [grid.states.shape[1] for grid in grids])
+    first, inverse = _distinct_tuples(ids, [grid.states.shape[1] for grid in grids])
     n = len(first)
     # column k of the kernel's rows is the tuple of cell first[k]
-    pg_col, sg_col, gg_col = (cell_ids[first] for cell_ids in ids)
-    pg_m, sg_m, gg_m = (grid.states for grid in grids)
+    gg_col, pg_col, sg_col = (cell_ids[first] for cell_ids in ids)
+    gg_m, pg_m, sg_m = (grid.states for grid in grids)
     counter_prev = pg.state_counter[pg_col]
 
     # Dempster's rule with the map prior: drop the conflict, renormalize by

@@ -4,7 +4,8 @@ Cell (i, j) of a grid covers the box
 ``[origin_east + i*cell_size, origin_east + (i+1)*cell_size]`` east and the
 analogous interval north; per-cell arrays hold it at ``[j, i]``, in the
 (height, width) raster layout.  Grids are world-fixed; the vehicle pose
-moves through them.
+moves through them.  Tuples of palette ids are keyed here only, by
+``_distinct_tuples``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,27 @@ def _distinct(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     table = np.empty(bound, dtype=np.intp)
     table[values] = np.arange(len(values))
     return values, table[key]
+
+
+def _distinct_tuples(columns, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """One element of each distinct tuple of the integer `columns`, and the
+    index of each element's tuple among the tuples in ascending order.
+    ``columns[g]`` holds every element's value in [0, ``sizes[g]``).
+
+    The tuples so far are renumbered before each column joins the key, so
+    no key exceeds the number of elements times one size."""
+    inverse, count = 0, 1
+    for column, size in zip(columns, sizes):
+        values, inverse = _distinct(inverse * size + column, count * size)
+        count = len(values)
+    return _one_of_each(inverse), inverse
+
+
+def _one_of_each(ids: np.ndarray) -> np.ndarray:
+    """For each id 0 .. max(ids), the index of one element holding it."""
+    first = np.empty(ids.max() + 1, dtype=np.intp)
+    first[ids] = np.arange(len(ids))
+    return first
 
 
 def _gathered(values: np.ndarray) -> np.ndarray:
@@ -175,21 +197,14 @@ def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     """Dump a grid snapshot: one row per cell, one column per subset mass.
 
     The counter column of the sensor and prior grids is 0.  Every value is
-    written as its ``repr``.  Each palette state's text is made once, with
-    the block of rows that first uses it, and each raster row is one join of
-    per-column, per-row and per-state pieces.
+    written as its ``repr``.  Each block of raster rows makes the texts of
+    the palette states it uses, so a palette of many states never holds all
+    their texts at once, and each raster row is one join of per-column,
+    per-row and per-state pieces.
     """
     spec = grid.spec
     height, width = spec.height, spec.width
     zeta = grid.state_counter
-    # a state's text is dropped after the block of rows that last uses it,
-    # so a palette of many states never holds all their texts at once
-    first = np.full(len(zeta), height)
-    last = np.full(len(zeta), -1)
-    for j in range(height):
-        last[grid.ids[j]] = j
-    for j in reversed(range(height)):
-        first[grid.ids[j]] = j
     header = ["i", "j", "x_center", "y_center"] + mass_column_names(grid.frame) + ["zeta"]
     out.write(",".join(header) + "\n")
     xs, ys = spec.cell_centers(np.arange(width), np.arange(height))
@@ -198,18 +213,14 @@ def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:
     pieces = [""] * (5 * width)
     pieces[0::5] = [f"{i}," for i in range(width)]
     pieces[2::5] = [f"{x!r}," for x in xs.tolist()]
-    texts: dict[int, str] = {}
     step = max(1, _BLOCK_CELLS // width)
     for start in range(0, height, step):
         stop = min(start + step, height)
-        new = np.flatnonzero((start <= first) & (first < stop))
-        if len(new):
-            states = np.vstack((grid.states[:, new], zeta[new])).T
-            texts.update(zip(new.tolist(), _state_texts(states)))
+        used, index = _distinct(grid.ids[start:stop].ravel(), len(zeta))
+        texts = _state_texts(np.vstack((grid.states[:, used], zeta[used])).T)
+        index = index.reshape(stop - start, width).tolist()
         for j in range(start, stop):
             pieces[1::5] = [f"{j},"] * width
             pieces[3::5] = [f"{ys[j]!r},"] * width
-            pieces[4::5] = map(texts.__getitem__, grid.ids[j].tolist())
+            pieces[4::5] = map(texts.__getitem__, index[j - start])
             out.write("".join(pieces))
-        for k in np.flatnonzero((start <= last) & (last < stop)).tolist():
-            del texts[k]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .grid import EvidentialGrid, GridSpec, _distinct
+from .grid import EvidentialGrid, GridSpec, _distinct_tuples
 
 _TAU = 2.0 * math.pi
 
@@ -262,7 +262,7 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     The counts do not depend on the order of the beams, so neither does the
     grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
     beam: total conflict) the cell stays vacuous.  The grid's palette holds
-    one state per distinct pair of counts.
+    one state per distinct pair of counts, in ascending (n_f, n_o) order.
     """
     bearings, ranges, hit = scan.columns
     dx, dy = beam_directions(pose.heading, bearings)
@@ -277,13 +277,12 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     n_free = np.bincount(free, minlength=n)
     n_hit = np.bincount(hits, minlength=n)
     # the closed form once per distinct (n_f, n_o) pair: one palette state each
-    radix = int(n_hit.max()) + 1
-    pairs, ids = _distinct(n_free * radix + n_hit, (int(n_free.max()) + 1) * radix)
-    n_f, n_o = np.divmod(pairs, radix)
+    first, ids = _distinct_tuples((n_free, n_hit), (n_free.max() + 1, n_hit.max() + 1))
+    n_f, n_o = n_free[first], n_hit[first]
     a = (1.0 - params.free_weight) ** n_f
     b = (1.0 - params.occupied_weight) ** n_o
     norm = a + b - a * b
-    masses = np.zeros((frames.SENSOR_FRAME.size, len(pairs)))
+    masses = np.zeros((frames.SENSOR_FRAME.size, len(first)))
     seen = norm > 0.0
     masses[frames.SG_OMEGA, ~seen] = 1.0
     for focal, mass in ((frames.SG_FREE, (1.0 - a) * b), (frames.SG_OCCUPIED, (1.0 - b) * a),

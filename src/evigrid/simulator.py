@@ -291,7 +291,7 @@ class ScenarioConfig(Settings):
             _known(entry, _OBJECT_KEYS, where, ("length", "width"))
             kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
             if "waypoints" in entry:
-                for key in ("appear_t", "disappear_t"):
+                for key in ("pose", "appear_t", "disappear_t"):
                     if key in entry:
                         raise ScenarioError(f"{where}: {key!r} applies to static objects only")
                 kwargs["waypoints"] = timed_poses(entry["waypoints"], f"{where} waypoint")
@@ -305,6 +305,8 @@ class ScenarioConfig(Settings):
                         kwargs[key] = _number(entry[key], f"{where} {key}")
             objects.append(ObjectTrack(**kwargs))
 
+        if not isinstance(data["map"], str):
+            raise ScenarioError(f"map {data['map']!r} is not a string")
         return cls(
             map_path=base_dir / data["map"],
             trajectory=timed_poses(data["trajectory"], "trajectory"),
@@ -476,11 +478,12 @@ def _beams(rows) -> np.ndarray:
                      for b, r, h in rows], dtype=float).reshape(-1, 3).T
 
 
-def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan]]:
+def read_scan_log(lines: Iterable[str | bytes]) -> Iterator[tuple[float, Pose, LidarScan]]:
     """Parse and check a scan log one line at a time.
 
-    Blank lines are skipped and timestamps must increase strictly; errors
-    name the line.
+    Lines are text or UTF-8 bytes; a line of bytes that does not decode is
+    malformed like any other.  Blank lines are skipped and timestamps must
+    increase strictly; errors name the line.
     """
     last_t = -math.inf
     for lineno, line in enumerate(lines, start=1):
@@ -500,7 +503,7 @@ def read_scan_log(lines: Iterable[str]) -> Iterator[tuple[float, Pose, LidarScan
         yield t, pose, scan
 
 
-def replay_scans(lines: Iterable[str], gg: EvidentialGrid,
+def replay_scans(lines: Iterable[str | bytes], gg: EvidentialGrid,
                  settings: Settings) -> Iterator[EpochResult]:
     """Run the pipeline on the lines of a scan log, each read as it is fused."""
     return _epochs(read_scan_log(lines), gg, settings)

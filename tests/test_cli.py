@@ -202,9 +202,13 @@ def with_field(document: dict, path, value) -> dict:
     (("fusion",), {"ageing": 0.1}, "fusion: unknown key(s) 'ageing'"),
     (("sensor",), [31], "sensor [31] is not an object"),
     (("trajectory",), 5, "trajectory 5 is not a list"),
+    (("map",), 5, "map 5 is not a string"),
+    (("objects",), [{"length": 4.0, "width": 2.0, "pose": {"x": 4.0, "y": 2.0, "heading": 0.0},
+                     "waypoints": [{"t": 0.0, "x": 4.0, "y": 2.0, "heading": 0.0}]}],
+     "object 0: 'pose' applies to static objects only"),
 ], ids=["no_epochs", "pose_without_x", "object_without_length", "object_without_pose",
         "grid_size", "grid_without_height", "sensor_beams", "fusion_ageing", "sensor_list",
-        "trajectory_number"])
+        "trajectory_number", "map_number", "object_with_waypoints_and_pose"])
 def test_missing_or_unknown_key_is_named(small_scenario, tmp_path, capsys, path, value,
                                          message):
     data = json.loads(small_scenario.read_text())
@@ -467,6 +471,16 @@ def test_replay_streams_until_bad_line(small_scenario, tmp_path, capsys):
     rc = replay(tmp_path, log, out)
     assert rc == 2
     assert "line 3" in capsys.readouterr().err
+    # the epochs before the bad line were fused and written
+    assert len((out / "stats.ndjson").read_text().splitlines()) == 2
+
+
+def test_replay_names_line_that_is_not_utf8(small_scenario, tmp_path, capsys):
+    log = tmp_path / "scans.ndjson"
+    log.write_bytes((record_line(0.0) + "\n" + record_line(0.1) + "\n").encode() + b"\xff\xfe\n")
+    out = tmp_path / "out"
+    assert replay(tmp_path, log, out) == 2
+    assert capsys.readouterr().err.startswith("evigrid: runtime error: line 3: malformed record: ")
     # the epochs before the bad line were fused and written
     assert len((out / "stats.ndjson").read_text().splitlines()) == 2
 

@@ -316,6 +316,24 @@ class TestCsvMatchesOracle:
         grid = EvidentialGrid(spec, PERCEPTION_FRAME, states[:-1].copy(), ids, states[-1].copy())
         self.check(grid)
 
+    def test_texts_are_made_per_block_of_rows(self):
+        """Each block of rows formats the states it uses, and no others: the
+        writer never holds more than one block's texts."""
+        spec = GridSpec(0.0, 0.0, 0.5, 70, 60)
+        rng = np.random.default_rng(23)
+        states = rng.random((PERCEPTION_FRAME.size + 1, 3000))
+        ids = rng.integers(0, 3000, (spec.height, spec.width))
+        ids[-1, -1] = ids[0, 0]
+        grid = EvidentialGrid(spec, PERCEPTION_FRAME, states[:-1].copy(), ids, states[-1].copy())
+        with mock.patch.object(grid_module, "_state_texts",
+                               wraps=grid_module._state_texts) as spy:
+            _csv(write_grid_csv, grid)
+        step = grid_module._BLOCK_CELLS // spec.width
+        blocks = [ids[start:start + step] for start in range(0, spec.height, step)]
+        assert len(spy.call_args_list) == len(blocks) == 3
+        for call, block in zip(spy.call_args_list, blocks):
+            assert call.args[0].tolist() == states.T[np.unique(block)].tolist()
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 15), st.booleans(), st.data())
     def test_palette_grids_in_any_block_of_rows(self, width, height, block, with_counter,

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evigrid import frames, fusion
+from evigrid import grid as grid_module
 from evigrid.dst import MassFunction
 from evigrid.fusion import (FusionParams, decide_grid, pignistic_grid, step_cell,
                             step_with_conflicts)
@@ -165,14 +166,15 @@ def test_merge_keeps_signed_zeros_and_ulps_apart():
 @pytest.mark.parametrize("sizes", [[7, 5, 3], [2**40, 2**40, 2**40], [3, 2**56, 2**40],
                                    [2**40, 2, 2**40]])
 def test_distinct_cells_are_the_unique_id_tuples(sizes):
-    """Keys whose product of palette sizes passes int64 are renumbered on
-    the way; the tuples keep their ascending order either way."""
+    """Palette sizes whose product passes int64: the tuples so far are
+    renumbered before each column joins the key, and keep their ascending
+    order."""
     rng = np.random.default_rng(5)
     pool = np.stack([rng.integers(max(0, size - 4), size, 6) for size in sizes], axis=1)
     pool[1, 0] = pool[0, 0]
     tuples = pool[rng.integers(0, len(pool), 40)]
     ids = [np.ascontiguousarray(column) for column in tuples.T]
-    first, inverse = fusion._distinct_cells(ids, sizes)
+    first, inverse = grid_module._distinct_tuples(ids, sizes)
     values, want = np.unique(tuples, axis=0, return_inverse=True)
     assert inverse.tolist() == want.ravel().tolist()
     assert tuples[first].tolist() == values.tolist()
