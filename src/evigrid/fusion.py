@@ -19,9 +19,11 @@ palettes (``grid._distinct_tuples``), one row of triples per subset.  It
 carries compact row blocks: only the subsets that can hold mass at each
 stage, named by an ascending tuple of bitmasks (the three refined sensor
 sets; those and the at most 3 x k sets of the prior; the focal sets of the
-stored grid plus the full frame, and their intersections).  The other rows
-of the 32 are zero and are never stored, scanned or normalised; only the
-output palette holds all 32 rows.
+stored grid plus the full frame, and their intersections).  Each input
+block is one ``np.take`` of its rows of a palette at the tuples' columns,
+and the output palette is written in one assignment.  The other rows of the
+32 are zero and are never stored, scanned or normalised; only the output
+palette holds all 32 rows.
 ``step_cell`` is the per-cell reference the grid kernel is tested against.
 """
 
@@ -321,14 +323,6 @@ def _merge_equal_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, first
 
 
-def _columns(rows: np.ndarray, sets: tuple[int, ...], cols: np.ndarray) -> np.ndarray:
-    """Rows `sets` of `rows` at the columns `cols`, taken one row at a time."""
-    out = np.empty((len(sets), len(cols)))
-    for k, a in enumerate(sets):
-        np.take(rows[a], cols, out=out[k])
-    return out
-
-
 def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGrid,
                         params: FusionParams) -> tuple[EvidentialGrid, ConflictPair]:
     """One fusion epoch over the whole grid.
@@ -365,8 +359,8 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     gg_sets = tuple(np.flatnonzero(gg_m.any(axis=1)).tolist())
     prior_sets = {b & c for b in _SENSOR_SETS for c in gg_sets} - {0}
     prior_sets = tuple(sorted(prior_sets | set(_SENSOR_SETS)))
-    sensor = _columns(sg_m, _SG_SETS, sg_col)
-    prior = _conjunctive_rows(sensor, _SENSOR_SETS, _columns(gg_m, gg_sets, gg_col),
+    sensor = np.take(sg_m[list(_SG_SETS)], sg_col, axis=1)
+    prior = _conjunctive_rows(sensor, _SENSOR_SETS, np.take(gg_m[list(gg_sets)], gg_col, axis=1),
                               gg_sets, prior_sets)[0]
     norm = _sum_rows(prior, n)
     conflict = norm <= TOTAL_CONFLICT_TOLERANCE
@@ -380,7 +374,7 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     # frame (the largest bitmask, so the last row)
     alpha = _ageing_vector(gg_m, params)[gg_col]
     prev_sets = tuple(sorted({*np.flatnonzero(pg_m.any(axis=1)).tolist(), frames.PG_OMEGA}))
-    prev = _columns(pg_m, prev_sets, pg_col)
+    prev = np.take(pg_m[list(prev_sets)], pg_col, axis=1)
     prev *= 1.0 - alpha
     prev[-1] += alpha
 
@@ -393,8 +387,8 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     row = {a: k for k, a in enumerate(fused_sets)}
     # the fused rows and, as the last row, the counter
     fused = np.empty((len(fused_sets) + 1, n))
-    fused[:-1], (appear, disappear, residual) = _conjunctive_rows(
-        prev, prev_sets, prior, prior_sets, fused_sets)
+    fused[:-1], parts = _conjunctive_rows(prev, prev_sets, prior, prior_sets, fused_sets)
+    appear, disappear, residual = parts
     fused[row[frames.PG_MOVING]] += appear
     fused[row[frames.PG_OMEGA]] += disappear + residual
     fused[:-1] /= _sum_rows(fused[:-1], n)
@@ -418,13 +412,11 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     # one palette column per distinct fused state
     merged, kept = _merge_equal_columns(fused)
     rows = np.zeros((frames.PERCEPTION_FRAME.size, len(kept)))
-    for k, a in enumerate(fused_sets):
-        np.take(fused[k], kept, out=rows[a])
+    rows[list(fused_sets)] = np.take(fused[:-1], kept, axis=1)
     out = EvidentialGrid(spec, pg.frame, rows, merged[inverse].reshape(spec.height, spec.width),
                          np.take(counter, kept))
-    # the grid conflict totals sum over the cells in (j, i) raster order
-    totals = ConflictPair(float(appear[inverse].sum()), float(disappear[inverse].sum()),
-                          float(residual[inverse].sum()))
+    # the grid conflict totals, each one row of the cells summed in (j, i) raster order
+    totals = ConflictPair(*np.take(parts, inverse, axis=1).sum(axis=1).tolist())
     return out, totals
 
 

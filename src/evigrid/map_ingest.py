@@ -1,8 +1,8 @@
 """Vector map loading and rasterization into the map-prior grid.
 
-Maps are a GeoJSON subset: a FeatureCollection of Polygon features, each with
-a property ``kind`` equal to ``"building"`` or ``"road"``, coordinates already
-in planar metres in the global frame.  Building and road regions must be
+Maps are a GeoJSON subset: a FeatureCollection of Polygon features of one
+ring each (no holes), each with a property ``kind`` equal to ``"building"``
+or ``"road"``, coordinates already in planar metres in the global frame.  Building and road regions must be
 disjoint; rasterization finds overlap at cell centres laid out as the ids.
 """
 
@@ -65,6 +65,8 @@ def _parse_polygon(where: str, geometry: dict) -> np.ndarray:
     coords = geometry.get("coordinates")
     if not coords or not isinstance(coords, list):
         raise MapFormatError(f"{where}: missing polygon coordinates")
+    if len(coords) > 1:
+        raise MapFormatError(f"{where}: polygon has {len(coords)} rings; holes are not supported")
     ring = coords[0]
     if not isinstance(ring, list):
         raise MapFormatError(f"{where}: polygon ring {ring!r} is not a list of vertices")

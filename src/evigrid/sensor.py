@@ -259,8 +259,9 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
 
         m(F) = (1 - a) b / Z,   m(O) = (1 - b) a / Z,   m(FO) = a b / Z.
 
-    The counts do not depend on the order of the beams, so neither does the
-    grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
+    The two powers are ``math.pow``, as numpy's ``**`` can differ in the
+    last bit from one CPU to another.  The counts do not depend on the order
+    of the beams, so neither does the grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
     beam: total conflict) the cell stays vacuous.  The grid's palette holds
     one state per distinct pair of counts, in ascending (n_f, n_o) order.
     """
@@ -278,9 +279,8 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
     n_hit = np.bincount(hits, minlength=n)
     # the closed form once per distinct (n_f, n_o) pair: one palette state each
     first, ids = _distinct_tuples((n_free, n_hit), (n_free.max() + 1, n_hit.max() + 1))
-    n_f, n_o = n_free[first], n_hit[first]
-    a = (1.0 - params.free_weight) ** n_f
-    b = (1.0 - params.occupied_weight) ** n_o
+    a, b = (np.array([math.pow(1.0 - w, k) for k in counts[first].tolist()])
+            for w, counts in ((params.free_weight, n_free), (params.occupied_weight, n_hit)))
     norm = a + b - a * b
     masses = np.zeros((frames.SENSOR_FRAME.size, len(first)))
     seen = norm > 0.0

@@ -81,6 +81,16 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="feature 1: .*finite"):
             load_map(path)
 
+    def test_polygon_with_hole_rejected(self, tmp_path):
+        # a courtyard would be rasterized solid, and a road inside it would
+        # be reported as overlapping the building
+        feature = polygon_feature("building", SQUARE_RING)
+        feature["geometry"]["coordinates"].append([[4, 4], [6, 4], [6, 6], [4, 6], [4, 4]])
+        road = polygon_feature("road", [[4.5, 4.5], [5.5, 4.5], [5.5, 5.5], [4.5, 5.5]])
+        path = write_map(tmp_path / "m.geojson", [road, feature])
+        with pytest.raises(MapFormatError, match=r"m\.geojson: feature 1: polygon has 2 rings"):
+            load_map(path)
+
 
 def winding_number_inside(point, polygon):
     """Independent oracle: winding number via summed signed angles."""

@@ -503,8 +503,9 @@ def test_palette_state_per_pair_of_counts(params):
     pose = Pose(1.3, 2.6, 0.4)
     grid = build_sg(scan, pose, spec, params)
     n_free, n_hit = sensor_counts_oracle(scan, pose, spec)
-    a = (1.0 - params.free_weight) ** n_free
-    b = (1.0 - params.occupied_weight) ** n_hit
+    # the C library's pow, as numpy's ** can differ in the last bit by CPU
+    a, b = (np.reshape([math.pow(1.0 - w, k) for k in counts.ravel().tolist()], counts.shape)
+            for w, counts in ((params.free_weight, n_free), (params.occupied_weight, n_hit)))
     norm = a + b - a * b
     want = np.zeros(grid.masses.shape)
     want[..., frames.SG_OMEGA] = 1.0
