@@ -415,8 +415,10 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     rows[list(fused_sets)] = np.take(fused[:-1], kept, axis=1)
     out = EvidentialGrid(spec, pg.frame, rows, merged[inverse].reshape(spec.height, spec.width),
                          np.take(counter, kept))
-    # the grid conflict totals, each one row of the cells summed in (j, i) raster order
-    totals = ConflictPair(*np.take(parts, inverse, axis=1).sum(axis=1).tolist())
+    # the grid conflict totals sum over the cells in (j, i) raster order, one
+    # row at a time: gathered at once, the (3, N) cells would be the step's
+    # largest temporary
+    totals = ConflictPair(*(float(part[inverse].sum()) for part in parts))
     return out, totals
 
 

@@ -2,8 +2,9 @@
 
 Maps are a GeoJSON subset: a FeatureCollection of Polygon features of one
 ring each (no holes), each with a property ``kind`` equal to ``"building"``
-or ``"road"``, coordinates already in planar metres in the global frame.  Building and road regions must be
-disjoint; rasterization finds overlap at cell centres laid out as the ids.
+or ``"road"``, coordinates already in planar metres in the global frame.
+Building and road regions must be disjoint; rasterization finds overlap at
+cell centres laid out as the ids.
 """
 
 from __future__ import annotations

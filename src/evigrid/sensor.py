@@ -261,9 +261,10 @@ def build_sg(scan: LidarScan, pose: Pose, spec: GridSpec,
 
     The two powers are ``math.pow``, as numpy's ``**`` can differ in the
     last bit from one CPU to another.  The counts do not depend on the order
-    of the beams, so neither does the grid, bit for bit.  Where ``Z = 0`` (weights of 1 and both kinds of
-    beam: total conflict) the cell stays vacuous.  The grid's palette holds
-    one state per distinct pair of counts, in ascending (n_f, n_o) order.
+    of the beams, so neither does the grid, bit for bit.  Where ``Z = 0``
+    (weights of 1 and both kinds of beam: total conflict) the cell stays
+    vacuous.  The grid's palette holds one state per distinct pair of
+    counts, in ascending (n_f, n_o) order.
     """
     bearings, ranges, hit = scan.columns
     dx, dy = beam_directions(pose.heading, bearings)
