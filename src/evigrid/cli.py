@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 configuration error (a usage error on the command
 line, an unreadable or invalid scenario, map or params file, an unreadable
-scan log, an --every below 1 or a --dump-grid that is not a list of epochs
-from 0), 2 runtime error (failures while stepping epochs, including a
-malformed scan-log line).  An error prints one message line on stderr,
-after the usage for a usage error; one in a scenario, map or params file
-names the file.
+scan log, an --every below 1, a --dump-grid that is not a list of epochs
+from 0, or an --out directory, its stats.ndjson or a --record file that
+cannot be created), 2 runtime error (failures while stepping epochs,
+including a malformed scan-log line).  An error prints one message line on
+stderr, after the usage for a usage error; one in a scenario, map or params
+file names the file, and one in an output names its path.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .grid import write_grid_csv
 from .map_ingest import load_map, rasterize_gg
@@ -40,34 +41,31 @@ def _dump_epochs(args) -> set[int]:
 
 
 def _emit(results: Iterable[EpochResult], out_dir: Path, render: str, every: int,
-          dump_epochs: set[int], record_path: Optional[Path]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+          dump_epochs: set[int], stats_out: TextIO, record: Optional[TextIO]) -> None:
     trace: Optional[MovingTrace] = None
-    with open(out_dir / "stats.ndjson", "w") as stats_out, \
-            open(record_path, "w") if record_path else nullcontext() as record:
-        for result in results:
-            stats_out.write(json.dumps(result.stats) + "\n")
-            if record:
-                record.write(format_scan(result.time, result.pose, result.scan) + "\n")
-            if trace is None:
-                trace = MovingTrace(*result.pg.ids.shape)
-            trace.update(result.codes, result.pg.ids)
-            if result.epoch % every == 0:
-                if render in ("decision", "both"):
-                    with open(out_dir / f"decision_{result.epoch:05d}.ppm", "w") as fh:
-                        write_ppm(decision_image(result.codes, result.pg.ids), fh)
-                if render in ("pignistic", "both"):
-                    with open(out_dir / f"pignistic_{result.epoch:05d}.ppm", "w") as fh:
-                        write_ppm(pignistic_image(result.state_bet, result.pg.ids), fh)
-            if result.epoch in dump_epochs:
-                with open(out_dir / f"grid_{result.epoch:05d}.csv", "w") as fh:
-                    write_grid_csv(result.pg, fh)
+    for result in results:
+        stats_out.write(json.dumps(result.stats) + "\n")
+        if record:
+            record.write(format_scan(result.time, result.pose, result.scan) + "\n")
+        if trace is None:
+            trace = MovingTrace(*result.pg.ids.shape)
+        trace.update(result.codes, result.pg.ids)
+        if result.epoch % every == 0:
+            if render in ("decision", "both"):
+                with open(out_dir / f"decision_{result.epoch:05d}.ppm", "w") as fh:
+                    write_ppm(decision_image(result.codes, result.pg.ids), fh)
+            if render in ("pignistic", "both"):
+                with open(out_dir / f"pignistic_{result.epoch:05d}.ppm", "w") as fh:
+                    write_ppm(pignistic_image(result.state_bet, result.pg.ids), fh)
+        if result.epoch in dump_epochs:
+            with open(out_dir / f"grid_{result.epoch:05d}.csv", "w") as fh:
+                write_grid_csv(result.pg, fh)
     if trace is not None:
         with open(out_dir / "trace.ppm", "w") as fh:
             write_ppm(trace.image(), fh)
 
 
-def cmd_run(args, inputs: ExitStack) -> Iterator[EpochResult]:
+def cmd_run(args, files: ExitStack) -> Iterator[EpochResult]:
     """The epochs of a simulated scenario, with the overrides of --params."""
     cfg = ScenarioConfig.from_file(args.scenario)
     if args.params:
@@ -75,12 +73,12 @@ def cmd_run(args, inputs: ExitStack) -> Iterator[EpochResult]:
     return run_scenario(cfg, seed=args.seed)
 
 
-def cmd_replay(args, inputs: ExitStack) -> Iterator[EpochResult]:
+def cmd_replay(args, files: ExitStack) -> Iterator[EpochResult]:
     """The epochs of a recorded scan log, read as they are fused."""
     settings = load_settings(args.params)
     gg = rasterize_gg(load_map(args.map), settings.map_confidence, settings.grid)
     # bytes, so that read_scan_log names a line that is not UTF-8
-    return replay_scans(inputs.enter_context(open(args.log, "rb")), gg, settings)
+    return replay_scans(files.enter_context(open(args.log, "rb")), gg, settings)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,16 +123,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Build the command's epochs, then fuse and write them; failures map to
     the exit codes above."""
     args = build_parser().parse_args(argv)
-    with ExitStack() as inputs:
+    with ExitStack() as files:
         try:
             dump_epochs = _dump_epochs(args)
-            results = args.func(args, inputs)
+            results = args.func(args, files)
+            # a bad input writes nothing; an unusable output is a configuration error
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            record = files.enter_context(open(args.record, "w")) if args.record else None
+            stats_out = files.enter_context(open(out_dir / "stats.ndjson", "w"))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"evigrid: configuration error: {exc}", file=sys.stderr)
             return 1
         try:
-            _emit(results, Path(args.out), args.render, args.every, dump_epochs,
-                  Path(args.record) if args.record else None)
+            _emit(results, out_dir, args.render, args.every, dump_epochs, stats_out, record)
         except Exception as exc:
             print(f"evigrid: runtime error: {exc}", file=sys.stderr)
             return 2

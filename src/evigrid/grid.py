@@ -178,19 +178,12 @@ def _state_texts(values: np.ndarray) -> list[str]:
     plus a newline.
 
     Each distinct 64-bit pattern is formatted once: keyed by bits, so
-    ``-0.0`` and ``0.0`` stay apart.  The texts are gathered as NUL-padded
-    words with their separators, and the NULs dropped.
+    ``-0.0`` and ``0.0`` stay apart.  Each state's text is one join of its
+    words.
     """
-    bits = values.view(np.uint64)
-    # a sort and a mask: np.unique took 20 times as long on 150k patterns
-    # (numpy 2.4)
-    ordered = np.sort(bits, axis=None)
-    patterns = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
-    index = np.searchsorted(patterns, bits)
-    words = list(map(float.__repr__, patterns.view(np.float64).tolist()))
-    cells = np.array([word + "," for word in words], dtype=bytes)[index]
-    cells[:, -1] = np.array([word + "\n" for word in words], dtype=bytes)[index[:, -1]]
-    return cells.tobytes().translate(None, b"\0").decode("ascii").splitlines(keepends=True)
+    patterns, index = np.unique(values.view(np.uint64), return_inverse=True)
+    words = np.array(list(map(float.__repr__, patterns.view(np.float64).tolist())), dtype=object)
+    return [",".join(row) + "\n" for row in words[index.reshape(values.shape)].tolist()]
 
 
 def write_grid_csv(grid: EvidentialGrid, out: TextIO) -> None:

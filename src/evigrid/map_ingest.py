@@ -75,12 +75,16 @@ def _parse_polygon(where: str, geometry: dict) -> np.ndarray:
         ring = ring[:-1]
     if len(ring) < 3:
         raise MapFormatError(f"{where}: polygon needs at least 3 vertices")
-    try:
-        poly = np.asarray(ring, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MapFormatError(f"{where}: non-numeric coordinates") from exc
-    if poly.ndim != 2 or poly.shape[1] != 2:
+    if not all(isinstance(vertex, list) and len(vertex) == 2 for vertex in ring):
         raise MapFormatError(f"{where}: vertices must be [x, y] pairs")
+    # JSON numbers only: numpy would parse "1.5" and true
+    if any(isinstance(value, bool) or not isinstance(value, (int, float))
+           for vertex in ring for value in vertex):
+        raise MapFormatError(f"{where}: non-numeric coordinates")
+    try:
+        poly = np.array(ring, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise MapFormatError(f"{where}: coordinates must be finite") from exc
     if not np.isfinite(poly).all():
         raise MapFormatError(f"{where}: coordinates must be finite")
     return poly

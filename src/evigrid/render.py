@@ -59,7 +59,7 @@ def write_ppm(pixels: np.ndarray, out: TextIO) -> None:
 
 def _image(planes: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Image of (3, S) uint8 color planes gathered by (height, width) ids, north up."""
-    return np.stack([np.take(plane, ids[::-1]) for plane in planes], axis=-1)
+    return np.take(planes.T, ids[::-1], axis=0)
 
 
 def decision_image(codes: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -420,8 +420,11 @@ def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):
     assert "configuration error: map overlap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="10**400"),
+                                   "1.5", True])
 def test_non_finite_map_vertex_is_config_error(small_scenario, tmp_path, capsys, value):
+    """Also an integer beyond the float range, and a string or a boolean,
+    which numpy would read as a number."""
     ring = [list(v) for v in BUILDING]
     ring[2][1] = value
     write_map(tmp_path / "m.geojson", [("road", [[0, 20], [4, 20], [4, 22], [0, 20]]),
@@ -625,6 +628,31 @@ def test_bad_output_options_are_configuration_errors(small_scenario, tmp_path, c
     assert replay(tmp_path, tmp_path / "missing.ndjson", out, *option) == 1
     err = capsys.readouterr().err
     assert err.count(f"configuration error: {option[0]} ") == 2, err
+
+
+def test_out_that_is_a_file_is_configuration_error(small_scenario, tmp_path, capsys):
+    """Found once the inputs are read, before any epoch: a run and a replay
+    both exit 1 and name the path."""
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["run", str(small_scenario), "--out", str(out)]) == 1
+    log = tmp_path / "scans.ndjson"
+    log.write_text(record_line(0.0) + "\n")
+    assert replay(tmp_path, log, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2, err
+    for line in err:
+        assert line.startswith("evigrid: configuration error: ") and str(out) in line, line
+    assert out.read_text() == ""
+
+
+def test_record_in_missing_directory_is_configuration_error(small_scenario, tmp_path, capsys):
+    """An unwritable --record fails before any epoch and leaves no stats behind."""
+    out, record = tmp_path / "out", tmp_path / "missing" / "scans.ndjson"
+    assert main(["run", str(small_scenario), "--out", str(out), "--record", str(record)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evigrid: configuration error: ") and str(record) in err, err
+    assert not (out / "stats.ndjson").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -72,13 +72,24 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="cannot read"):
             load_map(tmp_path / "nope.geojson")
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10**400, id="10**400")])
     def test_non_finite_coordinates(self, tmp_path, value):
         ring = [list(v) for v in SQUARE_RING]
         ring[1][0] = value
         path = write_map(tmp_path / "m.geojson", [polygon_feature("road", SQUARE_RING),
                                                   polygon_feature("building", ring)])
         with pytest.raises(MapFormatError, match="feature 1: .*finite"):
+            load_map(path)
+
+    @pytest.mark.parametrize("value", ["1.5", True, False, None])
+    def test_non_numeric_coordinates(self, tmp_path, value):
+        # numpy would read the string and the booleans as numbers
+        ring = [list(v) for v in SQUARE_RING]
+        ring[1][0] = value
+        path = write_map(tmp_path / "m.geojson", [polygon_feature("road", SQUARE_RING),
+                                                  polygon_feature("building", ring)])
+        with pytest.raises(MapFormatError, match=r"feature 1: non-numeric coordinates"):
             load_map(path)
 
     def test_polygon_with_hole_rejected(self, tmp_path):
