@@ -29,12 +29,16 @@ PG_FREE = PERCEPTION_FRAME.mask("F")
 PG_MOVING = PERCEPTION_FRAME.mask("M")
 PG_OMEGA = PERCEPTION_FRAME.omega
 
-# Map contexts: a building cell supports I, a road cell supports anything
-# that can be on a road, the intermediate space (pavements, courtyards)
-# excludes only mapped infrastructure.
+# Map contexts, in the order of the map-prior grid's palette, so that a
+# prior cell's palette id is its context, and their focal sets: a building
+# cell supports I, a road cell supports anything that can be on a road, the
+# intermediate space (pavements, courtyards) excludes only mapped
+# infrastructure.
+MAP_CONTEXTS = ("building", "road", "intermediate")
 BUILDING_SET = PERCEPTION_FRAME.mask("I")
 ROAD_SET = PERCEPTION_FRAME.mask("FSM")
 INTERMEDIATE_SET = PERCEPTION_FRAME.mask("FUSM")
+CONTEXT_SETS = (BUILDING_SET, ROAD_SET, INTERMEDIATE_SET)
 
 # Everything that is not free space.
 OCCUPIED_SET = PERCEPTION_FRAME.mask("IUSM")

@@ -22,7 +22,8 @@ from .grid import EvidentialGrid, GridSpec
 # meaningful geometry).
 _EDGE_EPS = 1e-9
 
-FEATURE_KINDS = ("building", "road")
+# the mapped contexts; a cell in no polygon is intermediate space
+FEATURE_KINDS = frames.MAP_CONTEXTS[:2]
 
 
 class MapFormatError(ValueError):
@@ -54,7 +55,7 @@ class MapConfidence:
     intermediate: float = 0.6
 
     def __post_init__(self):
-        for name in ("building", "road", "intermediate"):
+        for name in frames.MAP_CONTEXTS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} confidence must be in [0, 1], got {value}")
@@ -110,10 +111,10 @@ def load_map(path) -> VectorMap:
         where = f"map file {path}: feature {idx}"
         if not isinstance(feature, dict):
             raise MapFormatError(f"{where} is not an object")
-        props = feature.get("properties") or {}
-        if not isinstance(props, dict):
+        props = feature.get("properties")
+        if props is not None and not isinstance(props, dict):
             raise MapFormatError(f"{where}: properties must be an object")
-        kind = props.get("kind")
+        kind = props.get("kind") if props else None
         if kind is None:
             raise MapFormatError(f"{where}: missing kind property")
         if kind not in FEATURE_KINDS:
@@ -154,8 +155,9 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
 
     Building cells support mapped infrastructure, road cells support whatever
     can occupy a road, everything else is intermediate space; the complement
-    of the confidence stays on the full frame.  The grid's palette holds one
-    state per context that some cell has.
+    of the confidence stays on the full frame.  The grid's palette holds the
+    three context states in the order of ``frames.MAP_CONTEXTS``, whether or
+    not some cell has them, so a cell's palette id is its context.
     """
     # cell centres in the (height, width) layout of the palette ids
     xs, ys = spec.cell_centers(np.arange(spec.width), np.arange(spec.height)[:, None])
@@ -168,17 +170,11 @@ def rasterize_gg(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> Eviden
     if overlap.any():
         j, i = np.argwhere(overlap)[0]
         raise MapOverlapError(f"map overlap at cell ({i}, {j})")
-    # one palette state per context present, named by the context's mask
-    ids = np.empty((spec.height, spec.width), dtype=np.intp)
-    states = []
-    for mask, focal, confidence in (
-            (in_building, frames.BUILDING_SET, conf.building),
-            (in_road, frames.ROAD_SET, conf.road),
-            (~(in_building | in_road), frames.INTERMEDIATE_SET, conf.intermediate)):
-        if mask.any():
-            ids[mask] = len(states)
-            state = np.zeros(frames.PERCEPTION_FRAME.size)
-            state[focal] = confidence
-            state[frames.PG_OMEGA] = 1.0 - confidence
-            states.append(state)
-    return EvidentialGrid(spec, frames.PERCEPTION_FRAME, np.stack(states, axis=1), ids)
+    states = np.zeros((frames.PERCEPTION_FRAME.size, len(frames.MAP_CONTEXTS)))
+    for k, (name, focal) in enumerate(zip(frames.MAP_CONTEXTS, frames.CONTEXT_SETS)):
+        confidence = getattr(conf, name)
+        states[focal, k] = confidence
+        states[frames.PG_OMEGA, k] = 1.0 - confidence
+    # each cell's context, an index into frames.MAP_CONTEXTS
+    ids = np.select([in_building, in_road], [0, 1], 2)
+    return EvidentialGrid(spec, frames.PERCEPTION_FRAME, states, ids)

@@ -186,7 +186,7 @@ def _setting(value, name: str):
     if value is None:
         return None
     return {key: _number(rate, f"{name} {key}")
-            for key, rate in _known(value, set(fusion._CONTEXTS), name).items()}
+            for key, rate in _known(value, frames.MAP_CONTEXTS, name).items()}
 
 
 def _known(data, keys, where: str = "", required=()) -> dict:
@@ -255,9 +255,6 @@ class ScenarioConfig(Settings):
             raise ScenarioError("epoch count must be >= 1")
         if not self.trajectory:
             raise ScenarioError("trajectory must contain at least one pose")
-        times = [tp.t for tp in self.trajectory]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ScenarioError("trajectory timestamps must be strictly increasing")
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -267,7 +264,9 @@ class ScenarioConfig(Settings):
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path = Path(".")) -> "ScenarioConfig":
         """A scenario from its JSON object; unknown and missing keys are
-        named, in the document and in each of its objects."""
+        named, in the document and in each of its objects.  The timestamps
+        of the trajectory and of each object's waypoints must increase
+        strictly."""
         _known(data, _SCENARIO_KEYS, required=("map", "grid", "trajectory", "epochs"))
 
         def listed(entries, where) -> list:
@@ -282,8 +281,11 @@ class ScenarioConfig(Settings):
             keys = ("t", *_POSE_KEYS)
             entries = [_known(e, keys, f"{where} {k}", keys)
                        for k, e in enumerate(listed(entries, where))]
-            return tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
-                         for e in entries)
+            poses = tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
+                          for e in entries)
+            if any(b.t <= a.t for a, b in zip(poses, poses[1:])):
+                raise ScenarioError(f"{where} timestamps must be strictly increasing")
+            return poses
 
         objects = []
         for k, entry in enumerate(listed(data.get("objects", []), "objects")):

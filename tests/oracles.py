@@ -12,8 +12,9 @@ grid, zero rows included, with the fusion module's per-pair helpers.
 The writer oracles format every cell, every pixel and every beam on its
 own, and the image oracle colours every cell on its own.
 Tests build their input grids with ``dense_grid``: one palette state per
-cell, and their scans from literal beams with ``scan_of``; ``cell_mass``
-reads one cell as a ``MassFunction``.  Every per-cell array here is
+cell, their map priors with ``prior_grid``: one state per map context, and
+their scans from literal beams with ``scan_of``; ``cell_mass`` reads one
+cell as a ``MassFunction``.  Every per-cell array here is
 indexed ``[j, i]``, in the (height, width) layout of a grid's ``ids``.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from evigrid import frames
 from evigrid.dst import FrameOfDiscernment, MassFunction, TOTAL_CONFLICT_TOLERANCE
 from evigrid.fusion import (_MOVING_SUPERSETS, _OCCUPIED_SUBSETS, ConflictPair,
-                            FusionParams, _ageing_vector, _conflict_kind)
+                            FusionParams, _conflict_kind)
 from evigrid.grid import EvidentialGrid, GridSpec, mass_column_names
 from evigrid.map_ingest import _EDGE_EPS, MapConfidence, MapOverlapError, VectorMap
 from evigrid.sensor import LidarScan
@@ -51,6 +52,21 @@ def dense_grid(spec: GridSpec, frame: FrameOfDiscernment, masses,
     n = spec.width * spec.height
     return EvidentialGrid(spec, frame, np.ascontiguousarray(masses.reshape(n, frame.size).T),
                           np.arange(n).reshape(shape), counter)
+
+
+def prior_grid(spec: GridSpec, contexts=None, **masses) -> EvidentialGrid:
+    """A map-prior grid as ``rasterize_gg`` makes it: state k for the map
+    context ``frames.MAP_CONTEXTS[k]``, and the (height, width) `contexts`,
+    indices into it, as the ids (intermediate space without `contexts`).
+    A context's state is its 2**n `masses` keyword, or vacuous without one."""
+    assert set(masses) <= set(frames.MAP_CONTEXTS), masses
+    vacuous = MassFunction.vacuous(frames.PERCEPTION_FRAME).masses
+    states = np.stack([np.asarray(masses.get(context, vacuous), dtype=float)
+                       for context in frames.MAP_CONTEXTS], axis=1)
+    if contexts is None:
+        contexts = np.full((spec.height, spec.width), frames.MAP_CONTEXTS.index("intermediate"))
+    return EvidentialGrid(spec, frames.PERCEPTION_FRAME, states,
+                          np.asarray(contexts, dtype=np.intp))
 
 
 def scan_of(beams, max_range: float) -> LidarScan:
@@ -276,16 +292,8 @@ def rasterize_oracle(vmap: VectorMap, conf: MapConfidence, spec: GridSpec) -> np
 
 
 def context_of_cell(gg: EvidentialGrid, i: int, j: int) -> str:
-    """Map context of a prior-grid cell: building, road or intermediate.
-
-    A vacuous cell (all confidences zero) counts as intermediate.
-    """
-    cell = gg.masses[j, i]
-    if cell[frames.BUILDING_SET] > 0.0:
-        return "building"
-    if cell[frames.ROAD_SET] > 0.0:
-        return "road"
-    return "intermediate"
+    """Map context of a prior-grid cell, named by its palette id."""
+    return frames.MAP_CONTEXTS[gg.ids[j, i]]
 
 
 def simulate_scan_oracle(segments, pose, sensor, rng=None) -> LidarScan:
@@ -379,7 +387,8 @@ def step_with_conflicts_dense_oracle(pg: EvidentialGrid, sg: EvidentialGrid,
     norm[conflict] = 1.0
     prior /= norm
 
-    alpha = _ageing_vector(gg_m, params)
+    alpha = _cell_rows(gg, np.array([params.ageing_for(context)
+                                     for context in frames.MAP_CONTEXTS]))
     prev = _cell_rows(pg, pg.states) * (1.0 - alpha)
     prev[frames.PG_OMEGA] += alpha
 

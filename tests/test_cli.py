@@ -206,9 +206,14 @@ def with_field(document: dict, path, value) -> dict:
     (("objects",), [{"length": 4.0, "width": 2.0, "pose": {"x": 4.0, "y": 2.0, "heading": 0.0},
                      "waypoints": [{"t": 0.0, "x": 4.0, "y": 2.0, "heading": 0.0}]}],
      "object 0: 'pose' applies to static objects only"),
+    (("objects",), [{"length": 4.0, "width": 2.0,
+                     "waypoints": [{"t": 5.0, "x": 4.0, "y": 2.0, "heading": 0.0},
+                                   {"t": 0.0, "x": 8.0, "y": 2.0, "heading": 0.0}]}],
+     "object 0 waypoint timestamps must be strictly increasing"),
 ], ids=["no_epochs", "pose_without_x", "object_without_length", "object_without_pose",
         "grid_size", "grid_without_height", "sensor_beams", "fusion_ageing", "sensor_list",
-        "trajectory_number", "map_number", "object_with_waypoints_and_pose"])
+        "trajectory_number", "map_number", "object_with_waypoints_and_pose",
+        "object_waypoints_out_of_order"])
 def test_missing_or_unknown_key_is_named(small_scenario, tmp_path, capsys, path, value,
                                          message):
     data = json.loads(small_scenario.read_text())

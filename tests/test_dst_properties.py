@@ -9,6 +9,7 @@ non-negative and sum to 1, the counter stays in [0, 1], and the conflict
 partition adds up to the conjunctive conflict K.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,9 @@ from evigrid.dst import (FrameOfDiscernment, MassFunction, Refining,
 from evigrid.fusion import (FusionParams, combine_prior, refine_sg, step_cell,
                             step_with_conflicts)
 from evigrid.grid import EvidentialGrid, GridSpec
+from evigrid.map_ingest import MapConfidence, VectorMap, rasterize_gg
 from evigrid.sensor import Pose, SensorGridParams, build_sg
-from oracles import (cell_mass, context_of_cell, dense_grid, scan_of,
+from oracles import (cell_mass, context_of_cell, dense_grid, prior_grid, scan_of,
                      step_with_conflicts_dense_oracle)
 
 FRAMES = {n: FrameOfDiscernment(tuple("abcd"[:n])) for n in (2, 3, 4)}
@@ -164,23 +166,27 @@ def assert_normal_grid(masses: np.ndarray) -> None:
 
 @st.composite
 def fusion_inputs(draw):
-    """Random perception, sensor and prior grids on a small spec.  Each
-    prior cell keeps some ignorance (a rate of at least 0.01), as a map
+    """Random perception, sensor and prior grids on a small spec.  The prior
+    holds three random context states, and each cell a random context.  Each
+    prior state keeps some ignorance (a rate of at least 0.01), as a map
     confidence below 1 does, so the prior step never meets total conflict."""
     pg_frame, sg_frame = frames.PERCEPTION_FRAME, frames.SENSOR_FRAME
     spec = GridSpec(0.0, 0.0, 0.5, draw(st.integers(1, 4)), draw(st.integers(1, 3)))
     shape = (spec.height, spec.width)
     pg_m, counter = np.empty(shape + (pg_frame.size,)), np.empty(shape)
-    sg_m, gg_m = np.empty(shape + (sg_frame.size,)), np.empty(shape + (pg_frame.size,))
+    sg_m = np.empty(shape + (sg_frame.size,))
     for cell in np.ndindex(shape):
         pg_m[cell] = draw(mass_functions(frame=pg_frame)).masses
         counter[cell] = draw(unit)
         sg_m[cell] = draw(mass_functions(frame=sg_frame)).masses
-        prior = draw(mass_functions(frame=pg_frame))
-        gg_m[cell] = discount(prior, draw(st.floats(min_value=0.01, max_value=1.0))).masses
+    priors = {context: discount(draw(mass_functions(frame=pg_frame)),
+                                draw(st.floats(min_value=0.01, max_value=1.0))).masses
+              for context in frames.MAP_CONTEXTS}
+    contexts = np.array(draw(st.lists(st.integers(0, 2), min_size=spec.width * spec.height,
+                                      max_size=spec.width * spec.height))).reshape(shape)
     params = FusionParams(*(draw(unit) for _ in range(5)))
     return (dense_grid(spec, pg_frame, pg_m, counter), dense_grid(spec, sg_frame, sg_m),
-            dense_grid(spec, pg_frame, gg_m), params)
+            prior_grid(spec, contexts, **priors), params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,13 +224,13 @@ def test_conflict_partition_adds_up_to_k(inputs):
 
 def keep_focal_sets(grid: EvidentialGrid, keep: set[int]) -> EvidentialGrid:
     """`grid` with the mass of every subset outside `keep` moved to the full
-    frame."""
+    frame, state by state."""
     omega = grid.frame.omega
     dropped = [a for a in range(1, omega) if a not in keep]
-    masses = grid.masses.copy()
-    masses[..., omega] += masses[..., dropped].sum(axis=-1)
-    masses[..., dropped] = 0.0
-    return dense_grid(grid.spec, grid.frame, masses, grid.counter)
+    states = grid.states.copy()
+    states[omega] += states[dropped].sum(axis=0)
+    states[dropped] = 0.0
+    return EvidentialGrid(grid.spec, grid.frame, states, grid.ids, grid.state_counter)
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,6 +247,49 @@ def test_step_with_conflicts_equals_dense_oracle(inputs, pg_keep, gg_keep):
         assert out.masses.tobytes() == dense.masses.tobytes()
         assert out.counter.tobytes() == dense.counter.tobytes()
         assert totals == dense_totals
+
+
+def squares_map(spec: GridSpec, contexts: np.ndarray) -> VectorMap:
+    """A map with a small square around the centre of each building and
+    each road cell of the (height, width) `contexts`, indices into
+    ``frames.MAP_CONTEXTS``."""
+    polygons = {context: [] for context in frames.MAP_CONTEXTS}
+    half = spec.cell_size / 4.0
+    for (j, i), k in np.ndenumerate(contexts):
+        x, y = spec.cell_centers(i, j)
+        polygons[frames.MAP_CONTEXTS[k]].append(
+            np.array([(x - half, y - half), (x + half, y - half),
+                      (x + half, y + half), (x - half, y + half)]))
+    return VectorMap(polygons["building"], polygons["road"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusion_inputs(), st.data())
+def test_step_with_conflicts_equals_step_cell_by_map_context(inputs, data):
+    """On the prior ``rasterize_gg`` makes of a map, with map confidences of
+    0 among them and per-context ageing rates, every cell fuses as
+    ``step_cell`` does given the context the map's geometry puts it in: a
+    building of confidence 0, whose prior is vacuous, still ages at the
+    building rate.
+
+    ``step_cell`` renormalises each mass function it makes, so the masses
+    agree within 1e-12, not bit for bit.  So that no threshold decides on a
+    rounding, the counter steps are 0 and each prior keeps some ignorance.
+    """
+    pg, sg, drawn, params = inputs
+    spec, contexts = pg.spec, drawn.ids
+    conf = MapConfidence(*(data.draw(st.just(0.0) | st.floats(0.0, 0.99))
+                           for _ in frames.MAP_CONTEXTS))
+    params = dataclasses.replace(params, counter_inc=0.0, counter_dec=0.0,
+                                 ageing_by_context=data.draw(
+                                     st.dictionaries(st.sampled_from(frames.MAP_CONTEXTS), unit)))
+    gg = rasterize_gg(squares_map(spec, contexts), conf, spec)
+    out = step_with_conflicts(pg, sg, gg, params)[0]
+    for (j, i), k in np.ndenumerate(contexts):
+        m, z, _ = step_cell(cell_mass(pg, i, j), pg.counter[j, i], cell_mass(sg, i, j),
+                            cell_mass(gg, i, j), params, frames.MAP_CONTEXTS[k])
+        assert np.abs(out.masses[j, i] - m.masses).max() <= 1e-12, (i, j)
+        assert out.counter[j, i] == z, (i, j)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from evigrid.grid import EvidentialGrid, GridSpec
 from evigrid.map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from evigrid.sensor import Pose, SensorGridParams, build_sg
 from evigrid.simulator import ScenarioConfig, run_scenario
-from oracles import (cell_mass, context_of_cell, dense_grid, scan_of,
+from oracles import (cell_mass, context_of_cell, dense_grid, prior_grid, scan_of,
                      step_with_conflicts_dense_oracle)
 
 PG = frames.PERCEPTION_FRAME
@@ -243,25 +243,32 @@ class TestDecide:
         assert decide(m, 0.5) == UNKNOWN
 
 
-def random_masses(rng, spec, frame, max_focal):
-    """(height, width, 2**n) masses, each cell on `max_focal` random subsets."""
-    masses = np.zeros((spec.height, spec.width, frame.size))
-    for i in range(spec.width):
-        for j in range(spec.height):
-            n = min(max_focal, frame.size - 1)
-            subsets = rng.choice(np.arange(1, frame.size), size=n, replace=False)
-            weights = rng.random(n)
-            masses[j, i, subsets] = weights / weights.sum()
+def random_masses(rng, shape, frame, max_focal):
+    """(*shape, 2**n) masses, each on `max_focal` random subsets."""
+    masses = np.zeros(shape + (frame.size,))
+    for index in np.ndindex(shape):
+        n = min(max_focal, frame.size - 1)
+        subsets = rng.choice(np.arange(1, frame.size), size=n, replace=False)
+        weights = rng.random(n)
+        masses[index + (subsets,)] = weights / weights.sum()
     return masses
 
 
 def random_grid(rng, spec, frame, max_focal):
-    return dense_grid(spec, frame, random_masses(rng, spec, frame, max_focal))
+    return dense_grid(spec, frame, random_masses(rng, (spec.height, spec.width), frame, max_focal))
+
+
+def random_prior(rng, spec):
+    """A map-prior grid of three random context states, each on 3 random
+    subsets, and a random context per cell."""
+    states = random_masses(rng, (len(frames.MAP_CONTEXTS),), PG, 3)
+    return prior_grid(spec, rng.integers(0, 3, (spec.height, spec.width)),
+                      **dict(zip(frames.MAP_CONTEXTS, states)))
 
 
 def random_pg(rng, spec, with_counter=False):
     """A perception grid of random masses and, `with_counter`, counters."""
-    masses = random_masses(rng, spec, PG, 6)
+    masses = random_masses(rng, (spec.height, spec.width), PG, 6)
     counter = rng.random((spec.height, spec.width)) if with_counter else None
     return dense_grid(spec, PG, masses, counter)
 
@@ -271,7 +278,7 @@ class TestStep:
 
     def fresh(self):
         sg = EvidentialGrid(self.SPEC, SG)
-        gg = EvidentialGrid(self.SPEC, PG)
+        gg = prior_grid(self.SPEC)
         pg = EvidentialGrid(self.SPEC, PG)
         return pg, sg, gg
 
@@ -287,11 +294,19 @@ class TestStep:
         with pytest.raises(ValueError, match="GridSpec"):
             step_with_conflicts(pg, other, gg, FusionParams())
 
+    @pytest.mark.parametrize("states", [1, 2, 4])
+    def test_map_grid_holds_the_three_contexts(self, states):
+        pg, sg, _ = self.fresh()
+        gg = EvidentialGrid(self.SPEC, PG, np.tile(prior_grid(self.SPEC).states[:, :1], states))
+        message = rf"one state per map context \(building, road, intermediate\), got {states}$"
+        with pytest.raises(ValueError, match=message):
+            step_with_conflicts(pg, sg, gg, FusionParams())
+
     def test_matches_per_cell_reference(self):
         rng = np.random.default_rng(3)
         params = FusionParams(ageing_by_context={"building": 0.01, "road": 0.1})
         sg = random_grid(rng, self.SPEC, SG, 2)
-        gg = random_grid(rng, self.SPEC, PG, 3)
+        gg = random_prior(rng, self.SPEC)
         pg = random_pg(rng, self.SPEC, with_counter=True)
         out, totals = step_with_conflicts(pg, sg, gg, params)
         total_check = 0.0
@@ -308,7 +323,7 @@ class TestStep:
     def test_vacuous_map_equals_map_free(self):
         rng = np.random.default_rng(5)
         sg = random_grid(rng, self.SPEC, SG, 2)
-        gg_vac = EvidentialGrid(self.SPEC, PG)
+        gg_vac = prior_grid(self.SPEC)
         pg = EvidentialGrid(self.SPEC, PG)
         out, _ = step_with_conflicts(pg, sg, gg_vac, FusionParams())
         # reference: per-cell chain without the prior combination
@@ -322,16 +337,17 @@ class TestStep:
         # a certain free cell against a certain building: Dempster's rule is
         # undefined there, so the cell fuses the sensor mass without the prior
         pg, sg, gg = self.fresh()
-        sg_m, gg_m = sg.masses.copy(), gg.masses.copy()
+        sg_m = sg.masses.copy()
         sg_m[1, 2] = sg_mass({"F": 1.0}).masses
-        gg_m[1, 2] = pg_mass({"I": 1.0}).masses
         sg = dense_grid(self.SPEC, SG, sg_m)
-        gg = dense_grid(self.SPEC, PG, gg_m)
+        contexts = gg.ids.copy()
+        contexts[1, 2] = frames.MAP_CONTEXTS.index("building")
+        gg = prior_grid(self.SPEC, contexts, building=pg_mass({"I": 1.0}).masses)
         with pytest.raises(TotalConflictError):
             combine_dempster(refine_sg(cell_mass(sg, 2, 1)), cell_mass(gg, 2, 1))
         out, totals = step_with_conflicts(pg, sg, gg, FusionParams())
         m, z, conflicts = step_cell(cell_mass(pg, 2, 1), 0.0, cell_mass(sg, 2, 1),
-                                    MassFunction.vacuous(PG), FusionParams())
+                                    MassFunction.vacuous(PG), FusionParams(), "building")
         assert np.allclose(out.masses[1, 2], m.masses, atol=1e-12)
         assert out.counter[1, 2] == z and totals == conflicts
         assert (out.masses[:, :, PG.omega] == 1.0).sum() == self.SPEC.width * self.SPEC.height - 1
@@ -339,7 +355,7 @@ class TestStep:
     def test_determinism(self):
         rng = np.random.default_rng(9)
         sg = random_grid(rng, self.SPEC, SG, 2)
-        gg = random_grid(rng, self.SPEC, PG, 3)
+        gg = random_prior(rng, self.SPEC)
         pg = EvidentialGrid(self.SPEC, PG)
         a = step_with_conflicts(pg, sg, gg, FusionParams())[0]
         b = step_with_conflicts(pg, sg, gg, FusionParams())[0]
@@ -383,7 +399,7 @@ class TestStep:
         m_sg = sg_mass({"O": 0.8, "FO": 0.2})
         m_gg = pg_mass({"FSM": 0.8, "FIUSM": 0.2})
         sg = dense_grid(spec, SG, m_sg.masses[None, None])
-        gg = dense_grid(spec, PG, m_gg.masses[None, None])
+        gg = prior_grid(spec, [[frames.MAP_CONTEXTS.index("road")]], road=m_gg.masses)
         pg = EvidentialGrid(spec, PG)
         m, z = MassFunction.vacuous(PG), 0.0
         for _ in range(3):

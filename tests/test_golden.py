@@ -29,10 +29,15 @@ DIGESTS = TESTS / "golden_digests.json"
 SCAN_LOG = "scans.ndjson"
 
 # Every shipped scenario's grid is square, so a swapped width and height
-# would pass them all: a non-square grid tells the two apart.
+# would pass them all: a non-square grid tells the two apart.  A building of
+# map confidence 0 has a vacuous prior, yet its cells age at the building
+# rate (the other settings replaced equal the scenario's).
 VARIANTS = {
     "crossing_car_72x40": ("crossing_car", {"grid": {
         "origin_east": 0.0, "origin_north": 0.0, "cell_size": 0.5, "width": 72, "height": 40}}),
+    "parked_then_leaves_building_ageing": ("parked_then_leaves", {
+        "map_confidence": {"building": 0.0, "road": 0.8, "intermediate": 0.6},
+        "fusion": {"ageing_by_context": {"building": 0.5}}}),
 }
 CASES = {**{path.stem: (path.stem, {}) for path in SCENARIOS.glob("*.json")}, **VARIANTS}
 

@@ -52,6 +52,25 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="missing kind"):
             load_map(path)
 
+    @pytest.mark.parametrize("properties", [[], 0, "", False, ["kind"], "building"])
+    def test_properties_not_an_object(self, tmp_path, properties):
+        feature = polygon_feature("building", SQUARE_RING)
+        feature["properties"] = properties
+        path = write_map(tmp_path / "m.geojson", [feature])
+        with pytest.raises(MapFormatError, match="feature 0: properties must be an object"):
+            load_map(path)
+
+    @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+    def test_null_or_absent_properties_miss_the_kind(self, tmp_path, absent):
+        feature = polygon_feature("building", SQUARE_RING)
+        if absent:
+            del feature["properties"]
+        else:
+            feature["properties"] = None
+        path = write_map(tmp_path / "m.geojson", [feature])
+        with pytest.raises(MapFormatError, match="feature 0: missing kind property"):
+            load_map(path)
+
     def test_too_few_vertices(self, tmp_path):
         path = write_map(tmp_path / "m.geojson",
                          [polygon_feature("road", [[0, 0], [1, 1], [0, 0]])])
@@ -241,6 +260,18 @@ class TestRasterize:
         open_cell = cell_mass(gg, 0, 3)
         assert open_cell[frames.INTERMEDIATE_SET] == pytest.approx(0.6)
         assert open_cell["FIUSM"] == pytest.approx(0.4)
+
+    def test_palette_is_the_three_contexts(self):
+        """One state per map context, in the order of ``frames.MAP_CONTEXTS``,
+        present on the map or not; each cell's id is its context."""
+        vmap = VectorMap(roads=[np.array([(0, 0), (2, 0), (2, 2), (0, 2)])])
+        gg = rasterize_gg(vmap, MapConfidence(building=0.9, road=0.8, intermediate=0.6),
+                          self.SPEC)
+        assert frames.MAP_CONTEXTS == ("building", "road", "intermediate")
+        assert gg.states.shape == (frames.PERCEPTION_FRAME.size, 3)
+        assert gg.states[[frames.BUILDING_SET, frames.ROAD_SET, frames.INTERMEDIATE_SET],
+                         [0, 1, 2]].tolist() == [0.9, 0.8, 0.6]
+        assert gg.ids.tolist() == [[1, 1, 2, 2], [1, 1, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2]]
 
     def test_at_most_two_focal(self):
         vmap = VectorMap(buildings=[np.array([(0, 0), (2, 0), (2, 2), (0, 2)])])

@@ -24,7 +24,7 @@ from evigrid.grid import EvidentialGrid, GridSpec
 from evigrid.map_ingest import load_map, rasterize_gg
 from evigrid.sensor import build_sg
 from evigrid.simulator import ScenarioConfig, TimedPose, run_scenario
-from oracles import cell_mass, dense_grid, step_with_conflicts_dense_oracle
+from oracles import cell_mass, dense_grid, prior_grid, step_with_conflicts_dense_oracle
 
 PG = frames.PERCEPTION_FRAME
 SG = frames.SENSOR_FRAME
@@ -94,13 +94,17 @@ def state_pool(draw, size: int, ignorance: bool = False):
 
 
 @st.composite
-def palette_grid(draw, spec, frame, ignorance=False, counter=False):
+def palette_grid(draw, spec, frame, ignorance=False, counter=False, states=None):
     """A palette grid whose cells take states from a small pool; some pool
     states may be used by no cell.  With `counter`, each state draws its
-    counter, else it is 0."""
+    counter, else it is 0.  With `states`, the palette holds that many
+    states drawn from the pool, as a map prior holds one per map context."""
     pool = draw(state_pool(frame.size, ignorance))
-    extra = draw(st.lists(st.sampled_from(pool), max_size=2))
-    rows = np.array(pool + extra).T.copy()
+    if states is None:
+        rows = pool + draw(st.lists(st.sampled_from(pool), max_size=2))
+    else:
+        rows = draw(st.lists(st.sampled_from(pool), min_size=states, max_size=states))
+    rows = np.array(rows).T.copy()
     ids = np.array(draw(st.lists(st.integers(0, rows.shape[1] - 1),
                                  min_size=spec.width * spec.height,
                                  max_size=spec.width * spec.height)),
@@ -117,7 +121,7 @@ def pooled_inputs(draw):
     spec = GridSpec(0.0, 0.0, 0.5, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
     pg = draw(palette_grid(spec, PG, counter=True))
     sg = draw(palette_grid(spec, SG))
-    gg = draw(palette_grid(spec, PG, ignorance=True))
+    gg = draw(palette_grid(spec, PG, ignorance=True, states=len(frames.MAP_CONTEXTS)))
     params = FusionParams(*(draw(unit) for _ in range(5)),
                           ageing_by_context=draw(st.none() | st.just({"building": 0.01,
                                                                       "road": 0.1})))
@@ -131,8 +135,7 @@ def test_palette_kernel_equals_dense_oracle(inputs):
     out, totals = step_with_conflicts(pg, sg, gg, params)
     assert_same_bits(out, totals, *step_with_conflicts_dense_oracle(pg, sg, gg, params))
     # a dense grid is the palette with one column per cell
-    assert_same_bits(*step_with_conflicts(dense(pg), dense(sg), dense(gg), params),
-                     out, totals)
+    assert_same_bits(*step_with_conflicts(dense(pg), dense(sg), gg, params), out, totals)
     assert_exact_palette(out)
     assert out.states.shape[1] == len({state.tobytes() for state in cell_states(out)})
 
@@ -195,7 +198,7 @@ def test_total_conflict_with_prior_keeps_the_sensor_mass():
                         sg_ids.reshape(3, 4))
     building = np.zeros(PG.size)
     building[frames.BUILDING_SET] = 1.0
-    gg = EvidentialGrid(spec, PG, building[:, None], np.zeros((3, 4), dtype=np.intp))
+    gg = prior_grid(spec, np.zeros((3, 4)), building=building)
     pg = EvidentialGrid(spec, PG)
     params = FusionParams()
     out, totals = step_with_conflicts(pg, sg, gg, params)
@@ -223,8 +226,9 @@ def test_gathered_cells_are_read_only():
 @pytest.mark.parametrize("name", ["crossing_car", "parked_then_leaves", "street_canyon"])
 def test_scenario_run_equals_dense_loop(scenario_dir, name):
     """A run with range jitter and a moving ego, against the dense 32-row
-    oracle chained on dense grids: the same bits at every epoch, and the
-    same pignistic probabilities and decisions."""
+    oracle chained on dense sensor and perception grids (the prior keeps
+    its three context states): the same bits at every epoch, and the same
+    pignistic probabilities and decisions."""
     cfg = ScenarioConfig.from_file(scenario_dir / f"{name}.json")
     cfg.sensor = dataclasses.replace(cfg.sensor, range_jitter=0.02)
     start = cfg.trajectory[0]
@@ -232,7 +236,7 @@ def test_scenario_run_equals_dense_loop(scenario_dir, name):
     end = dataclasses.replace(start.pose, y=start.pose.y + 3.0,
                               heading=start.pose.heading + 0.3)
     cfg.trajectory = cfg.trajectory + (TimedPose(end_t, end),)
-    gg = dense(rasterize_gg(load_map(cfg.map_path), cfg.map_confidence, cfg.grid))
+    gg = rasterize_gg(load_map(cfg.map_path), cfg.map_confidence, cfg.grid)
     pg = EvidentialGrid(cfg.grid, PG)
     for result in run_scenario(cfg, seed=17):
         sg = dense(build_sg(result.scan, result.pose, cfg.grid, cfg.sensor_model))
