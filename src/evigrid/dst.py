@@ -21,7 +21,8 @@ import numpy as np
 # combinations), larger ones are rejected.
 SUM_TOLERANCE = 1e-9
 
-# Dempster's rule divides by 1 - K; treat K this close to 1 as total conflict.
+# Dempster's rule divides by the mass kept off the empty set, 1 - K; treat a
+# kept mass this close to 0 as total conflict.
 TOTAL_CONFLICT_TOLERANCE = 1e-12
 
 SubsetKey = Union[int, Iterable[str]]
@@ -114,6 +115,9 @@ class MassFunction:
             if vec.shape != (frame.size,):
                 raise ValueError(f"expected {frame.size} masses, got shape {vec.shape}")
             arr[:] = vec
+        if not np.isfinite(arr).all():
+            k = int(np.argmin(np.isfinite(arr)))
+            raise ValueError(f"mass {arr[k]} on subset {k} is not finite")
         if arr.min() < -SUM_TOLERANCE:
             raise ValueError(f"negative mass {arr.min()}")
         np.clip(arr, 0.0, None, out=arr)
@@ -212,15 +216,14 @@ def combine_conjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Conjunctive combination normalised by the conflict mass."""
-    conj = combine_conjunctive(m1, m2)
-    k = conj.conflict
-    if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
-        raise TotalConflictError("total conflict, combination undefined")
-    arr = conj.masses.copy()
+    """Conjunctive combination normalised by the conflict mass: the kept
+    masses over their sum, which still sums to 1 where ``1 - K`` cancels."""
+    arr = combine_conjunctive(m1, m2).masses.copy()
     arr[0] = 0.0
-    arr /= 1.0 - k
-    return MassFunction(m1.frame, arr)
+    kept = arr.sum()
+    if kept <= TOTAL_CONFLICT_TOLERANCE:
+        raise TotalConflictError("total conflict, combination undefined")
+    return MassFunction(m1.frame, arr / kept)
 
 
 def combine_disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:

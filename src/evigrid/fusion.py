@@ -39,7 +39,7 @@ import numpy as np
 from . import frames
 from .dst import (MassFunction, TOTAL_CONFLICT_TOLERANCE, TotalConflictError,
                   combine_dempster, discount, pignistic, refine, specialize)
-from .grid import EvidentialGrid, _distinct_tuples, _one_of_each
+from .grid import EvidentialGrid, _check_fields, _distinct_tuples, _known, _one_of_each, _unit
 
 DECISION_LABELS = ("F", "I", "U", "S", "M", "UNKNOWN")
 UNKNOWN = "UNKNOWN"
@@ -75,17 +75,12 @@ class FusionParams:
     ageing_by_context: Optional[Mapping[str, float]] = None
 
     def __post_init__(self):
-        for name in ("ageing_rate", "counter_inc", "counter_dec",
-                     "occupancy_threshold", "conflict_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.ageing_by_context:
-            for key, value in self.ageing_by_context.items():
-                if key not in frames.MAP_CONTEXTS:
-                    raise ValueError(f"unknown ageing context {key!r}")
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"ageing rate for {key!r} must be in [0, 1]")
+        _check_fields(self, _unit, ("ageing_rate", "counter_inc", "counter_dec",
+                                    "occupancy_threshold", "conflict_threshold"))
+        if self.ageing_by_context is not None:
+            rates = _known(self.ageing_by_context, frames.MAP_CONTEXTS, "ageing_by_context")
+            object.__setattr__(self, "ageing_by_context", {
+                key: _unit(rate, f"ageing_by_context {key}") for key, rate in rates.items()})
 
     def ageing_for(self, context: str) -> float:
         if self.ageing_by_context:
@@ -349,8 +344,9 @@ def step_with_conflicts(pg: EvidentialGrid, sg: EvidentialGrid, gg: EvidentialGr
     counter_prev = pg.state_counter[pg_col]
 
     # Dempster's rule with the map prior: drop the conflict, renormalize by
-    # 1 - K; where 1 - K is within the tolerance of 0 the rule is undefined,
-    # and the cell takes the refined sensor mass without the prior
+    # the sum of the kept products; where that is within the tolerance of 0
+    # the rule is undefined, and the cell takes the refined sensor mass
+    # without the prior
     gg_sets = tuple(np.flatnonzero(gg_m.any(axis=1)).tolist())
     prior_sets = {b & c for b in _SENSOR_SETS for c in gg_sets} - {0}
     prior_sets = tuple(sorted(prior_sets | set(_SENSOR_SETS)))

@@ -5,19 +5,73 @@ Cell (i, j) of a grid covers the box
 analogous interval north; per-cell arrays hold it at ``[j, i]``, in the
 (height, width) raster layout.  Grids are world-fixed; the vehicle pose
 moves through them.  Tuples of palette ids are keyed here only, by
-``_distinct_tuples``.
+``_distinct_tuples``.  The checks that every settings class applies to its
+fields are here too: ``_number``, ``_count`` and ``_unit`` of a value, and
+``_known`` of an object's keys.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
 
 from .dst import FrameOfDiscernment
+
+
+def _number(value, name: str) -> float:
+    """`value` as a float, once it is a finite real number and not a bool:
+    a string, a bool, and the NaN and Infinity that ``json`` reads are
+    rejected, naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    """`value` as an int, once it is an integer of at least 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def _unit(value, name: str) -> float:
+    """`value` as a float, once it is a ``_number`` in [0, 1]."""
+    value = _number(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
+
+
+def _check_fields(settings, check, names) -> None:
+    """Replace each field in `names` of the dataclass `settings`, frozen or
+    not, by `check` of its value; the error names the field."""
+    for name in names:
+        object.__setattr__(settings, name, check(getattr(settings, name), name))
+
+
+def _known(data, keys, where: str = "", required=()) -> dict:
+    """`data`, once it is an object whose keys are all in `keys` and include
+    each of `required`; `where` names it in the error."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where} {data!r} is not an object".lstrip())
+    lead = f"{where}: " if where else ""
+    unknown = sorted(map(repr, set(data) - set(keys)))
+    if unknown:
+        raise ValueError(f"{lead}unknown key(s) {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{lead}missing key(s) {', '.join(map(repr, missing))}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -29,17 +83,8 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        for name in ("origin_east", "origin_north", "cell_size"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        _check_fields(self, _number, ("origin_east", "origin_north", "cell_size"))
+        _check_fields(self, _count, ("width", "height"))
         if self.cell_size <= 0:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames
-from .grid import EvidentialGrid, GridSpec
+from .grid import EvidentialGrid, GridSpec, _check_fields, _unit
 
 # Tolerance for the boundary-inclusive point-on-edge test (metres^2 scale in
 # the cross product; map coordinates are metres, so this is far below any
@@ -55,10 +55,7 @@ class MapConfidence:
     intermediate: float = 0.6
 
     def __post_init__(self):
-        for name in frames.MAP_CONTEXTS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} confidence must be in [0, 1], got {value}")
+        _check_fields(self, _unit, frames.MAP_CONTEXTS)
 
 
 def _parse_polygon(where: str, geometry: dict) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .grid import EvidentialGrid, GridSpec, _distinct_tuples
+from .grid import EvidentialGrid, GridSpec, _check_fields, _distinct_tuples, _unit
 
 _TAU = 2.0 * math.pi
 
@@ -104,10 +104,7 @@ class SensorGridParams:
     occupied_weight: float = 0.8
 
     def __post_init__(self):
-        for name in ("free_weight", "occupied_weight"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        _check_fields(self, _unit, ("free_weight", "occupied_weight"))
 
 
 def _crossing_times(k: np.ndarray, sign: np.ndarray, t0: np.ndarray, dt: np.ndarray,

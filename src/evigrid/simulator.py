@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import random
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 from . import frames, fusion
 from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignistic,
                      step_with_conflicts)
-from .grid import EvidentialGrid, GridSpec
+from .grid import EvidentialGrid, GridSpec, _check_fields, _count, _known, _number, _unit
 from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from .sensor import LidarScan, Pose, SensorGridParams, beam_directions, build_sg, normalize_heading
 
@@ -42,6 +41,11 @@ class ScenarioError(ValueError):
 class TimedPose:
     t: float
     pose: Pose
+
+
+def _check_increasing(poses: tuple[TimedPose, ...], what: str) -> None:
+    if any(b.t <= a.t for a, b in zip(poses, poses[1:])):
+        raise ScenarioError(f"{what} timestamps must be strictly increasing")
 
 
 def interpolate_pose(trajectory: tuple[TimedPose, ...], t: float) -> Pose:
@@ -67,8 +71,9 @@ def interpolate_pose(trajectory: tuple[TimedPose, ...], t: float) -> Pose:
 class ObjectTrack:
     """A rectangular object, either waypoint-driven or parked.
 
-    Waypoint tracks exist from their first to their last timestamp.  Static
-    tracks exist in [appear_t, disappear_t).
+    Waypoint tracks exist from their first to their last timestamp, and
+    their timestamps increase strictly.  Static tracks exist in
+    [appear_t, disappear_t).
     """
 
     length: float
@@ -80,9 +85,10 @@ class ObjectTrack:
 
     def __post_init__(self):
         if self.length <= 0 or self.width <= 0:
-            raise ScenarioError("object footprint dimensions must be positive")
+            raise ScenarioError("footprint dimensions must be positive")
         if bool(self.waypoints) == (self.pose is not None):
-            raise ScenarioError("object needs either waypoints or a static pose")
+            raise ScenarioError("needs either waypoints or a static pose")
+        _check_increasing(self.waypoints, "waypoint")
 
     def pose_at(self, t: float) -> Optional[Pose]:
         if self.waypoints:
@@ -114,19 +120,15 @@ class SensorSpec:
     range_jitter: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.beam_count, bool) or not isinstance(self.beam_count, numbers.Integral):
-            raise ScenarioError(f"beam_count must be an integer, got {self.beam_count!r}")
-        if self.beam_count < 1:
-            raise ScenarioError("beam_count must be >= 1")
-        for name in ("fov", "max_range", "rate", "range_jitter"):
-            object.__setattr__(self, name, _number(getattr(self, name), f"sensor {name}"))
+        _check_fields(self, _count, ("beam_count",))
+        _check_fields(self, _number, ("fov", "max_range", "rate", "range_jitter"))
         if not 0.0 <= self.fov <= 2.0 * math.pi:
-            raise ScenarioError(f"sensor fov must be in [0, 2 pi], got {self.fov}")
+            raise ValueError(f"fov must be in [0, 2 pi], got {self.fov}")
         for name in ("max_range", "rate"):
             if getattr(self, name) <= 0:
-                raise ScenarioError(f"sensor {name} must be > 0, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.range_jitter < 0:
-            raise ScenarioError("range_jitter must be >= 0")
+            raise ValueError(f"range_jitter must be >= 0, got {self.range_jitter}")
 
     def bearings(self) -> np.ndarray:
         if self.beam_count == 1:
@@ -144,64 +146,29 @@ class Settings:
     fusion: FusionParams = field(default_factory=FusionParams)
     decision_threshold: float = 0.5
 
+    def __post_init__(self):
+        self.decision_threshold = _unit(self.decision_threshold, "decision_threshold")
 
-def _section(value, kind, name: str) -> dict:
-    """The object `value` of the section `name`, once its keys are fields of
-    the dataclass `kind`, those without a default included."""
+
+def _section(value, kind, name: str):
+    """The dataclass `kind` made from the object `value` of the section
+    `name`, once its keys are fields of `kind`, those without a default
+    included.  The section's name leads the class's error."""
     fields = dataclasses.fields(kind)
-    return _known(value, {f.name for f in fields}, name,
-                  [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
+    _known(value, {f.name for f in fields}, name,
+           [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
+    try:
+        return kind(**value)
+    except ValueError as exc:
+        raise ScenarioError(f"{name} {exc}") from exc
 
 
 def _parse_settings(data: dict) -> dict:
-    """The settings keys present in a scenario or params document, parsed.
-
-    Absent keys are left out, so that defaults or a base's values hold.
-    The numbers of the other sections and the decision threshold must be
-    finite JSON numbers, the threshold in [0, 1]; ``GridSpec`` checks the
-    grid's.
-    """
-    parsed = {}
-    kinds = {"grid": GridSpec, "sensor_model": SensorGridParams,
-             "map_confidence": MapConfidence, "fusion": FusionParams}
-    for key, kind in kinds.items():
-        if key in data:
-            values = _section(data[key], kind, key)
-            if kind is not GridSpec:
-                values = {name: _setting(value, f"{key} {name}") for name, value in values.items()}
-            parsed[key] = kind(**values)
-    if "decision_threshold" in data:
-        threshold = _number(data["decision_threshold"], "decision_threshold")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"decision_threshold must be in [0, 1], got {threshold}")
-        parsed["decision_threshold"] = threshold
-    return parsed
-
-
-def _setting(value, name: str):
-    """One value of a settings section: a number, except that
-    ``fusion ageing_by_context`` is null or an object of numbers."""
-    if name != "fusion ageing_by_context":
-        return _number(value, name)
-    if value is None:
-        return None
-    return {key: _number(rate, f"{name} {key}")
-            for key, rate in _known(value, frames.MAP_CONTEXTS, name).items()}
-
-
-def _known(data, keys, where: str = "", required=()) -> dict:
-    """`data`, once it is an object whose keys are all in `keys` and include
-    each of `required`; `where` names it in the error."""
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{where} {data!r} is not an object".lstrip())
-    lead = f"{where}: " if where else ""
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise ScenarioError(f"{lead}unknown key(s) {', '.join(map(repr, unknown))}")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ScenarioError(f"{lead}missing key(s) {', '.join(map(repr, missing))}")
-    return data
+    """The settings present in a scenario or params document: each section
+    made as its class, and the decision threshold as given.  Absent keys
+    are left out, so that defaults or a base's values hold."""
+    return {key: _section(value, _SECTIONS[key], key) if key in _SECTIONS else value
+            for key, value in data.items() if key in _SETTINGS_KEYS}
 
 
 def _parse_file(path: Path, kind: str, parse):
@@ -222,6 +189,8 @@ def _parse_file(path: Path, kind: str, parse):
 
 
 _SETTINGS_KEYS = {f.name for f in dataclasses.fields(Settings)}
+_SECTIONS = {"grid": GridSpec, "sensor_model": SensorGridParams,
+             "map_confidence": MapConfidence, "fusion": FusionParams}
 _SCENARIO_KEYS = _SETTINGS_KEYS | {"map", "trajectory", "sensor", "epochs", "objects"}
 _OBJECT_KEYS = {"length", "width", "waypoints", "pose", "appear_t", "disappear_t"}
 _POSE_KEYS = ("x", "y", "heading")
@@ -249,12 +218,11 @@ class ScenarioConfig(Settings):
     objects: list[ObjectTrack] = field(default_factory=list)
 
     def __post_init__(self):
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
-            raise ScenarioError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.epochs < 1:
-            raise ScenarioError("epoch count must be >= 1")
+        super().__post_init__()
+        self.epochs = _count(self.epochs, "epochs")
         if not self.trajectory:
             raise ScenarioError("trajectory must contain at least one pose")
+        _check_increasing(self.trajectory, "trajectory")
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -264,11 +232,8 @@ class ScenarioConfig(Settings):
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path = Path(".")) -> "ScenarioConfig":
         """A scenario from its JSON object; unknown and missing keys are
-        named, in the document and in each of its objects.  The timestamps
-        of the trajectory and of each object's waypoints must increase
-        strictly."""
-        _known(data, _SCENARIO_KEYS, required=("map", "grid", "trajectory", "epochs"))
-
+        named, in the document and in each of its objects, and a ValueError
+        of any class it makes is raised as a ScenarioError."""
         def listed(entries, where) -> list:
             if not isinstance(entries, list):
                 raise ScenarioError(f"{where} {entries!r} is not a list")
@@ -281,14 +246,10 @@ class ScenarioConfig(Settings):
             keys = ("t", *_POSE_KEYS)
             entries = [_known(e, keys, f"{where} {k}", keys)
                        for k, e in enumerate(listed(entries, where))]
-            poses = tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
-                          for e in entries)
-            if any(b.t <= a.t for a, b in zip(poses, poses[1:])):
-                raise ScenarioError(f"{where} timestamps must be strictly increasing")
-            return poses
+            return tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
+                         for e in entries)
 
-        objects = []
-        for k, entry in enumerate(listed(data.get("objects", []), "objects")):
+        def track(k, entry) -> ObjectTrack:
             where = f"object {k}"
             _known(entry, _OBJECT_KEYS, where, ("length", "width"))
             kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
@@ -305,18 +266,26 @@ class ScenarioConfig(Settings):
                 for key in ("appear_t", "disappear_t"):
                     if key in entry:
                         kwargs[key] = _number(entry[key], f"{where} {key}")
-            objects.append(ObjectTrack(**kwargs))
+            try:
+                return ObjectTrack(**kwargs)
+            except ValueError as exc:
+                raise ScenarioError(f"{where} {exc}") from exc
 
-        if not isinstance(data["map"], str):
-            raise ScenarioError(f"map {data['map']!r} is not a string")
-        return cls(
-            map_path=base_dir / data["map"],
-            trajectory=timed_poses(data["trajectory"], "trajectory"),
-            sensor=SensorSpec(**_section(data.get("sensor", {}), SensorSpec, "sensor")),
-            epochs=data["epochs"],
-            objects=objects,
-            **_parse_settings(data),
-        )
+        try:
+            _known(data, _SCENARIO_KEYS, required=("map", "grid", "trajectory", "epochs"))
+            if not isinstance(data["map"], str):
+                raise ScenarioError(f"map {data['map']!r} is not a string")
+            return cls(
+                map_path=base_dir / data["map"],
+                trajectory=timed_poses(data["trajectory"], "trajectory"),
+                sensor=_section(data.get("sensor", {}), SensorSpec, "sensor"),
+                epochs=data["epochs"],
+                objects=[track(k, entry) for k, entry
+                         in enumerate(listed(data.get("objects", []), "objects"))],
+                **_parse_settings(data),
+            )
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
 
 def polygon_segments(polygon: np.ndarray) -> np.ndarray:
@@ -447,17 +416,6 @@ def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
         "beams": list(map(list, zip(bearing, rng, map(bool, hit)))),
         "max_range": scan.max_range,
     })
-
-
-def _number(value, name: str) -> float:
-    """A number from a scenario file or a log record: a finite JSON number,
-    not a boolean or a string, nor the NaN or Infinity that ``json`` takes."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} {value!r} is not a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 def _hit_flag(value) -> bool:

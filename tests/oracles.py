@@ -105,9 +105,8 @@ def disjunctive_oracle(m1: MassFunction, m2: MassFunction) -> np.ndarray:
 
 def dempster_oracle(m1: MassFunction, m2: MassFunction) -> np.ndarray:
     out = conjunctive_oracle(m1, m2)
-    k = out[0]
     out[0] = 0.0
-    return out / (1.0 - k)
+    return out / out.sum()
 
 
 def sensor_merge_oracle(free_weight: float, occupied_weight: float,
@@ -379,7 +378,8 @@ def step_with_conflicts_dense_oracle(pg: EvidentialGrid, sg: EvidentialGrid,
     refined[frames.PG_OMEGA] = sg_m[frames.SG_OMEGA]
 
     # Dempster's rule with the map prior: drop the conflict, renormalize by
-    # 1 - K; under total conflict, the refined sensor mass without the prior
+    # the sum of the kept products; under total conflict, the refined sensor
+    # mass without the prior
     prior = _conjunctive_rows_dense(refined, gg_m)[0]
     norm = _sum_in_row_order(prior)
     conflict = norm <= TOTAL_CONFLICT_TOLERANCE

@@ -387,9 +387,9 @@ def test_non_integer_beam_count_is_config_error(small_scenario, tmp_path, capsys
     ("sensor", "range_jitter", False, "sensor range_jitter False is not a number"),
     ("sensor", "fov", 7.0, "sensor fov must be in [0, 2 pi], got 7.0"),
     ("sensor", "fov", -0.5, "sensor fov must be in [0, 2 pi], got -0.5"),
-    ("grid", "origin_east", True, "origin_east must be a finite number, got True"),
-    ("grid", "origin_north", False, "origin_north must be a finite number, got False"),
-    ("grid", "cell_size", True, "cell_size must be a finite number, got True"),
+    ("grid", "origin_east", True, "grid origin_east True is not a number"),
+    ("grid", "origin_north", False, "grid origin_north False is not a number"),
+    ("grid", "cell_size", True, "grid cell_size True is not a number"),
 ])
 def test_bad_sensor_or_grid_number_is_config_error(small_scenario, tmp_path, capsys, section,
                                                    field, value, message):
@@ -410,7 +410,7 @@ def test_bool_grid_number_in_params_is_config_error(small_scenario, tmp_path, ca
     rc = main(["replay", str(log), str(tmp_path / "m.geojson"), "--out", str(tmp_path / "out"),
                "--params", str(params)])
     assert rc == 1
-    assert "cell_size must be a finite number, got True" in capsys.readouterr().err
+    assert "grid cell_size True is not a number" in capsys.readouterr().err
 
 
 def test_overlapping_map_is_config_error(small_scenario, tmp_path, capsys):

@@ -41,6 +41,8 @@ class TestMassFunction:
             MassFunction(AB, {"a": 0.5, "b": 0.6})
         with pytest.raises(ValueError):
             MassFunction(AB, {"a": -0.1, "b": 1.1})
+        with pytest.raises(ValueError, match="^mass nan on subset 1 is not finite$"):
+            MassFunction(AB, [0.0, np.nan, 0.0, 1.0])
 
     def test_tiny_drift_renormalized(self):
         m = MassFunction(AB, {"a": 0.5, "b": 0.5 + 5e-10})

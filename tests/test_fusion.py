@@ -333,16 +333,21 @@ class TestStep:
                                          MassFunction.vacuous(PG), FusionParams())
                 assert np.allclose(out.masses[j, i], expect.masses, atol=1e-12)
 
-    def test_total_conflict_with_prior_keeps_the_sensor_mass(self):
-        # a certain free cell against a certain building: Dempster's rule is
-        # undefined there, so the cell fuses the sensor mass without the prior
+    def certain_building_under(self, sensor):
+        """Fresh grids whose cell (2, 1) holds the sensor mass `sensor` over
+        a building of confidence 1."""
         pg, sg, gg = self.fresh()
         sg_m = sg.masses.copy()
-        sg_m[1, 2] = sg_mass({"F": 1.0}).masses
+        sg_m[1, 2] = sg_mass(sensor).masses
         sg = dense_grid(self.SPEC, SG, sg_m)
         contexts = gg.ids.copy()
         contexts[1, 2] = frames.MAP_CONTEXTS.index("building")
-        gg = prior_grid(self.SPEC, contexts, building=pg_mass({"I": 1.0}).masses)
+        return pg, sg, prior_grid(self.SPEC, contexts, building=pg_mass({"I": 1.0}).masses)
+
+    def test_total_conflict_with_prior_keeps_the_sensor_mass(self):
+        # a certain free cell against a certain building: Dempster's rule is
+        # undefined there, so the cell fuses the sensor mass without the prior
+        pg, sg, gg = self.certain_building_under({"F": 1.0})
         with pytest.raises(TotalConflictError):
             combine_dempster(refine_sg(cell_mass(sg, 2, 1)), cell_mass(gg, 2, 1))
         out, totals = step_with_conflicts(pg, sg, gg, FusionParams())
@@ -351,6 +356,18 @@ class TestStep:
         assert np.allclose(out.masses[1, 2], m.masses, atol=1e-12)
         assert out.counter[1, 2] == z and totals == conflicts
         assert (out.masses[:, :, PG.omega] == 1.0).sum() == self.SPEC.width * self.SPEC.height - 1
+
+    def test_near_total_conflict_with_prior_matches_the_kernel(self):
+        # 20 free beams of weight 0.7 leave 0.3**20 off F: against a certain
+        # building the prior's Dempster step keeps only that much mass, and
+        # both step_cell and the kernel fuse the cell's prior as {I}: 1
+        pg, sg, gg = self.certain_building_under({"F": 1.0 - 0.3 ** 20, "FO": 0.3 ** 20})
+        assert combine_prior(refine_sg(cell_mass(sg, 2, 1)), cell_mass(gg, 2, 1))["I"] == 1.0
+        out, totals = step_with_conflicts(pg, sg, gg, FusionParams())
+        m, z, conflicts = step_cell(cell_mass(pg, 2, 1), 0.0, cell_mass(sg, 2, 1),
+                                    cell_mass(gg, 2, 1), FusionParams(), "building")
+        assert np.allclose(out.masses[1, 2], m.masses, atol=1e-12)
+        assert out.counter[1, 2] == z and totals == conflicts
 
     def test_determinism(self):
         rng = np.random.default_rng(9)

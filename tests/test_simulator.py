@@ -1,18 +1,23 @@
 """Scenario files, synthetic lidar casting and the end-to-end loop."""
 
+import copy
 import dataclasses
 import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evigrid.map_ingest import VectorMap, load_map
-from evigrid.sensor import Pose
+from evigrid import frames
+from evigrid.fusion import FusionParams
+from evigrid.grid import GridSpec
+from evigrid.map_ingest import MapConfidence, VectorMap, load_map
+from evigrid.sensor import Pose, SensorGridParams
 from evigrid.simulator import (ObjectTrack, ScenarioConfig, ScenarioError,
-                               SensorSpec, TimedPose, format_scan,
+                               SensorSpec, Settings, TimedPose, format_scan,
                                interpolate_pose, polygon_segments,
                                read_scan_log, run_scenario, simulate_scan,
                                world_segments)
@@ -191,7 +196,7 @@ class TestScenarioConfig:
     def test_zero_epochs(self):
         data = self.base_dict()
         data["epochs"] = 0
-        with pytest.raises(ScenarioError, match="epoch count"):
+        with pytest.raises(ScenarioError, match="epochs must be >= 1, got 0"):
             ScenarioConfig.from_dict(data)
 
     @pytest.mark.parametrize("path, value, message", [
@@ -253,6 +258,78 @@ class TestScenarioConfig:
         path.write_text("{nope")
         with pytest.raises(ScenarioError, match="not valid JSON"):
             ScenarioConfig.from_file(path)
+
+
+def timed(*times):
+    return tuple(TimedPose(t, Pose(t, 0.0, 0.0)) for t in times)
+
+
+# valid keyword arguments of each settings class
+GOOD_SETTINGS = {
+    GridSpec: {"origin_east": 0.0, "origin_north": 0.0, "cell_size": 0.5, "width": 4,
+               "height": 4},
+    SensorSpec: {"beam_count": 31, "fov": 1.0, "max_range": 10.0, "rate": 10.0,
+                 "range_jitter": 0.0},
+    SensorGridParams: {"free_weight": 0.7, "occupied_weight": 0.8},
+    MapConfidence: {"building": 0.9, "road": 0.8, "intermediate": 0.6},
+    FusionParams: {"ageing_rate": 0.05, "counter_inc": 0.2, "counter_dec": 0.4,
+                   "occupancy_threshold": 0.6, "conflict_threshold": 0.3,
+                   "ageing_by_context": {"building": 0.01, "road": 0.1, "intermediate": 0.05}},
+    Settings: {"grid": GridSpec(0.0, 0.0, 0.5, 4, 4), "decision_threshold": 0.5},
+    ScenarioConfig: {"grid": GridSpec(0.0, 0.0, 0.5, 4, 4), "decision_threshold": 0.5,
+                     "map_path": Path("m.geojson"), "trajectory": timed(0.0, 1.0),
+                     "sensor": SensorSpec(), "epochs": 2},
+    ObjectTrack: {"length": 4.0, "width": 2.0, "waypoints": timed(0.0, 1.0)},
+}
+NOT_A_NUMBER = [True, "0.5", None, math.nan, math.inf]
+NOT_A_COUNT = [False, "4", 2.5, 0]
+NOT_UNIT = NOT_A_NUMBER + [-0.1, 1.5]
+# each field by its class and its path in the keyword arguments, and values
+# it must reject
+BAD_SETTINGS = [
+    *((GridSpec, (key,), NOT_A_NUMBER) for key in ("origin_east", "origin_north", "cell_size")),
+    (GridSpec, ("cell_size",), [0.0, -0.5]),
+    *((GridSpec, (key,), NOT_A_COUNT) for key in ("width", "height")),
+    (SensorSpec, ("beam_count",), NOT_A_COUNT),
+    *((SensorSpec, (key,), NOT_A_NUMBER) for key in ("fov", "max_range", "rate", "range_jitter")),
+    (SensorSpec, ("fov",), [-0.5, 7.0]),
+    *((SensorSpec, (key,), [0.0, -1.0]) for key in ("max_range", "rate")),
+    (SensorSpec, ("range_jitter",), [-0.1]),
+    *((SensorGridParams, (key,), NOT_UNIT) for key in ("free_weight", "occupied_weight")),
+    *((MapConfidence, (key,), NOT_UNIT) for key in frames.MAP_CONTEXTS),
+    *((FusionParams, (key,), NOT_UNIT) for key in ("ageing_rate", "counter_inc", "counter_dec",
+                                                   "occupancy_threshold", "conflict_threshold")),
+    *((FusionParams, ("ageing_by_context", key), NOT_UNIT) for key in frames.MAP_CONTEXTS),
+    (FusionParams, ("ageing_by_context",), [[0.1], 0.1, {"river": 0.1}]),
+    (Settings, ("decision_threshold",), NOT_UNIT),
+    (ScenarioConfig, ("decision_threshold",), NOT_UNIT),
+    (ScenarioConfig, ("epochs",), NOT_A_COUNT),
+    (ScenarioConfig, ("trajectory",), [(), timed(1.0, 0.0), timed(0.0, 2.0, 2.0)]),
+    (ObjectTrack, ("waypoints",), [timed(1.0, 0.0), timed(0.0, 2.0, 2.0)]),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    pytest.param(kind, path, value, id=f"{kind.__name__}-{'-'.join(path)}-{k}")
+    for kind, path, values in BAD_SETTINGS for k, value in enumerate(values)])
+def test_settings_built_in_code_reject_a_bad_field(kind, path, value):
+    """The library twin of the command line's bad-field property: each
+    settings class built in code rejects one bad value with a ValueError that
+    names the field and none of the fields beside it."""
+    kwargs = copy.deepcopy(GOOD_SETTINGS[kind])
+    kind(**kwargs)
+    target = kwargs
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError) as error:
+        kind(**kwargs)
+    message = str(error.value)
+    # an ObjectTrack's message names its waypoints in the singular
+    field = "waypoint" if path[-1] == "waypoints" else path[-1]
+    assert re.search(rf"\b{field}\b", message), message
+    assert not any(re.search(rf"\b{key}\b", message) for key in target if key != path[-1]), \
+        message
 
 
 class TestRunScenario:
