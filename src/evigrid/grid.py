@@ -5,17 +5,22 @@ Cell (i, j) of a grid covers the box
 analogous interval north; per-cell arrays hold it at ``[j, i]``, in the
 (height, width) raster layout.  Grids are world-fixed; the vehicle pose
 moves through them.  Tuples of palette ids are keyed here only, by
-``_distinct_tuples``.  The checks that every settings class applies to its
-fields are here too: ``_number``, ``_count`` and ``_unit`` of a value, and
-``_known`` of an object's keys.
+``_distinct_tuples``.  The checks that every settings and scene class
+applies to its fields are here too: ``_number``, ``_count``, ``_positive``
+and ``_unit`` of a value, and ``_known`` of an object's keys; and the one reader of scenario,
+params and map files, ``_parse_file``, with ``_section``, which makes a
+class from an object of such a file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, TextIO
 
 import numpy as np
@@ -26,22 +31,34 @@ from .dst import FrameOfDiscernment
 def _number(value, name: str) -> float:
     """`value` as a float, once it is a finite real number and not a bool:
     a string, a bool, and the NaN and Infinity that ``json`` reads are
-    rejected, naming `name`."""
+    rejected, naming `name`, and so is an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} {value!r} is not a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond the float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
 def _count(value, name: str) -> int:
-    """`value` as an int, once it is an integer of at least 1 and not a bool."""
+    """`value` as an int, once it is an integer of at least 1 in the float range, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    _number(value, name)
     return int(value)
+
+
+def _positive(value, name: str) -> float:
+    """`value` as a float, once it is a ``_number`` above 0."""
+    value = _number(value, name)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
 
 
 def _unit(value, name: str) -> float:
@@ -74,6 +91,37 @@ def _known(data, keys, where: str = "", required=()) -> dict:
     return data
 
 
+def _section(value, kind, name: str, **parse):
+    """The dataclass `kind` made from the object `value` named `name`, once its
+    keys are its fields, those without a default included, each through the
+    function of its name in `parse` if any.  `name` leads the error of `kind`."""
+    fields = dataclasses.fields(kind)
+    _known(value, {f.name for f in fields}, name,
+           [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
+    kwargs = {key: parse[key](item) if key in parse else item for key, item in value.items()}
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from exc
+
+
+def _parse_file(path, kind: str, parse, error: type[ValueError]):
+    """`parse` of the JSON object in the `kind` file at `path`.  Every error
+    is an `error` of one line that names the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {kind} {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{kind} {path}: expected a JSON object, got {type(data).__name__}")
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{kind} {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GridSpec:
     origin_east: float
@@ -83,10 +131,9 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        _check_fields(self, _number, ("origin_east", "origin_north", "cell_size"))
+        _check_fields(self, _number, ("origin_east", "origin_north"))
+        _check_fields(self, _positive, ("cell_size",))
         _check_fields(self, _count, ("width", "height"))
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
 
     def world_to_index(self, x, y) -> np.ndarray:
         """Flat raster index ``j * width + i`` of the cell containing each world

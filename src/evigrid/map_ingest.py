@@ -9,13 +9,12 @@ cell centres laid out as the ids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import frames
-from .grid import EvidentialGrid, GridSpec, _check_fields, _unit
+from .grid import EvidentialGrid, GridSpec, _check_fields, _number, _parse_file, _unit
 
 # Tolerance for the boundary-inclusive point-on-edge test (metres^2 scale in
 # the cross product; map coordinates are metres, so this is far below any
@@ -75,37 +74,27 @@ def _parse_polygon(where: str, geometry: dict) -> np.ndarray:
         raise MapFormatError(f"{where}: polygon needs at least 3 vertices")
     if not all(isinstance(vertex, list) and len(vertex) == 2 for vertex in ring):
         raise MapFormatError(f"{where}: vertices must be [x, y] pairs")
-    # JSON numbers only: numpy would parse "1.5" and true
-    if any(isinstance(value, bool) or not isinstance(value, (int, float))
-           for vertex in ring for value in vertex):
-        raise MapFormatError(f"{where}: non-numeric coordinates")
-    try:
-        poly = np.array(ring, dtype=float)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise MapFormatError(f"{where}: coordinates must be finite") from exc
-    if not np.isfinite(poly).all():
-        raise MapFormatError(f"{where}: coordinates must be finite")
-    return poly
+    # JSON numbers only, each checked: numpy would parse "1.5" and true
+    return np.array([(_number(x, f"{where}: vertex {k} x"), _number(y, f"{where}: vertex {k} y"))
+                     for k, (x, y) in enumerate(ring)])
 
 
 def load_map(path) -> VectorMap:
     """Load a GeoJSON-subset map file, partitioning features by kind.  Every
     error names the file, and the feature at fault."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise MapFormatError(f"cannot read map file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MapFormatError(f"map file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
-        raise MapFormatError(f"map file {path} must be a FeatureCollection")
+    return _parse_file(path, "map file", _parse_map, MapFormatError)
+
+
+def _parse_map(data: dict) -> VectorMap:
+    """The map of a map file's JSON object; errors name the feature."""
+    if data.get("type") != "FeatureCollection":
+        raise MapFormatError(f"type {data.get('type')!r} is not 'FeatureCollection'")
     features = data.get("features", [])
     if not isinstance(features, list):
-        raise MapFormatError(f"map file {path}: features must be a list")
+        raise MapFormatError("features must be a list")
     vmap = VectorMap()
     for idx, feature in enumerate(features):
-        where = f"map file {path}: feature {idx}"
+        where = f"feature {idx}"
         if not isinstance(feature, dict):
             raise MapFormatError(f"{where} is not an object")
         props = feature.get("properties")

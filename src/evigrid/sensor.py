@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .grid import EvidentialGrid, GridSpec, _check_fields, _distinct_tuples, _unit
+from .grid import (EvidentialGrid, GridSpec, _check_fields, _distinct_tuples, _number, _positive,
+                   _unit)
 
 _TAU = 2.0 * math.pi
 
@@ -49,8 +50,7 @@ class Pose:
     heading: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.y, self.heading))):
-            raise ValueError(f"pose must be finite, got ({self.x}, {self.y}, {self.heading})")
+        _check_fields(self, _number, ("x", "y", "heading"))
         object.__setattr__(self, "heading", normalize_heading(self.heading))
 
 
@@ -65,8 +65,7 @@ class LidarScan:
 
     def __init__(self, columns: np.ndarray, max_range: float):
         # with a finite max_range the range checks below reject non-finite ranges
-        if not 0.0 < max_range < math.inf:
-            raise ValueError(f"max_range must be finite and > 0, got {max_range}")
+        max_range = _positive(max_range, "max_range")
         if not isinstance(columns, np.ndarray) or columns.ndim != 2 or len(columns) != 3:
             raise ValueError("beam columns must be an array of shape (3, beams), got "
                              f"{getattr(columns, 'shape', type(columns).__name__)}")

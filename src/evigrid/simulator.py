@@ -11,6 +11,7 @@ gather them by palette ids.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -24,7 +25,8 @@ import numpy as np
 from . import frames, fusion
 from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignistic,
                      step_with_conflicts)
-from .grid import EvidentialGrid, GridSpec, _check_fields, _count, _known, _number, _unit
+from .grid import (EvidentialGrid, GridSpec, _check_fields, _count, _known, _number,
+                   _parse_file, _positive, _section, _unit)
 from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
 from .sensor import LidarScan, Pose, SensorGridParams, beam_directions, build_sg, normalize_heading
 
@@ -41,6 +43,9 @@ class ScenarioError(ValueError):
 class TimedPose:
     t: float
     pose: Pose
+
+    def __post_init__(self):
+        _check_fields(self, _number, ("t",))
 
 
 def _check_increasing(poses: tuple[TimedPose, ...], what: str) -> None:
@@ -73,21 +78,26 @@ class ObjectTrack:
 
     Waypoint tracks exist from their first to their last timestamp, and
     their timestamps increase strictly.  Static tracks exist in
-    [appear_t, disappear_t).
+    [appear_t, disappear_t), from the start or to the end where a time is
+    not given.
     """
 
     length: float
     width: float
     waypoints: tuple[TimedPose, ...] = ()
     pose: Optional[Pose] = None
-    appear_t: float = -math.inf
-    disappear_t: float = math.inf
+    appear_t: Optional[float] = None
+    disappear_t: Optional[float] = None
 
     def __post_init__(self):
-        if self.length <= 0 or self.width <= 0:
-            raise ScenarioError("footprint dimensions must be positive")
-        if bool(self.waypoints) == (self.pose is not None):
-            raise ScenarioError("needs either waypoints or a static pose")
+        _check_fields(self, _positive, ("length", "width"))
+        if not self.waypoints and self.pose is None:
+            raise ScenarioError("needs waypoints or a static pose")
+        for name in ("pose", "appear_t", "disappear_t"):
+            if self.waypoints and getattr(self, name) is not None:
+                raise ScenarioError(f"{name} applies to static objects only")
+        _check_fields(self, _number, [name for name in ("appear_t", "disappear_t")
+                                      if getattr(self, name) is not None])
         _check_increasing(self.waypoints, "waypoint")
 
     def pose_at(self, t: float) -> Optional[Pose]:
@@ -95,9 +105,9 @@ class ObjectTrack:
             if not self.waypoints[0].t <= t <= self.waypoints[-1].t:
                 return None
             return interpolate_pose(self.waypoints, t)
-        if self.appear_t <= t < self.disappear_t:
-            return self.pose
-        return None
+        after = self.appear_t is None or self.appear_t <= t
+        before = self.disappear_t is None or t < self.disappear_t
+        return self.pose if after and before else None
 
     def polygon_at(self, t: float) -> Optional[np.ndarray]:
         """Footprint corners at time t, or None when absent."""
@@ -121,12 +131,10 @@ class SensorSpec:
 
     def __post_init__(self):
         _check_fields(self, _count, ("beam_count",))
-        _check_fields(self, _number, ("fov", "max_range", "rate", "range_jitter"))
+        _check_fields(self, _number, ("fov", "range_jitter"))
+        _check_fields(self, _positive, ("max_range", "rate"))
         if not 0.0 <= self.fov <= 2.0 * math.pi:
             raise ValueError(f"fov must be in [0, 2 pi], got {self.fov}")
-        for name in ("max_range", "rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.range_jitter < 0:
             raise ValueError(f"range_jitter must be >= 0, got {self.range_jitter}")
 
@@ -150,19 +158,6 @@ class Settings:
         self.decision_threshold = _unit(self.decision_threshold, "decision_threshold")
 
 
-def _section(value, kind, name: str):
-    """The dataclass `kind` made from the object `value` of the section
-    `name`, once its keys are fields of `kind`, those without a default
-    included.  The section's name leads the class's error."""
-    fields = dataclasses.fields(kind)
-    _known(value, {f.name for f in fields}, name,
-           [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
-    try:
-        return kind(**value)
-    except ValueError as exc:
-        raise ScenarioError(f"{name} {exc}") from exc
-
-
 def _parse_settings(data: dict) -> dict:
     """The settings present in a scenario or params document: each section
     made as its class, and the decision threshold as given.  Absent keys
@@ -171,28 +166,10 @@ def _parse_settings(data: dict) -> dict:
             for key, value in data.items() if key in _SETTINGS_KEYS}
 
 
-def _parse_file(path: Path, kind: str, parse):
-    """`parse` of the JSON object in a scenario or params file.  Every error
-    is a ScenarioError of one line that names the file."""
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {kind} {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"{kind} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{kind} {path}: expected a JSON object, got {type(data).__name__}")
-    try:
-        return parse(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{kind} {path}: {exc}") from exc
-
-
 _SETTINGS_KEYS = {f.name for f in dataclasses.fields(Settings)}
 _SECTIONS = {"grid": GridSpec, "sensor_model": SensorGridParams,
              "map_confidence": MapConfidence, "fusion": FusionParams}
 _SCENARIO_KEYS = _SETTINGS_KEYS | {"map", "trajectory", "sensor", "epochs", "objects"}
-_OBJECT_KEYS = {"length", "width", "waypoints", "pose", "appear_t", "disappear_t"}
 _POSE_KEYS = ("x", "y", "heading")
 _RECORD_KEYS = ("t", "pose", "beams", "max_range")
 
@@ -205,7 +182,7 @@ def load_settings(path, base: Optional[Settings] = None) -> Settings:
         parsed = _parse_settings(_known(data, _SETTINGS_KEYS,
                                         required=("grid",) if base is None else ()))
         return Settings(**parsed) if base is None else dataclasses.replace(base, **parsed)
-    return _parse_file(Path(path), "params", parse)
+    return _parse_file(path, "params", parse, ScenarioError)
 
 
 @dataclass
@@ -227,7 +204,8 @@ class ScenarioConfig(Settings):
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         path = Path(path)
-        return _parse_file(path, "scenario", lambda data: cls.from_dict(data, path.parent))
+        return _parse_file(path, "scenario", lambda data: cls.from_dict(data, path.parent),
+                           ScenarioError)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path = Path(".")) -> "ScenarioConfig":
@@ -239,37 +217,19 @@ class ScenarioConfig(Settings):
                 raise ScenarioError(f"{where} {entries!r} is not a list")
             return entries
 
-        def pose(entry, where):
-            return Pose(*(_number(entry[key], f"{where} {key}") for key in _POSE_KEYS))
-
         def timed_poses(entries, where):
             keys = ("t", *_POSE_KEYS)
             entries = [_known(e, keys, f"{where} {k}", keys)
                        for k, e in enumerate(listed(entries, where))]
-            return tuple(TimedPose(_number(e["t"], f"{where} t"), pose(e, where))
-                         for e in entries)
+            poses = [_section({key: e[key] for key in _POSE_KEYS}, Pose, where) for e in entries]
+            return tuple(_section({"t": e["t"], "pose": pose}, TimedPose, where)
+                         for e, pose in zip(entries, poses))
 
         def track(k, entry) -> ObjectTrack:
             where = f"object {k}"
-            _known(entry, _OBJECT_KEYS, where, ("length", "width"))
-            kwargs = {key: _number(entry[key], f"{where} {key}") for key in ("length", "width")}
-            if "waypoints" in entry:
-                for key in ("pose", "appear_t", "disappear_t"):
-                    if key in entry:
-                        raise ScenarioError(f"{where}: {key!r} applies to static objects only")
-                kwargs["waypoints"] = timed_poses(entry["waypoints"], f"{where} waypoint")
-            elif "pose" not in entry:
-                raise ScenarioError(f"{where}: needs 'waypoints' or a 'pose'")
-            else:
-                kwargs["pose"] = pose(_known(entry["pose"], _POSE_KEYS, f"{where} pose",
-                                             _POSE_KEYS), f"{where} pose")
-                for key in ("appear_t", "disappear_t"):
-                    if key in entry:
-                        kwargs[key] = _number(entry[key], f"{where} {key}")
-            try:
-                return ObjectTrack(**kwargs)
-            except ValueError as exc:
-                raise ScenarioError(f"{where} {exc}") from exc
+            return _section(entry, ObjectTrack, where,
+                            waypoints=lambda value: timed_poses(value, f"{where} waypoint"),
+                            pose=lambda value: _section(value, Pose, f"{where} pose"))
 
         try:
             _known(data, _SCENARIO_KEYS, required=("map", "grid", "trajectory", "epochs"))
@@ -418,24 +378,29 @@ def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:
     })
 
 
-def _hit_flag(value) -> bool:
-    """A beam's hit flag from a log record: a JSON boolean, nothing else."""
-    if not isinstance(value, bool):
-        raise ValueError(f"hit flag {value!r} is not true or false")
-    return value
+def _beam(k: int, row) -> tuple[float, float, bool]:
+    """Beam `k` of a log record: a list of two JSON numbers and a JSON boolean."""
+    if not (isinstance(row, list) and len(row) == 3):
+        raise ValueError(f"beam {k} {row!r} is not a [bearing, range, hit] list")
+    bearing, rng, hit = row
+    if not isinstance(hit, bool):
+        raise ValueError(f"beam {k} hit flag {hit!r} is not true or false")
+    return _number(bearing, f"beam {k} bearing"), _number(rng, f"beam {k} range"), hit
 
 
 def _beams(rows) -> np.ndarray:
     """A log record's beams, each ``[bearing, range, hit]`` with JSON numbers
     and a JSON boolean, as (3, beams) float columns.  Each column is checked
-    at once; the per-beam checks run only where a column holds another type,
-    and name the bad value."""
+    at once; the per-beam checks run only where a column holds another type
+    or a number beyond the float range, and name the beam and the value."""
     if type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
         bearings, ranges, hits = tuple(zip(*rows)) or ((), (), ())
         if set(map(type, bearings + ranges)) <= {float, int} and set(map(type, hits)) <= {bool}:
-            return np.array((bearings, ranges, hits), dtype=float)
-    return np.array([(_number(b, "bearing"), _number(r, "range"), _hit_flag(h))
-                     for b, r, h in rows], dtype=float).reshape(-1, 3).T
+            with contextlib.suppress(OverflowError):
+                return np.array((bearings, ranges, hits), dtype=float)
+    if not isinstance(rows, list):
+        raise ValueError(f"beams {rows!r} is not a list")
+    return np.array([_beam(k, row) for k, row in enumerate(rows)], dtype=float).reshape(-1, 3).T
 
 
 def read_scan_log(lines: Iterable[str | bytes]) -> Iterator[tuple[float, Pose, LidarScan]]:
@@ -452,10 +417,9 @@ def read_scan_log(lines: Iterable[str | bytes]) -> Iterator[tuple[float, Pose, L
         try:
             rec = _known(json.loads(line), _RECORD_KEYS, required=_RECORD_KEYS)
             t = _number(rec["t"], "t")
-            p = _known(rec["pose"], _POSE_KEYS, "pose", _POSE_KEYS)
-            pose = Pose(*(_number(p[key], f"pose {key}") for key in _POSE_KEYS))
-            scan = LidarScan(_beams(rec["beams"]), _number(rec["max_range"], "max_range"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            pose = _section(rec["pose"], Pose, "pose")
+            scan = LidarScan(_beams(rec["beams"]), rec["max_range"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
         if not t > last_t:
             raise ValueError(f"line {lineno}: out-of-order timestamp {t}")

@@ -15,7 +15,7 @@ from evigrid import frames
 from evigrid.fusion import FusionParams
 from evigrid.grid import GridSpec
 from evigrid.map_ingest import MapConfidence, VectorMap, load_map
-from evigrid.sensor import Pose, SensorGridParams
+from evigrid.sensor import LidarScan, Pose, SensorGridParams
 from evigrid.simulator import (ObjectTrack, ScenarioConfig, ScenarioError,
                                SensorSpec, Settings, TimedPose, format_scan,
                                interpolate_pose, polygon_segments,
@@ -72,7 +72,7 @@ class TestObjectTrack:
         assert poly[:, 1].max() - poly[:, 1].min() == pytest.approx(4.0)
 
     def test_validation(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match=r"^length must be > 0, got 0\.0$"):
             ObjectTrack(0.0, 2.0, pose=Pose(0, 0, 0))
         with pytest.raises(ScenarioError):
             ObjectTrack(4.0, 2.0)  # neither waypoints nor pose
@@ -211,10 +211,11 @@ class TestScenarioConfig:
         (("objects", 0, "stop_t"), 2.0, "object 0: unknown key(s) 'stop_t'"),
         (("epochs",), True, "epochs must be an integer, got True"),
         (("epochs",), 2.5, "epochs must be an integer, got 2.5"),
-        (("trajectory", 0, "x"), 10**400, "int too large to convert to float"),
-        (("objects", 1, "appear_t"), 0.5, "object 1: 'appear_t' applies to static objects only"),
+        (("trajectory", 0, "x"), 10**400,
+         "trajectory x must be finite, got a number beyond the float range"),
+        (("objects", 1, "appear_t"), 0.5, "object 1 appear_t applies to static objects only"),
         (("objects", 1, "disappear_t"), 0.5,
-         "object 1: 'disappear_t' applies to static objects only"),
+         "object 1 disappear_t applies to static objects only"),
     ])
     def test_rejects_bad_field(self, tmp_path, path, value, message):
         data = self.base_dict()
@@ -264,7 +265,11 @@ def timed(*times):
     return tuple(TimedPose(t, Pose(t, 0.0, 0.0)) for t in times)
 
 
-# valid keyword arguments of each settings class
+class StaticTrack(ObjectTrack):
+    """An ObjectTrack at one pose, under a name of its own in test ids."""
+
+
+# valid keyword arguments of each settings and scene class
 GOOD_SETTINGS = {
     GridSpec: {"origin_east": 0.0, "origin_north": 0.0, "cell_size": 0.5, "width": 4,
                "height": 4},
@@ -280,9 +285,14 @@ GOOD_SETTINGS = {
                      "map_path": Path("m.geojson"), "trajectory": timed(0.0, 1.0),
                      "sensor": SensorSpec(), "epochs": 2},
     ObjectTrack: {"length": 4.0, "width": 2.0, "waypoints": timed(0.0, 1.0)},
+    StaticTrack: {"length": 4.0, "width": 2.0, "pose": Pose(1.0, 2.0, 0.5), "appear_t": 0.0,
+                  "disappear_t": 9.0},
+    Pose: {"x": 1.0, "y": 2.0, "heading": 0.5},
+    TimedPose: {"t": 0.0, "pose": Pose(1.0, 2.0, 0.5)},
+    LidarScan: {"columns": np.array([[0.0], [5.0], [1.0]]), "max_range": 6.0},
 }
-NOT_A_NUMBER = [True, "0.5", None, math.nan, math.inf]
-NOT_A_COUNT = [False, "4", 2.5, 0]
+NOT_A_NUMBER = [True, "0.5", None, math.nan, math.inf, 10**400]
+NOT_A_COUNT = [False, "4", 2.5, 0, 10**400]
 NOT_UNIT = NOT_A_NUMBER + [-0.1, 1.5]
 # each field by its class and its path in the keyword arguments, and values
 # it must reject
@@ -306,6 +316,14 @@ BAD_SETTINGS = [
     (ScenarioConfig, ("epochs",), NOT_A_COUNT),
     (ScenarioConfig, ("trajectory",), [(), timed(1.0, 0.0), timed(0.0, 2.0, 2.0)]),
     (ObjectTrack, ("waypoints",), [timed(1.0, 0.0), timed(0.0, 2.0, 2.0)]),
+    *((ObjectTrack, (key,), NOT_A_NUMBER + [0.0, -1.0]) for key in ("length", "width")),
+    *((ObjectTrack, (key,), [3.0]) for key in ("appear_t", "disappear_t")),
+    # None is a time not given
+    *((StaticTrack, (key,), [v for v in NOT_A_NUMBER if v is not None])
+      for key in ("appear_t", "disappear_t")),
+    *((Pose, (key,), NOT_A_NUMBER) for key in ("x", "y", "heading")),
+    (TimedPose, ("t",), NOT_A_NUMBER),
+    (LidarScan, ("max_range",), NOT_A_NUMBER + [0.0, -1.0]),
 ]
 
 
@@ -314,8 +332,8 @@ BAD_SETTINGS = [
     for kind, path, values in BAD_SETTINGS for k, value in enumerate(values)])
 def test_settings_built_in_code_reject_a_bad_field(kind, path, value):
     """The library twin of the command line's bad-field property: each
-    settings class built in code rejects one bad value with a ValueError that
-    names the field and none of the fields beside it."""
+    settings and scene class built in code rejects one bad value with a
+    ValueError that names the field and none of the fields beside it."""
     kwargs = copy.deepcopy(GOOD_SETTINGS[kind])
     kind(**kwargs)
     target = kwargs
@@ -439,13 +457,27 @@ class TestReadScanLog:
         ({"beams": [["0.0", 6.0, True]]}, "bearing '0.0' is not a number"),
         ({"beams": [[0.0, "6.0", True]]}, "range '6.0' is not a number"),
         ({"max_range": "6"}, "max_range '6' is not a number"),
-        ({"t": 10**400}, "too large to convert to float"),
+        ({"t": 10**400}, "t must be finite, got a number beyond the float range"),
+        ({"pose": {"x": 0.0, "y": 0.0, "heading": -10**400}},
+         "pose heading must be finite, got a number beyond the float range"),
+        ({"max_range": 10**400}, "max_range must be finite, got a number beyond the float range"),
+        ({"beams": [[10**400, 6.0, True]]},
+         "beam 0 bearing must be finite, got a number beyond the float range"),
+        ({"beams": [[0.0, 6.0, False], [0.0, 10**400, True]]},
+         "beam 1 range must be finite, got a number beyond the float range"),
+        ({"beams": 5}, "beams 5 is not a list"),
+        ({"beams": [[0.0, 5.0]]}, "beam 0 [0.0, 5.0] is not a [bearing, range, hit] list"),
+        ({"beams": [5]}, "beam 0 5 is not a [bearing, range, hit] list"),
+        ({"beams": ["abc"]}, "beam 0 'abc' is not a [bearing, range, hit] list"),
     ], ids=["bool_t", "string_x", "bool_y", "string_bearing", "string_range",
-            "string_max_range", "huge_int_t"])
+            "string_max_range", "huge_int_t", "huge_int_heading", "huge_int_max_range",
+            "huge_int_bearing", "huge_int_range", "beams_number", "beam_pair", "beam_number",
+            "beam_string"])
     def test_rejects_non_numbers(self, fields, message):
         # float() would read true as 1.0 and "6" as 6.0, and raise
-        # OverflowError, not naming the line, on an integer beyond float range
-        with pytest.raises(ValueError, match=f"line 2: .*{message}"):
+        # OverflowError, not naming the line, on an integer beyond float range;
+        # a string of three characters would unpack as a beam
+        with pytest.raises(ValueError, match=f"line 2: .*{re.escape(message)}"):
             list(read_scan_log(["", self.line(**fields)]))
 
     @pytest.mark.parametrize("k", [0, 700])
@@ -453,12 +485,15 @@ class TestReadScanLog:
         ([0.5, 5.0, "true"], "hit flag 'true' is not true or false"),
         ([0.5, True, True], "range True is not a number"),
         (["0.5", 5.0, True], "bearing '0.5' is not a number"),
-        ([0.5, 5.0], "not enough values to unpack"),
-        ([0.5, 5.0, True, 1], "too many values to unpack"),
-        (0.5, "cannot unpack non-iterable float object"),
-        ({"b": 0.5, "r": 5.0, "h": True}, "bearing 'b' is not a number"),
+        ([0.5, 5.0], "beam K [0.5, 5.0] is not a [bearing, range, hit] list"),
+        ([0.5, 5.0, True, 1], "beam K [0.5, 5.0, True, 1] is not a [bearing, range, hit] list"),
+        (0.5, "beam K 0.5 is not a [bearing, range, hit] list"),
+        ({"b": 0.5, "r": 5.0, "h": True},
+         "beam K {'b': 0.5, 'r': 5.0, 'h': True} is not a [bearing, range, hit] list"),
         ([0.5, 7.0, True], "beam K: hit range 7.0 outside"),
-        ([0.5, 5.0, False], "beam K: non-hit beams must carry range = max_range")])
+        ([0.5, 5.0, False], "beam K: non-hit beams must carry range = max_range"),
+        ([0.5, 10**400, True], "beam K range must be finite, got a number beyond the float range"),
+        ("abc", "beam K 'abc' is not a [bearing, range, hit] list")])
     def test_names_the_bad_beam_among_many(self, k, bad, message):
         """Each column is checked at once; the per-beam checks name the value."""
         beams = [[0.001 * i, 5.0, True] if i % 2 else [0.001 * i, 6.0, False]
