@@ -1,13 +1,12 @@
 """Command-line entry point: run scenarios or replay scan logs.
 
 Exit codes: 0 success, 1 configuration error (a usage error on the command
-line, an unreadable or invalid scenario, map or params file, an unreadable
-scan log, an --every below 1, a --dump-grid that is not a list of epochs
-from 0, or an --out directory, its stats.ndjson or a --record file that
-cannot be created), 2 runtime error (failures while stepping epochs,
-including a malformed scan-log line).  An error prints one message line on
-stderr, after the usage for a usage error; one in a scenario, map or params
-file names the file, and one in an output names its path.
+line, or any failure before the first epoch: reading the scenario, map and
+params files, opening the scan log, or creating the outputs), 2 runtime
+error (any failure while stepping epochs, a malformed scan-log line
+included).  An error prints one line on stderr, after the usage for a usage
+error: one in an input file names the file, or the line of a scan log, one
+in an output names its path, and one without text names its type.
 """
 
 from __future__ import annotations
@@ -132,13 +131,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             record = files.enter_context(open(args.record, "w")) if args.record else None
             stats_out = files.enter_context(open(out_dir / "stats.ndjson", "w"))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            print(f"evigrid: configuration error: {exc}", file=sys.stderr)
+        except Exception as exc:
+            print("evigrid: configuration error:", str(exc) or type(exc).__name__, file=sys.stderr)
             return 1
         try:
             _emit(results, out_dir, args.render, args.every, dump_epochs, stats_out, record)
         except Exception as exc:
-            print(f"evigrid: runtime error: {exc}", file=sys.stderr)
+            print("evigrid: runtime error:", str(exc) or type(exc).__name__, file=sys.stderr)
             return 2
     return 0
 

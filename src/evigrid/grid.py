@@ -43,13 +43,18 @@ def _number(value, name: str) -> float:
     return value
 
 
+# the largest array size and flat raster index
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
 def _count(value, name: str) -> int:
-    """`value` as an int, once it is an integer of at least 1 in the float range, not a bool."""
+    """`value` as an int, once it is an integer in [1, ``_MAX_COUNT``], not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    _number(value, name)
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most {_MAX_COUNT}, the largest array size")
     return int(value)
 
 
@@ -112,14 +117,14 @@ def _parse_file(path, kind: str, parse, error: type[ValueError]):
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise error(f"cannot read {kind} {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"{kind} {path} is not valid JSON: {exc}") from exc
+    except Exception as exc:
+        raise error(f"{kind} {path} is not valid JSON: {str(exc) or type(exc).__name__}") from exc
     if not isinstance(data, dict):
         raise error(f"{kind} {path}: expected a JSON object, got {type(data).__name__}")
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise error(f"{kind} {path}: {exc}") from exc
+    except Exception as exc:
+        raise error(f"{kind} {path}: {str(exc) or type(exc).__name__}") from exc
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,13 @@ class GridSpec:
         _check_fields(self, _number, ("origin_east", "origin_north"))
         _check_fields(self, _positive, ("cell_size",))
         _check_fields(self, _count, ("width", "height"))
+        _count(self.width * self.height, "width * height")
+        for side, origin, count in (("east", "origin_east", "width"),
+                                    ("north", "origin_north", "height")):
+            edge = getattr(self, origin) + getattr(self, count) * self.cell_size
+            if not math.isfinite(edge):
+                raise ValueError(f"{side} edge {origin} + {count} * cell_size must be finite, "
+                                 f"got {edge}")
 
     def world_to_index(self, x, y) -> np.ndarray:
         """Flat raster index ``j * width + i`` of the cell containing each world

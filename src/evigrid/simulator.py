@@ -49,8 +49,11 @@ class TimedPose:
 
 
 def _check_increasing(poses: tuple[TimedPose, ...], what: str) -> None:
-    if any(b.t <= a.t for a, b in zip(poses, poses[1:])):
-        raise ScenarioError(f"{what} timestamps must be strictly increasing")
+    """Name the first of `poses`, each a `what`, whose time is not after the one before."""
+    for k, (a, b) in enumerate(zip(poses, poses[1:]), start=1):
+        if b.t <= a.t:
+            raise ScenarioError(f"{what} {k}: timestamps must be strictly increasing, "
+                                f"got {b.t} after {a.t}")
 
 
 def interpolate_pose(trajectory: tuple[TimedPose, ...], t: float) -> Pose:
@@ -62,14 +65,13 @@ def interpolate_pose(trajectory: tuple[TimedPose, ...], t: float) -> Pose:
         return trajectory[0].pose
     if t >= trajectory[-1].t:
         return trajectory[-1].pose
-    for a, b in zip(trajectory, trajectory[1:]):
-        if t <= b.t:
-            frac = (t - a.t) / (b.t - a.t)
-            return Pose(
-                a.pose.x + frac * (b.pose.x - a.pose.x),
-                a.pose.y + frac * (b.pose.y - a.pose.y),
-                a.pose.heading + frac * normalize_heading(b.pose.heading - a.pose.heading))
-    return trajectory[-1].pose  # unreachable, timestamps are increasing
+    # the segment that ends at the first pose not before t: t is inside the ends
+    a, b = next((a, b) for a, b in zip(trajectory, trajectory[1:]) if t <= b.t)
+    frac = (t - a.t) / (b.t - a.t)
+    return Pose(
+        a.pose.x + frac * (b.pose.x - a.pose.x),
+        a.pose.y + frac * (b.pose.y - a.pose.y),
+        a.pose.heading + frac * normalize_heading(b.pose.heading - a.pose.heading))
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,10 @@ class ScenarioConfig(Settings):
             keys = ("t", *_POSE_KEYS)
             entries = [_known(e, keys, f"{where} {k}", keys)
                        for k, e in enumerate(listed(entries, where))]
-            poses = [_section({key: e[key] for key in _POSE_KEYS}, Pose, where) for e in entries]
-            return tuple(_section({"t": e["t"], "pose": pose}, TimedPose, where)
-                         for e, pose in zip(entries, poses))
+            poses = [_section({key: e[key] for key in _POSE_KEYS}, Pose, f"{where} {k}")
+                     for k, e in enumerate(entries)]
+            return tuple(_section({"t": e["t"], "pose": pose}, TimedPose, f"{where} {k}")
+                         for k, (e, pose) in enumerate(zip(entries, poses)))
 
         def track(k, entry) -> ObjectTrack:
             where = f"object {k}"
@@ -419,8 +422,9 @@ def read_scan_log(lines: Iterable[str | bytes]) -> Iterator[tuple[float, Pose, L
             t = _number(rec["t"], "t")
             pose = _section(rec["pose"], Pose, "pose")
             scan = LidarScan(_beams(rec["beams"]), rec["max_range"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed record: {exc}") from exc
+        except Exception as exc:
+            raise ValueError(f"line {lineno}: malformed record: "
+                             f"{str(exc) or type(exc).__name__}") from exc
         if not t > last_t:
             raise ValueError(f"line {lineno}: out-of-order timestamp {t}")
         last_t = t

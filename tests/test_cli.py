@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evigrid import simulator
 from evigrid.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -209,7 +210,7 @@ def with_field(document: dict, path, value) -> dict:
     (("objects",), [{"length": 4.0, "width": 2.0,
                      "waypoints": [{"t": 5.0, "x": 4.0, "y": 2.0, "heading": 0.0},
                                    {"t": 0.0, "x": 8.0, "y": 2.0, "heading": 0.0}]}],
-     "object 0 waypoint timestamps must be strictly increasing"),
+     "object 0 waypoint 1: timestamps must be strictly increasing, got 0.0 after 5.0"),
 ], ids=["no_epochs", "pose_without_x", "object_without_length", "object_without_pose",
         "grid_size", "grid_without_height", "sensor_beams", "fusion_ageing", "sensor_list",
         "trajectory_number", "map_number", "object_with_waypoints_and_pose",
@@ -266,9 +267,30 @@ def _feature(properties, coordinates):
     ("params.json", "[1, 2]", "expected a JSON object, got list"),
     ("scn.json", b"\xff{}", "is not valid JSON"),
     ("m.geojson", b"\xff{}", "is not valid JSON"),
+    ("m.geojson", json.dumps({"type": "Feature", "features": []}),
+     "type 'Feature' is not 'FeatureCollection'"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection", "features": [
+        {"properties": {"kind": "road"}, "geometry": {"type": "Point", "coordinates": [1, 2]}}]}),
+     "feature 0: geometry must be a Polygon"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection",
+                              "features": [_feature({"kind": "road"}, [])]}),
+     "feature 0: missing polygon coordinates"),
+    ("m.geojson", json.dumps({"type": "FeatureCollection",
+                              "features": [_feature({"kind": "road"}, [[[0, 0], [1, 0], [1]]])]}),
+     "feature 0: vertices must be [x, y] pairs"),
+    # deeper than the JSON decoder recurses, and an integer longer than
+    # Python converts to text: neither is a JSONDecodeError
+    ("scn.json", "[" * 10_000 + "]" * 10_000, "is not valid JSON: maximum recursion depth"),
+    ("params.json", "[" * 10_000 + "]" * 10_000, "is not valid JSON: maximum recursion depth"),
+    ("m.geojson", '{"type": ' + "[" * 10_000 + "]" * 10_000 + "}",
+     "is not valid JSON: maximum recursion depth"),
+    ("params.json", '{"decision_threshold": ' + "1" * 5000 + "}",
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
 ], ids=["scenario_array", "map_features_string", "map_feature_not_object",
         "map_properties_list", "map_ring_not_list", "params_invalid_json", "params_array",
-        "scenario_not_utf8", "map_not_utf8"])
+        "scenario_not_utf8", "map_not_utf8", "map_type_feature", "map_geometry_point",
+        "map_no_coordinates", "map_vertex_not_pair", "scenario_nested", "params_nested",
+        "map_nested", "params_long_integer"])
 def test_malformed_document_is_one_line_naming_the_file(small_scenario, tmp_path, capsys,
                                                          name, text, message):
     """A malformed scenario, map or params file exits 1 with one line that
@@ -342,8 +364,8 @@ def test_non_number_setting_is_config_error(small_scenario, tmp_path, capsys, wh
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where, name", [
-    ("object", "object 0 length"), ("trajectory", "trajectory t"),
-    ("waypoint", "object 0 waypoint t")])
+    ("object", "object 0 length"), ("trajectory", "trajectory 0 t"),
+    ("waypoint", "object 0 waypoint 1 t")])
 def test_non_finite_scenario_number_is_config_error(small_scenario, tmp_path, capsys, where,
                                                     name, value):
     """``json`` reads NaN and Infinity; a scenario number must be finite."""
@@ -504,16 +526,43 @@ def test_replay_names_line_that_is_not_utf8(small_scenario, tmp_path, capsys):
     (record_line(0.1, pose=("0.5", False, 0.0)), "pose x '0.5' is not a number"),
     (record_line(0.1, beams=(("0.0", 6.0, True),)), "bearing '0.0' is not a number"),
     (record_line(0.1, max_range="6"), "max_range '6' is not a number"),
+    # deeper than the JSON decoder recurses
+    ("[" * 10_000 + "]" * 10_000, "malformed record: maximum recursion depth exceeded"),
 ], ids=["nan_x", "inf_heading", "nan_bearing", "hit_beyond_max_range", "inf_max_range",
-        "string_hit_flag", "bool_t", "string_pose_x", "string_bearing", "string_max_range"])
+        "string_hit_flag", "bool_t", "string_pose_x", "string_bearing", "string_max_range",
+        "nested_line"])
 def test_replay_names_line_of_bad_scan(small_scenario, tmp_path, capsys, bad_line, message):
     log = tmp_path / "scans.ndjson"
     log.write_text(record_line(0.0) + "\n" + bad_line + "\n")
     rc = replay(tmp_path, log, tmp_path / "out")
     assert rc == 2
     err = capsys.readouterr().err
-    assert "line 2" in err
+    assert err.startswith("evigrid: runtime error: line 2: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def _allocate_an_exbibyte(*args):
+    return np.empty(2**60, dtype=np.uint8)
+
+
+def _raise_memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("hook, failure, code, message", [
+    ("rasterize_gg", _allocate_an_exbibyte, 1, "configuration error: Unable to allocate 1.00 EiB"),
+    ("rasterize_gg", _raise_memory_error, 1, "configuration error: MemoryError"),
+    ("build_sg", _raise_memory_error, 2, "runtime error: MemoryError"),
+], ids=["numpy_in_set_up", "bare_in_set_up", "bare_in_epoch"])
+def test_memory_error_is_one_line(small_scenario, tmp_path, capsys, monkeypatch, hook, failure,
+                                  code, message):
+    """Running out of memory, as the map prior of a grid too large for
+    memory does, exits 1 in set-up and 2 in an epoch, with one line and not
+    a traceback; a MemoryError without text is named by its type."""
+    monkeypatch.setattr(simulator, hook, failure)
+    assert main(["run", str(small_scenario), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"evigrid: {message}") and err.count("\n") == 1, err
 
 
 def test_replay_out_of_order_timestamps(small_scenario, tmp_path, capsys):
@@ -825,6 +874,9 @@ def bad_fields(draw):
 @example((("grid", "width"), 10**400))
 @example((("sensor", "max_range"), 10**400))
 @example((("fusion", "ageing_by_context", "road"), 10**400))
+# counts inside the float range that no array size holds
+@example((("grid", "width"), 10**300))
+@example((("sensor", "beam_count"), 10**300))
 def test_bad_field_exits_1_naming_it(case):
     """A bad value in any field, or a deleted required key, exits 1 with one
     line naming the field and none of the fields beside it: in a scenario,

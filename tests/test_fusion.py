@@ -288,11 +288,18 @@ class TestStep:
         assert (out.masses[:, :, PG.omega] == 1.0).all()
         assert (out.counter == 0.0).all()
 
-    def test_spec_mismatch(self):
-        pg, sg, gg = self.fresh()
-        other = EvidentialGrid(GridSpec(0, 0, 0.5, 4, 4), SG)
-        with pytest.raises(ValueError, match="GridSpec"):
-            step_with_conflicts(pg, other, gg, FusionParams())
+    @pytest.mark.parametrize("role, spec, frame, message", [
+        ("sg", GridSpec(0, 0, 0.5, 4, 4), SG,
+         "perception, sensor and map grids must share a GridSpec"),
+        ("sg", None, PG, "sensor grid must be on the free/occupied frame"),
+        ("pg", None, SG, "perception and map grids must be on the 5-class frame"),
+        ("gg", None, SG, "perception and map grids must be on the 5-class frame"),
+    ], ids=["spec", "sensor_frame", "perception_frame", "map_frame"])
+    def test_rejects_mismatched_grids(self, role, spec, frame, message):
+        grids = dict(zip(("pg", "sg", "gg"), self.fresh()))
+        grids[role] = EvidentialGrid(spec or self.SPEC, frame)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            step_with_conflicts(**grids, params=FusionParams())
 
     @pytest.mark.parametrize("states", [1, 2, 4])
     def test_map_grid_holds_the_three_contexts(self, states):

@@ -1,6 +1,7 @@
 """Grid geometry, cell bookkeeping and snapshot export."""
 
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,29 @@ class TestGridSpec:
                 "width": 4, "height": 4, field: value}
         with pytest.raises(ValueError, match=f"^{field} "):
             GridSpec(**args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.0, 0.5, 2**63, 4), "width must be at most 9223372036854775807"),
+        ((0.0, 0.0, 0.5, 4, 10**300), "height must be at most 9223372036854775807"),
+        ((0.0, 0.0, 0.5, 2**32, 2**32), "width * height must be at most 9223372036854775807"),
+        ((0.0, 0.0, 1e308, 4, 1), "east edge origin_east + width * cell_size must be finite, "
+                                   "got inf"),
+        ((0.0, 1e308, 1e308, 1, 1), "north edge origin_north + height * cell_size must be "
+                                     "finite, got inf"),
+        ((-1e308, 0.0, 1e300, 3 * 10**8, 1), "east edge origin_east + width * cell_size must "
+                                              "be finite, got inf"),
+    ], ids=["width", "height", "cells", "east_edge", "north_edge", "east_edge_of_many_cells"])
+    def test_rejects_sizes_beyond_arrays_and_floats(self, args, message):
+        """A count that no array size or flat index holds, and a far edge
+        beyond the float range, are rejected naming the fields; nothing is
+        allocated."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            GridSpec(*args)
+
+    def test_accepts_the_largest_sizes_it_can_index(self):
+        spec = GridSpec(0.0, 0.0, 1.0, 2**31, 2**31)
+        assert spec.width * spec.height < 2**63
+        assert GridSpec(-1e308, 0.0, 1e300, 10**8, 1).width == 10**8
 
     def test_accepts_numpy_integers(self):
         assert GridSpec(0, 0, 0.5, np.int64(4), np.int32(3)).height == 3

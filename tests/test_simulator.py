@@ -190,7 +190,8 @@ class TestScenarioConfig:
         data = self.base_dict()
         data["trajectory"] = [{"t": 1.0, "x": 0, "y": 0, "heading": 0},
                               {"t": 1.0, "x": 1, "y": 0, "heading": 0}]
-        with pytest.raises(ScenarioError, match="strictly increasing"):
+        message = "trajectory 1: timestamps must be strictly increasing, got 1.0 after 1.0"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             ScenarioConfig.from_dict(data)
 
     def test_zero_epochs(self):
@@ -200,19 +201,25 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(data)
 
     @pytest.mark.parametrize("path, value, message", [
-        (("trajectory", 0, "t"), True, "trajectory t True is not a number"),
-        (("trajectory", 0, "heading"), "0", "trajectory heading '0' is not a number"),
+        (("trajectory", 0, "t"), True, "trajectory 0 t True is not a number"),
+        (("trajectory", 0, "heading"), "0", "trajectory 0 heading '0' is not a number"),
         (("objects", 0, "length"), "4", "object 0 length '4' is not a number"),
         (("objects", 0, "pose", "y"), None, "object 0 pose y None is not a number"),
         (("objects", 0, "appear_t"), False, "object 0 appear_t False is not a number"),
         (("objects", 0, "disappear_t"), "9", "object 0 disappear_t '9' is not a number"),
         (("objects", 1, "width"), True, "object 1 width True is not a number"),
-        (("objects", 1, "waypoints", 1, "t"), "1", "object 1 waypoint t '1' is not a number"),
+        (("objects", 1, "waypoints", 1, "t"), "1", "object 1 waypoint 1 t '1' is not a number"),
+        (("objects", 1, "waypoints", 1, "x"), "abc", "object 1 waypoint 1 x 'abc' is not a number"),
+        (("objects", 1, "waypoints", 0, "y"), True, "object 1 waypoint 0 y True is not a number"),
+        (("objects", 1, "waypoints", 1, "t"), math.nan,
+         "object 1 waypoint 1 t must be finite, got nan"),
+        (("objects", 1, "waypoints", 1, "t"), 0.0,
+         "object 1 waypoint 1: timestamps must be strictly increasing, got 0.0 after 0.0"),
         (("objects", 0, "stop_t"), 2.0, "object 0: unknown key(s) 'stop_t'"),
         (("epochs",), True, "epochs must be an integer, got True"),
         (("epochs",), 2.5, "epochs must be an integer, got 2.5"),
         (("trajectory", 0, "x"), 10**400,
-         "trajectory x must be finite, got a number beyond the float range"),
+         "trajectory 0 x must be finite, got a number beyond the float range"),
         (("objects", 1, "appear_t"), 0.5, "object 1 appear_t applies to static objects only"),
         (("objects", 1, "disappear_t"), 0.5,
          "object 1 disappear_t applies to static objects only"),
@@ -292,7 +299,8 @@ GOOD_SETTINGS = {
     LidarScan: {"columns": np.array([[0.0], [5.0], [1.0]]), "max_range": 6.0},
 }
 NOT_A_NUMBER = [True, "0.5", None, math.nan, math.inf, 10**400]
-NOT_A_COUNT = [False, "4", 2.5, 0, 10**400]
+# 2**63 is one more than the largest array size
+NOT_A_COUNT = [False, "4", 2.5, 0, 10**400, 2**63]
 NOT_UNIT = NOT_A_NUMBER + [-0.1, 1.5]
 # each field by its class and its path in the keyword arguments, and values
 # it must reject
