@@ -122,8 +122,11 @@ def point_in_polygon(points, polygon: np.ndarray) -> np.ndarray:
     on_edge = np.zeros(x.shape, dtype=bool)
     inside = np.zeros(x.shape, dtype=bool)
     for (x1, y1), (x2, y2) in zip(polygon, np.roll(polygon, -1, axis=0)):
-        dy = y - y1
-        cross = (x2 - x1) * dy - (y2 - y1) * (x - x1)
+        # a point far from the edge may overflow its cross product to inf, or
+        # to nan as inf - inf: either way it is not near the edge's line
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = y - y1
+            cross = (x2 - x1) * dy - (y2 - y1) * (x - x1)
         # the bounding-box test only where the point is on the edge's line
         near = np.flatnonzero(np.abs(cross) <= _EDGE_EPS)
         xn, yn = x[near], y[near]

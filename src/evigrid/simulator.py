@@ -27,7 +27,7 @@ from .fusion import (ConflictPair, DECISION_LABELS, FusionParams, decide_pignist
                      step_with_conflicts)
 from .grid import (EvidentialGrid, GridSpec, _check_fields, _count, _known, _number,
                    _parse_file, _positive, _section, _unit)
-from .map_ingest import MapConfidence, VectorMap, load_map, rasterize_gg
+from .map_ingest import MapConfidence, load_map, rasterize_gg
 from .sensor import LidarScan, Pose, SensorGridParams, beam_directions, build_sg, normalize_heading
 
 # Ignore intersections closer than this along the ray: the emitter itself
@@ -125,6 +125,10 @@ class ObjectTrack:
 
 @dataclass(frozen=True)
 class SensorSpec:
+    """A lidar.  Its read-only (beam_count,) fan of ``bearings`` is made with
+    the spec, so a fan that no memory holds fails here, and is not a field:
+    files do not give it, and specs compare without it."""
+
     beam_count: int = 181
     fov: float = math.pi
     max_range: float = 30.0
@@ -139,11 +143,10 @@ class SensorSpec:
             raise ValueError(f"fov must be in [0, 2 pi], got {self.fov}")
         if self.range_jitter < 0:
             raise ValueError(f"range_jitter must be >= 0, got {self.range_jitter}")
-
-    def bearings(self) -> np.ndarray:
-        if self.beam_count == 1:
-            return np.zeros(1)
-        return np.linspace(-self.fov / 2.0, self.fov / 2.0, self.beam_count)
+        bearings = (np.linspace(-self.fov / 2.0, self.fov / 2.0, self.beam_count)
+                    if self.beam_count > 1 else np.zeros(1))
+        bearings.flags.writeable = False
+        object.__setattr__(self, "bearings", bearings)
 
 
 @dataclass
@@ -199,6 +202,10 @@ class ScenarioConfig(Settings):
     def __post_init__(self):
         super().__post_init__()
         self.epochs = _count(self.epochs, "epochs")
+        last_t = (self.epochs - 1) / self.sensor.rate
+        if not math.isfinite(last_t):
+            raise ScenarioError(f"last scan time (epochs - 1) / sensor rate must be finite, "
+                                f"got {last_t}")
         if not self.trajectory:
             raise ScenarioError("trajectory must contain at least one pose")
         _check_increasing(self.trajectory, "trajectory")
@@ -257,19 +264,11 @@ def polygon_segments(polygon: np.ndarray) -> np.ndarray:
     return np.hstack([polygon, rolled])
 
 
-def world_segments(vmap: VectorMap, objects: list[ObjectTrack], t: float) -> np.ndarray:
-    """Opaque edges at time t: building walls plus object footprints.
-
-    Roads do not block lidar.
-    """
-    parts = [polygon_segments(p) for p in vmap.buildings]
-    for track in objects:
-        poly = track.polygon_at(t)
-        if poly is not None:
-            parts.append(polygon_segments(poly))
-    if not parts:
-        return np.empty((0, 4))
-    return np.vstack(parts)
+def world_segments(walls: np.ndarray, objects: list[ObjectTrack], t: float) -> np.ndarray:
+    """Opaque edges at time t: the (k, 4) building `walls`, made once per run,
+    plus the footprints of the objects present."""
+    polygons = (track.polygon_at(t) for track in objects)
+    return np.vstack([walls, *(polygon_segments(p) for p in polygons if p is not None)])
 
 
 def simulate_scan(segments: np.ndarray, pose: Pose, sensor: SensorSpec,
@@ -280,21 +279,20 @@ def simulate_scan(segments: np.ndarray, pose: Pose, sensor: SensorSpec,
     every segment at once; the same ray against the same world always
     returns the identical range.
     """
-    bearings = sensor.bearings()
-    ranges = np.full(len(bearings), math.inf)
-    if segments.size:
-        a = segments[:, :2]
-        v = segments[:, 2:] - a
-        w = a - np.array([pose.x, pose.y])
-        dx, dy = beam_directions(pose.heading, bearings)[:, :, None]
-        denom = dx * v[:, 1] - dy * v[:, 0]
-        # a subnormal denominator (a beam along a segment, its heading a
-        # subnormal number of radians off) overflows the quotients to inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
-            u = (w[:, 0] * dy - w[:, 1] * dx) / denom
-        valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
-        ranges = np.where(valid, t_ray, math.inf).min(axis=1)
+    bearings = sensor.bearings
+    a = segments[:, :2]
+    v = segments[:, 2:] - a
+    w = a - np.array([pose.x, pose.y])
+    dx, dy = beam_directions(pose.heading, bearings)[:, :, None]
+    denom = dx * v[:, 1] - dy * v[:, 0]
+    # a subnormal denominator (a beam along a segment, its heading a
+    # subnormal number of radians off) overflows the quotients to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_ray = (w[:, 0] * v[:, 1] - w[:, 1] * v[:, 0]) / denom
+        u = (w[:, 0] * dy - w[:, 1] * dx) / denom
+    valid = (denom != 0.0) & (t_ray > _RAY_EPS) & (u >= 0.0) & (u <= 1.0)
+    # a world without segments leaves every beam at inf
+    ranges = np.where(valid, t_ray, math.inf).min(axis=1, initial=math.inf)
     if rng is not None and sensor.range_jitter > 0.0:
         # one draw per beam with a finite range, in beam order
         finite = np.flatnonzero(np.isfinite(ranges))
@@ -351,12 +349,12 @@ def _epochs(scans: Iterable[tuple[float, Pose, LidarScan]], gg: EvidentialGrid,
                           epoch_stats(epoch, codes, pg.ids, conflicts), bet)
 
 
-def _simulated_scans(cfg: ScenarioConfig, vmap: VectorMap,
+def _simulated_scans(cfg: ScenarioConfig, walls: np.ndarray,
                      rng: Optional[random.Random]) -> Iterator[tuple[float, Pose, LidarScan]]:
     for epoch in range(cfg.epochs):
         t = epoch / cfg.sensor.rate
         pose = interpolate_pose(cfg.trajectory, t)
-        segments = world_segments(vmap, cfg.objects, t)
+        segments = world_segments(walls, cfg.objects, t)
         yield t, pose, simulate_scan(segments, pose, cfg.sensor, rng)
 
 
@@ -366,8 +364,10 @@ def run_scenario(cfg: ScenarioConfig,
     and fused scan per step of the returned iterator."""
     vmap = load_map(cfg.map_path)
     gg = rasterize_gg(vmap, cfg.map_confidence, cfg.grid)
+    # the static part of the world, once; roads do not block the lidar
+    walls = np.vstack([np.empty((0, 4)), *map(polygon_segments, vmap.buildings)])
     rng = random.Random(seed) if seed is not None else None
-    return _epochs(_simulated_scans(cfg, vmap, rng), gg, cfg)
+    return _epochs(_simulated_scans(cfg, walls, rng), gg, cfg)
 
 
 def format_scan(t: float, pose: Pose, scan: LidarScan) -> str:

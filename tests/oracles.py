@@ -300,7 +300,7 @@ def simulate_scan_oracle(segments, pose, sensor, rng=None) -> LidarScan:
     ``simulate_scan``, so the scans must be equal float for float."""
     p = np.array([pose.x, pose.y])
     beams = []
-    for bearing in sensor.bearings():
+    for bearing in sensor.bearings:
         angle = pose.heading + bearing
         d = np.array([math.cos(angle), math.sin(angle)])
         rng_t = math.inf

@@ -553,16 +553,29 @@ def _raise_memory_error(*args):
     ("rasterize_gg", _allocate_an_exbibyte, 1, "configuration error: Unable to allocate 1.00 EiB"),
     ("rasterize_gg", _raise_memory_error, 1, "configuration error: MemoryError"),
     ("build_sg", _raise_memory_error, 2, "runtime error: MemoryError"),
-], ids=["numpy_in_set_up", "bare_in_set_up", "bare_in_epoch"])
+    # a scenario field: the sensor's beam fan, which numpy refuses before
+    # it allocates anything
+    ("sensor.beam_count", 10**18, 1,
+     "configuration error: scenario {scenario}: Unable to allocate 6.94 EiB"),
+], ids=["numpy_in_set_up", "bare_in_set_up", "bare_in_epoch", "beam_fan_in_set_up"])
 def test_memory_error_is_one_line(small_scenario, tmp_path, capsys, monkeypatch, hook, failure,
                                   code, message):
     """Running out of memory, as the map prior of a grid too large for
-    memory does, exits 1 in set-up and 2 in an epoch, with one line and not
-    a traceback; a MemoryError without text is named by its type."""
-    monkeypatch.setattr(simulator, hook, failure)
-    assert main(["run", str(small_scenario), "--out", str(tmp_path / "out")]) == code
+    memory does, exits 1 in set-up, before any output is made, and 2 in an
+    epoch, with one line and not a traceback; a MemoryError without text is
+    named by its type."""
+    section, _, key = hook.partition(".")
+    if key:
+        document = with_field(json.loads(small_scenario.read_text()), (section, key), failure)
+        small_scenario.write_text(json.dumps(document))
+    else:
+        monkeypatch.setattr(simulator, hook, failure)
+    out = tmp_path / "out"
+    assert main(["run", str(small_scenario), "--out", str(out)]) == code
     err = capsys.readouterr().err
+    message = message.format(scenario=small_scenario)
     assert err.startswith(f"evigrid: {message}") and err.count("\n") == 1, err
+    assert out.exists() == (code == 2)
 
 
 def test_replay_out_of_order_timestamps(small_scenario, tmp_path, capsys):
@@ -775,6 +788,8 @@ def sweep_cases(draw):
     sensor = {"beam_count": draw(st.integers(1, 64)),
               "fov": draw(st.sampled_from([0.0, 2 * math.pi]) | st.floats(0.0, 2 * math.pi)),
               "max_range": draw(st.floats(0.5, 12.0)),
+              # far from the shipped 10 Hz, every scan time finite over 5 epochs
+              "rate": draw(st.floats(1e-300, 1e300)),
               "range_jitter": draw(st.sampled_from([0.0]) | st.floats(0.0, 0.5))}
     scenario = {
         "map": "m.geojson", **params, "sensor": sensor,
@@ -877,6 +892,8 @@ def bad_fields(draw):
 # counts inside the float range that no array size holds
 @example((("grid", "width"), 10**300))
 @example((("sensor", "beam_count"), 10**300))
+# a rate so small that the second scan's time overflows to inf
+@example((("sensor", "rate"), 5e-309))
 def test_bad_field_exits_1_naming_it(case):
     """A bad value in any field, or a deleted required key, exits 1 with one
     line naming the field and none of the fields beside it: in a scenario,

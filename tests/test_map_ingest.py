@@ -202,6 +202,13 @@ class TestPointInPolygon:
                               [[True, False], [True, False]])
         assert point_in_polygon((0.5, 0.5), UNIT_SQUARE).shape == ()
 
+    def test_far_point_against_sloped_edges(self):
+        """A point so far from a triangle that its cross products overflow
+        to inf and inf - inf is outside, without a numeric warning."""
+        triangle = np.array([(0.0, 0.0), (10.0, 3.0), (4.0, 9.0)])
+        points = np.array([(1.5e308, 1.5e308), (-1.5e308, 1.0), (4.0, 4.0)])
+        assert point_in_polygon(points, triangle).tolist() == [False, False, True]
+
 
 def scenario_prior(name):
     cfg = ScenarioConfig.from_file(SCENARIOS / name)
@@ -303,6 +310,14 @@ class TestRasterize:
         for i in range(4):
             for j in range(4):
                 assert cell_mass(gg, i, j).is_vacuous()
+
+    @pytest.mark.parametrize("origin_north", [0.0, 1.5e308], ids=["far_in_x", "far_in_x_and_y"])
+    def test_grid_far_from_its_map(self, origin_north):
+        """Cells far from every vertex are intermediate, with no overflow
+        warning from the membership test."""
+        vmap, conf, _ = scenario_prior("crossing_car.json")
+        gg = rasterize_gg(vmap, conf, GridSpec(1.5e308, origin_north, 1e306, 4, 4))
+        assert (gg.ids == frames.MAP_CONTEXTS.index("intermediate")).all()
 
     def test_deterministic(self):
         vmap = VectorMap(roads=[np.array([(0, 0), (4, 0), (4, 4), (0, 4)])])

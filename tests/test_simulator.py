@@ -30,6 +30,11 @@ def fan(n=5, fov=math.pi / 2, max_range=20.0):
     return SensorSpec(beam_count=n, fov=fov, max_range=max_range)
 
 
+def walls_of(vmap):
+    """The building walls of `vmap`, made once per run as ``run_scenario`` makes them."""
+    return np.vstack([np.empty((0, 4)), *map(polygon_segments, vmap.buildings)])
+
+
 class TestInterpolatePose:
     TRAJ = (TimedPose(0.0, Pose(0, 0, 0.0)), TimedPose(2.0, Pose(4, 2, math.pi / 2)))
 
@@ -139,22 +144,28 @@ class TestSimulateScan:
 
     def test_bearings_cover_fov(self):
         spec = fan(n=5, fov=math.pi)
-        b = spec.bearings()
+        b = spec.bearings
         assert b[0] == pytest.approx(-math.pi / 2)
         assert b[-1] == pytest.approx(math.pi / 2)
         assert len(b) == 5
+        # made once with the spec and shared by its scans, so never written
+        with pytest.raises(ValueError, match="read-only"):
+            b[0] = 0.0
+        assert len(dataclasses.replace(spec, beam_count=3).bearings) == 3
+        assert spec == fan(n=5, fov=math.pi)
 
 
 class TestWorldSegments:
     def test_roads_do_not_block(self):
         vmap = VectorMap(roads=[np.array([(0, 0), (4, 0), (4, 4), (0, 4)])])
-        assert world_segments(vmap, [], 0.0).shape == (0, 4)
+        assert world_segments(walls_of(vmap), [], 0.0).shape == (0, 4)
 
     def test_building_and_object(self):
         vmap = VectorMap(buildings=[np.array([(0, 0), (4, 0), (4, 4), (0, 4)])])
         track = ObjectTrack(2.0, 1.0, pose=Pose(10, 10, 0), disappear_t=5.0)
-        assert world_segments(vmap, [track], 0.0).shape == (8, 4)
-        assert world_segments(vmap, [track], 6.0).shape == (4, 4)
+        walls = walls_of(vmap)
+        assert world_segments(walls, [track], 0.0).shape == (8, 4)
+        assert world_segments(walls, [track], 6.0).shape == (4, 4)
 
     def test_polygon_segments_close_ring(self):
         segs = polygon_segments(np.array([(0, 0), (1, 0), (1, 1)]))
@@ -223,6 +234,9 @@ class TestScenarioConfig:
         (("objects", 1, "appear_t"), 0.5, "object 1 appear_t applies to static objects only"),
         (("objects", 1, "disappear_t"), 0.5,
          "object 1 disappear_t applies to static objects only"),
+        # the third scan would be at time inf
+        (("sensor",), {"rate": 5e-309},
+         "last scan time (epochs - 1) / sensor rate must be finite, got inf"),
     ])
     def test_rejects_bad_field(self, tmp_path, path, value, message):
         data = self.base_dict()
@@ -421,7 +435,7 @@ class TestShippedScenarios:
         from evigrid.map_ingest import load_map
         vmap = load_map(cfg.map_path)
         t = 1.5  # car is mid-crossing in front of the sensor
-        segs = world_segments(vmap, cfg.objects, t)
+        segs = world_segments(walls_of(vmap), cfg.objects, t)
         pose = interpolate_pose(cfg.trajectory, t)
         scan = simulate_scan(segs, pose, cfg.sensor)
         bearing, rng, hit = scan.columns
@@ -434,11 +448,11 @@ class TestShippedScenarios:
     def test_scans_match_per_beam_oracle(self, scenario_dir, name, jitter):
         cfg = ScenarioConfig.from_file(scenario_dir / f"{name}.json")
         sensor = dataclasses.replace(cfg.sensor, range_jitter=jitter)
-        vmap = load_map(cfg.map_path)
+        walls = walls_of(load_map(cfg.map_path))
         rng, rng_oracle = random.Random(5), random.Random(5)
         for epoch in range(cfg.epochs):
             t = epoch / sensor.rate
-            segs = world_segments(vmap, cfg.objects, t)
+            segs = world_segments(walls, cfg.objects, t)
             pose = interpolate_pose(cfg.trajectory, t)
             scan = simulate_scan(segs, pose, sensor, rng)
             expect = simulate_scan_oracle(segs, pose, sensor, rng_oracle)
@@ -566,12 +580,12 @@ class TestScanLogRoundTrip:
     def test_simulated(self, scenario_dir, jitter):
         cfg = ScenarioConfig.from_file(scenario_dir / "street_canyon.json")
         sensor = dataclasses.replace(cfg.sensor, beam_count=1081, range_jitter=jitter)
-        vmap = load_map(cfg.map_path)
+        walls = walls_of(load_map(cfg.map_path))
         rng = random.Random(9)
         for epoch in range(0, cfg.epochs, 7):
             t = epoch / sensor.rate
             pose = interpolate_pose(cfg.trajectory, t)
-            scan = simulate_scan(world_segments(vmap, cfg.objects, t), pose, sensor, rng)
+            scan = simulate_scan(world_segments(walls, cfg.objects, t), pose, sensor, rng)
             assert scan.columns[2].any() and not scan.columns[2].all()
             self.round_trip(t, scan, pose)
 
